@@ -13,7 +13,7 @@ from .cover import (
     log_prob,
 )
 from .clustering import KMeansClusterer, SingleLinkageClusterer, cluster, threshold_from_hausdorff
-from .mapper import MapperNode, MapperGraph, map_comp, connected_components
+from .mapper import MapperNode, MapperGraph, LinkageEpoch, map_comp, connected_components
 from .persistence import (
     FilteredGraph,
     DiagramPoint,
@@ -24,7 +24,7 @@ from .persistence import (
     total_persistence,
     loss_and_subgradient,
 )
-from .optimize import OptimConfig, Trace, estimate_risk, optimize
+from .optimize import OptimConfig, Trace, direction_correlation, estimate_risk, optimize
 from .synthetic import generate_synthetic
 
 __version__ = "0.1.0"

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .data import PointCloud, hausdorff_to_subsample
@@ -66,11 +66,78 @@ def _kmeans_labels(pts: np.ndarray, cfg: KMeansClusterer) -> np.ndarray:
     return labels
 
 
+# Candidate pairs come from a kd-tree searched at a slightly larger radius;
+# each is kept iff the dense cdist formula sqrt(sum((a - b)**2)) <= threshold
+# holds, so ties at exactly the threshold resolve as cdist resolves them.
+_RADIUS_PAD = 1e-9
+_CHUNK = 1 << 13  # candidate pairs checked at a time, to bound memory
+
+
+def _within(a_cols, b_cols, i, j, threshold: float) -> np.ndarray:
+    """Mask of the pairs (i[k], j[k]) at distance <= threshold, given the
+    points as coordinate rows (p x n).
+
+    Squares are summed coordinate by coordinate, in cdist's order, so the
+    mask matches cdist(a, b)[i, j] <= threshold bit for bit.
+    """
+    sq = np.zeros(i.size)
+    for a, b in zip(a_cols, b_cols):
+        d = a[i] - b[j]
+        sq += d * d
+    return np.sqrt(sq) <= threshold
+
+
+def cross_radius_pairs(a_pts: np.ndarray, b_pts: np.ndarray, threshold: float):
+    """Yield chunks (i, j) of int32 index arrays: the pairs, row i of a_pts
+    and row j of b_pts, at distance <= threshold."""
+    cand = cKDTree(a_pts).sparse_distance_matrix(
+        cKDTree(b_pts), threshold * (1 + _RADIUS_PAD), output_type="ndarray")
+    a_cols, b_cols = np.ascontiguousarray(a_pts.T), np.ascontiguousarray(b_pts.T)
+    for s in range(0, cand.size, _CHUNK):
+        i, j = cand["i"][s:s + _CHUNK], cand["j"][s:s + _CHUNK]
+        ok = _within(a_cols, b_cols, i, j, threshold)
+        yield i[ok].astype(np.int32), j[ok].astype(np.int32)
+
+
+def merge_components(label: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Add the undirected edges (i[k], j[k]) to a component labelling.
+
+    ``label`` maps every vertex to its component's smallest vertex (start
+    from ``np.arange(n)`` for no edges); so does the result, which may share
+    memory with ``label``. Each round hooks every root to the smallest root
+    it shares an edge with and then jumps pointers until every vertex points
+    at its root; edges already inside one component drop out.
+    """
+    while True:
+        li, lj = label[i], label[j]
+        differ = li != lj
+        if not differ.any():
+            return label
+        i, j, li, lj = i[differ], j[differ], li[differ], lj[differ]
+        np.minimum.at(label, np.maximum(li, lj), np.minimum(li, lj))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+
 def _linkage_labels(pts: np.ndarray, threshold: float) -> np.ndarray:
-    """Connected components of the graph linking points at distance <= threshold."""
-    adj = sparse.csr_matrix(cdist(pts, pts) <= threshold)
-    _, labels = sparse.csgraph.connected_components(adj, directed=False)
-    return labels
+    """Connected components of the graph linking points at distance <= threshold.
+
+    A candidate pair whose points are already joined cannot change the
+    components, so only the others have their distance checked.
+    """
+    cand = cKDTree(pts).query_pairs(threshold * (1 + _RADIUS_PAD), output_type="ndarray")
+    cols = np.ascontiguousarray(pts.T)
+    label = np.arange(pts.shape[0])
+    for s in range(0, len(cand), _CHUNK):
+        i, j = cand[s:s + _CHUNK, 0], cand[s:s + _CHUNK, 1]
+        apart = label[i] != label[j]
+        i, j = i[apart], j[apart]
+        ok = _within(cols, cols, i, j, threshold)
+        label = merge_components(label, i[ok], j[ok])
+    return label
 
 
 def cluster(clusterer: Clusterer, cloud: PointCloud, member_indices) -> list[np.ndarray]:
@@ -78,25 +145,25 @@ def cluster(clusterer: Clusterer, cloud: PointCloud, member_indices) -> list[np.
 
     Returns disjoint sorted index arrays, ordered by smallest member index.
     """
-    members = np.asarray(sorted(member_indices), dtype=int)
+    members = np.unique(np.asarray(member_indices, dtype=np.intp))
     if members.size == 0:
         raise ValueError("cannot cluster an empty member set")
-    if members.max() >= cloud.n or members.min() < 0:
+    if members[-1] >= cloud.n or members[0] < 0:
         raise ValueError("member index out of range")
-    pts = cloud.points[members]
     if members.size == 1:
         return [members]
+    pts = cloud.points[members]
     if isinstance(clusterer, KMeansClusterer):
         labels = _kmeans_labels(pts, clusterer)
+        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        labels = first[inverse]
     else:
         labels = _linkage_labels(pts, clusterer.threshold)
-    out = []
-    seen = {}
-    for local, lab in enumerate(labels):
-        seen.setdefault(lab, []).append(members[local])
-    for lab in sorted(seen, key=lambda l: seen[l][0]):
-        out.append(np.array(seen[lab], dtype=int))
-    return out
+    # members are sorted and each label is its cluster's first position, so
+    # sorting by label orders the clusters by smallest member
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order])) + 1
+    return np.split(members[order], starts)
 
 
 def threshold_from_hausdorff(

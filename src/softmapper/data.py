@@ -49,9 +49,6 @@ class PointCloud:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def pairwise_distances(self) -> np.ndarray:
-        return cdist(self.points, self.points)
-
 
 def load_csv(path, has_header: bool = False) -> PointCloud:
     """Load a point cloud from a comma-separated file, one point per row.

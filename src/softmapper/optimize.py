@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import Clusterer
+from .clustering import Clusterer, SingleLinkageClusterer
 from .cover import sample_assignment, smooth_scheme, standard_scheme, uniform_cover
 from .data import PointCloud
+from .mapper import LinkageEpoch
 from .persistence import loss_and_subgradient
 
 
@@ -93,11 +94,15 @@ def _build_scheme(fv, config: OptimConfig):
 def _sample_losses(cloud, filter_family, theta, clusterer, config, base_seed):
     fv = filter_family.evaluate(cloud, theta)
     scheme = _build_scheme(fv, config)
+    # every sample shares the linkage clustering of the scheme's deterministic core
+    epoch = (LinkageEpoch(cloud, scheme.probs, clusterer)
+             if isinstance(clusterer, SingleLinkageClusterer) else None)
     sign = -1.0 if config.maximize else 1.0
     losses, grads = [], []
     for m in range(config.mc_samples):
         e = sample_assignment(scheme, base_seed + m)
-        loss, grad = loss_and_subgradient(cloud, e, filter_family, theta, clusterer, config.mode)
+        loss, grad = loss_and_subgradient(cloud, e, filter_family, theta, clusterer,
+                                          config.mode, epoch)
         losses.append(sign * loss)
         grads.append(sign * grad)
     return losses, grads

@@ -19,7 +19,7 @@ import numpy as np
 from .clustering import Clusterer
 from .data import PointCloud
 from .filters import FilterValues
-from .mapper import MapperGraph, map_comp
+from .mapper import LinkageEpoch, MapperGraph, map_comp
 
 
 @dataclass(frozen=True)
@@ -212,6 +212,7 @@ def loss_and_subgradient(
     theta: np.ndarray,
     clusterer: Clusterer,
     mode: str = "extended",
+    epoch: LinkageEpoch | None = None,
 ) -> tuple[float, np.ndarray]:
     """Total persistence of the Mapper graph of e under f_theta, and one
     subgradient element w.r.t. theta.
@@ -220,12 +221,13 @@ def loss_and_subgradient(
     through node means and the recorded realizing endpoints: each diagram
     point contributes sign(birth - death) * (grad birth - grad death), with
     sign(0) = 0; the gradient of a node value averages the Jacobian rows of
-    its members.
+    its members. ``epoch`` is the reusable Mapper of the scheme e was drawn
+    from (see ``map_comp``).
     """
     if mode not in ("regular", "extended"):
         raise ValueError(f"mode must be 'regular' or 'extended', got {mode!r}")
     fv = filter_family.evaluate(cloud, theta)
-    graph = map_comp(cloud, e, clusterer)
+    graph = map_comp(cloud, e, clusterer, epoch)
     fg = map_pers_filtration(graph, fv)
     diagram = extended_persistence(fg) if mode == "extended" else regular_persistence(fg)
     loss = total_persistence(diagram)

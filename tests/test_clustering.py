@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from softmapper.clustering import (
     KMeansClusterer,
     SingleLinkageClusterer,
     cluster,
+    merge_components,
     threshold_from_hausdorff,
 )
 from softmapper.data import PointCloud
@@ -85,3 +87,26 @@ def test_threshold_fraction_one_degenerate(rng):
     cloud = PointCloud(rng.standard_normal((10, 2)))
     with pytest.raises(ValueError):
         threshold_from_hausdorff(cloud, 1.0, 1.0, seed=0)
+
+
+@pytest.mark.parametrize("trial", range(20))
+def test_merge_components_matches_scipy(trial):
+    rng = np.random.default_rng(trial)
+    n = int(rng.integers(1, 300))
+    m = int(rng.integers(0, 2 * n))
+    i, j = rng.integers(0, n, m), rng.integers(0, n, m)
+    if trial % 4 == 0:  # a long path in random vertex order
+        perm = rng.permutation(n)
+        i, j = perm[:-1], perm[1:]
+    label = merge_components(np.arange(n), i, j)
+    adj = sparse.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n))
+    _, ref = sparse.csgraph.connected_components(adj, directed=False)
+    smallest = {}
+    for v, c in enumerate(ref):
+        smallest.setdefault(c, v)
+    assert label.tolist() == [smallest[c] for c in ref]
+    # merging in two batches gives the same labelling
+    half = i.size // 2
+    split = merge_components(merge_components(np.arange(n), i[:half], j[:half]),
+                             i[half:], j[half:])
+    assert split.tolist() == label.tolist()
