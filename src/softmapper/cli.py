@@ -37,18 +37,6 @@ class ConfigError(ValueError):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 1, not argparse's default 2
-        self.print_usage(sys.stderr)
-        raise SystemExit_(1, message)
-
-
-class SystemExit_(Exception):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
-
-
 def _add_dataset_args(p):
     p.add_argument("--input", help="path to a point cloud file")
     p.add_argument("--format", choices=["csv", "off"], default="csv")
@@ -81,13 +69,15 @@ def _add_cluster_args(p):
     p.add_argument("--subsample-fraction", type=float, default=1 / 3)
 
 
-def build_parser() -> _Parser:
-    top = _Parser(prog="softmapper")
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
+    top = argparse.ArgumentParser(prog="softmapper")
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
+    commands = {}
 
     for name in ("build", "optimize"):
-        p = sub.add_parser(name)
+        p = commands[name] = sub.add_parser(name)
         p.add_argument("--config", help="JSON file with defaults for any flag")
         _add_dataset_args(p)
         _add_filter_args(p)
@@ -111,7 +101,7 @@ def build_parser() -> _Parser:
             p.add_argument("--reference-direction",
                            help="comma-separated direction to correlate theta_N against")
 
-    p = sub.add_parser("synth")
+    p = commands["synth"] = sub.add_parser("synth")
     p.add_argument("--shape", required=True,
                    choices=["circle", "cylinder", "y_shape", "plane_with_leg"])
     p.add_argument("--n", type=int, default=600)
@@ -119,16 +109,16 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("export")
+    p = commands["export"] = sub.add_parser("export")
     p.add_argument("--graph", required=True, help="mapper.json produced by build")
     p.add_argument("--out", required=True, help="output DOT path")
-    return top
+    return top, commands
 
 
-def _apply_config_file(argv):
-    """Merge --config JSON values as parser defaults; flags override them."""
+def _read_config(argv) -> dict:
+    """The JSON object named by --config, if any."""
     if "--config" not in argv:
-        return argv, {}
+        return {}
     i = argv.index("--config")
     try:
         path = argv[i + 1]
@@ -141,7 +131,42 @@ def _apply_config_file(argv):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(values, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    return argv, values
+    return values
+
+
+def _config_value(action, key, value):
+    """A config value checked and converted as argparse checks and converts
+    the same flag given on the command line."""
+    if action.nargs == 0:  # an on/off switch
+        if not isinstance(value, bool):
+            raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
+        return value
+    if not isinstance(value, (str, int, float)) or isinstance(value, bool):
+        raise ConfigError(f"config key {key!r} must be a string or a number, got {value!r}")
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        value = action.type(text) if action.type else text
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key!r}: invalid value {text}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+    return value
+
+
+def _apply_config(commands, values) -> None:
+    """Make config values the defaults of every subcommand that has the flag;
+    flags on the command line override them."""
+    known = set()
+    for p in commands.values():
+        defaults = {}
+        for action in p._actions:
+            if action.dest in values:
+                defaults[action.dest] = _config_value(action, action.dest, values[action.dest])
+            known.add(action.dest)
+        p.set_defaults(**defaults)
+    unknown = set(values) - known
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
 
 def _load_cloud(args) -> PointCloud:
@@ -195,8 +220,13 @@ def _node_colors(graph, cloud, args, filter_vals):
     return np.array([source[list(nd.members)].mean() for nd in graph.nodes])
 
 
+# Where the outputs go and where the defaults came from change no result.
+_NOT_HASHED = ("config", "out_dir")
+
+
 def _config_hash(args) -> str:
-    doc = {k: v for k, v in sorted(vars(args).items()) if k != "config"}
+    """A digest of the settings that affect the results."""
+    doc = {k: v for k, v in vars(args).items() if k not in _NOT_HASHED}
     return hashlib.sha256(json.dumps(doc, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
@@ -297,25 +327,14 @@ _COMMANDS = {"build": cmd_build, "optimize": cmd_optimize, "synth": cmd_synth, "
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        argv, config_values = _apply_config_file(argv)
-        if config_values:
-            for p in parser._subparsers._group_actions[0].choices.values():
-                known = {a.dest for a in p._actions}
-                p.set_defaults(**{k: v for k, v in config_values.items() if k in known})
-            unknown = set(config_values) - {
-                a.dest
-                for p in parser._subparsers._group_actions[0].choices.values()
-                for a in p._actions
-            }
-            if unknown:
-                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        args = parser.parse_args(argv)
+        _apply_config(commands, _read_config(argv))
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse printed the help, the version or a usage error
+            return 0 if exc.code in (0, None) else 1
         return _COMMANDS[args.command](args)
-    except SystemExit_ as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (ConfigError, FormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
 
 from .clustering import (
     Clusterer,
+    Grid,
     KMeansClusterer,
     SingleLinkageClusterer,
     cluster,
-    cross_radius_pairs,
     merge_components,
+    range_pairs,
 )
 from .data import PointCloud
 
@@ -79,6 +81,30 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[new]
 
 
+def _distinct_stream(chunks) -> np.ndarray:
+    """_distinct of the concatenated key chunks, merged as they come, so
+    memory stays within about twice the distinct keys plus a chunk."""
+    kept, pending, size = np.empty(0, dtype=np.intp), [], 0
+    for keys in chunks:
+        pending.append(keys)
+        size += keys.size
+        if size > kept.size:
+            kept, pending, size = _distinct(np.concatenate([kept, *pending])), [], 0
+    return _distinct(np.concatenate([kept, *pending]))
+
+
+def _spread(start: np.ndarray, size: np.ndarray):
+    """(k, i): for each k, every i in [start[k], start[k] + size[k])."""
+    k = np.repeat(np.arange(size.size), size)
+    return k, start[k] + np.arange(k.size) - np.repeat(np.cumsum(size) - size, size)
+
+
+def _among(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Mask of the entries of q found in the sorted array keys."""
+    at = np.minimum(np.searchsorted(keys, q), keys.size - 1)
+    return (keys[at] == q) if keys.size else np.zeros(q.size, dtype=bool)
+
+
 def _kmeans_graph(cloud: PointCloud, e: np.ndarray, clusterer: KMeansClusterer) -> MapperGraph:
     """Cluster every cover element's support of e from scratch."""
     nodes, parts = [], []
@@ -100,9 +126,9 @@ class LinkageEpoch:
     clustered once here; entries with 0 < p < 1 form its margin. A draw keeps
     the whole core and some of the margin, so the clusters of element j are
     the connected components of a small graph whose units are the core
-    clusters of j and its drawn margin points, linked by the radius-graph
-    edges that touch a margin point of j. ``graph(e)`` equals the Mapper
-    graph of e clustered from scratch.
+    clusters of j and its drawn margin points. Its edges, built once here,
+    join units exactly when the radius graph does in every draw.
+    ``graph(e)`` equals the Mapper graph of e clustered from scratch.
     """
 
     def __init__(self, cloud: PointCloud, probs, clusterer: SingleLinkageClusterer):
@@ -111,40 +137,102 @@ class LinkageEpoch:
             raise ValueError(f"scheme must have {cloud.n} rows, got {p.shape}")
         self.cloud, self.clusterer = cloud, clusterer
         self._shape = p.shape
-        unit_of = np.empty(cloud.n, dtype=np.intp)  # units of the current element's points
-        unit_elem, core_pt, core_unit, margin_pt, margin_unit, edges = [], [], [], [], [], []
-        for j in range(p.shape[1]):
-            col = p[:, j]
-            core_j = np.flatnonzero(col == 1)
-            if core_j.size:
-                for part in cluster(clusterer, cloud, core_j):
-                    unit_of[part] = len(unit_elem)
-                    core_pt.append(part)
-                    core_unit.append(np.full(part.size, len(unit_elem)))
-                    unit_elem.append(j)
-            margin_j = np.flatnonzero((col > 0) & (col < 1))
-            if margin_j.size == 0:
-                continue
-            units = len(unit_elem) + np.arange(margin_j.size)
-            unit_of[margin_j] = units
-            unit_elem.extend([j] * margin_j.size)
-            margin_pt.append(margin_j)
-            margin_unit.append(units)
-            support = np.flatnonzero((col > 0) & (col <= 1))
-            keys = []
-            for i, k in cross_radius_pairs(cloud.points[margin_j], cloud.points[support],
-                                           clusterer.threshold):
-                a, b = unit_of[margin_j[i]], unit_of[support[k]]
-                lo, hi = np.minimum(a, b), np.maximum(a, b)
-                keys.append(_distinct((lo * len(unit_elem) + hi)[lo != hi]))
-            pair = np.divmod(_distinct(_cat(keys)), len(unit_elem))
-            edges.append(np.stack(pair).astype(np.int32))
-        self._unit_elem = np.array(unit_elem, dtype=np.intp)
-        self._core_pt, self._core_unit = _cat(core_pt), _cat(core_unit)
-        self._margin_pt, self._margin_unit = _cat(margin_pt), _cat(margin_unit)
+        flat = np.flatnonzero(p > 0)
+        pt, elem = np.divmod(flat, p.shape[1])
+        core = p.ravel()[flat] == 1
+        margin = ~core & (p.ravel()[flat] < 1)
+        by_elem = np.argsort(elem[core], kind="stable")
+        pt_core, elem_core = pt[core][by_elem], elem[core][by_elem]
+        bounds = np.searchsorted(elem_core, np.arange(p.shape[1] + 1)).tolist()
+        core_pt, unit_elem = [], []
+        for j in np.flatnonzero(np.diff(bounds)).tolist():
+            for part in cluster(clusterer, cloud, pt_core[bounds[j]:bounds[j + 1]]):
+                core_pt.append(part)
+                unit_elem.append(j)
+        self._core_pt = _cat(core_pt)
+        self._core_unit = np.repeat(np.arange(len(core_pt)), [part.size for part in core_pt])
+        self._margin_pt, self._margin_elem = pt[margin], elem[margin]
+        self._margin_unit = len(unit_elem) + np.arange(self._margin_pt.size)
+        self._unit_elem = np.concatenate([np.array(unit_elem, dtype=np.intp), self._margin_elem])
         self._core_elem = self._unit_elem[self._core_unit]
-        self._margin_elem = self._unit_elem[self._margin_unit]
-        self._edges = np.concatenate(edges, axis=1) if edges else np.empty((2, 0), dtype=np.int32)
+        self._edges = self._margin_edges()
+
+    def _margin_edges(self) -> np.ndarray:
+        """Unit pairs (2 x E) whose components match the radius graph's in
+        every draw, from one grid over the supports of the elements with a
+        margin.
+
+        Margin entries come first in each cell, so a cell's core entries,
+        which lie within threshold / 2 of each other and hence in one core
+        cluster, follow them as one range. Entries sharing a cell or a sure
+        cell pair are linked unchecked; the other cell pairs are
+        point-checked nearest first. Every (core cluster, margin point) link
+        is kept, and once one is known it is not checked again. Core clusters
+        are in every draw, so two margin points linked to one core cluster
+        are joined through it and need no edge of their own: each margin
+        point gets one linked core cluster as its anchor, and a margin pair
+        sharing an anchor is neither checked nor kept.
+        """
+        n_margin = self._margin_pt.size
+        if n_margin == 0:
+            return np.empty((2, 0), dtype=np.int32)
+        in_pass = np.zeros(self._shape[1], dtype=bool)
+        in_pass[self._margin_elem] = True
+        core = np.flatnonzero(in_pass[self._core_elem])
+        pt = np.concatenate([self._margin_pt, self._core_pt[core]])
+        is_core = np.arange(pt.size) >= n_margin
+        g = Grid(self.cloud.points[pt], np.concatenate([self._margin_elem, self._core_elem[core]]),
+                 self.clusterer.threshold, rank=is_core)
+        unit = np.concatenate([self._margin_unit, self._core_unit[core]])[g.order]
+        s = g.start[:-1]
+        m = np.add.reduceat((~is_core[g.order]).astype(np.intp), s)
+        c = np.diff(g.start) - m
+        rep, has_core = s + m, (c > 0).astype(np.intp)  # each cell's first core entry
+        n_units = self._unit_elem.size
+
+        sure, near = g.split(lambda a, b: (m[a] > 0) | (m[b] > 0))
+        # (core cluster, margin point) links: core units come first, so each
+        # key is core * n_units + margin
+        a, b = sure
+        known = _distinct_stream(
+            unit[j] * n_units + unit[i] for _, i, j in range_pairs(
+                np.concatenate([s, s[a], s[b]]), np.concatenate([m, m[a], m[b]]),
+                np.concatenate([rep, rep[b], rep[a]]),
+                np.concatenate([has_core, has_core[b], has_core[a]])))
+        # undecided cell pairs, nearest first, one margin point at a time
+        a, b = near
+        k_ab, i_ab = _spread(s[a], m[a] * has_core[b])
+        k_ba, i_ba = _spread(s[b], m[b] * has_core[a])
+        order = np.argsort(np.concatenate([k_ab, k_ba]), kind="stable")
+        sa = np.concatenate([i_ab, i_ba])[order]
+        sb = np.concatenate([rep[b[k_ab]], rep[a[k_ba]]])[order]
+        nb = np.concatenate([c[b[k_ab]], c[a[k_ba]]])[order]
+        key = unit[sb] * n_units + unit[sa]
+        for k, _, _ in g.linked(sa, np.ones_like(sa), sb, nb,
+                                lambda ks: ~_among(known, key[ks])):
+            known = _distinct(np.concatenate([known, key[k]]))
+
+        # margin with margin, except pairs sharing an anchor; a cell whose
+        # margin points share one anchor skips a cell that shares it too
+        anchor = np.full(n_units, -1)
+        np.maximum.at(anchor, known % n_units, known // n_units)
+        own = np.where(is_core[g.order], -1, anchor[unit])
+        low = np.minimum.reduceat(np.where(is_core[g.order], n_units, own), s)
+        shared = np.where(low == np.maximum.reduceat(own, s), low, -1)
+        lone = shared < 0
+        a, b = (x[(shared[sure[0]] != shared[sure[1]]) | lone[sure[0]]] for x in sure)
+        p, q = (x[(shared[near[0]] != shared[near[1]]) | lone[near[0]]] for x in near)
+        pairs = chain(range_pairs(s[lone], m[lone], s[lone], m[lone]),
+                      range_pairs(s[a], m[a], s[b], m[b]),
+                      g.linked(s[p], m[p], s[q], m[q], lambda ks: np.ones(ks.size, dtype=bool)))
+
+        def margin_keys():
+            for _, i, j in pairs:
+                lo, hi = np.minimum(unit[i], unit[j]), np.maximum(unit[i], unit[j])
+                yield (lo * n_units + hi)[(lo != hi) & ((own[i] != own[j]) | (own[i] < 0))]
+
+        keys = _distinct_stream(chain([known], margin_keys()))
+        return np.stack(np.divmod(keys, n_units)).astype(np.int32)
 
     def graph(self, e) -> MapperGraph:
         """The Mapper graph of the draw e (n x r, nonzero = assigned).

@@ -83,16 +83,20 @@ class Trace:
 
 
 def _build_scheme(fv, config: OptimConfig):
+    span = float(fv.values.max() - fv.values.min())
+    if span == 0 and config.resolution > 1:
+        raise FloatingPointError(f"the filter is constant, so {config.resolution} intervals"
+                                 " cannot cover its range")
     cover = uniform_cover(fv.values, config.resolution, config.gain)
     if config.scheme == "standard":
         return standard_scheme(fv, cover)
-    span = float(fv.values.max() - fv.values.min())
     delta = config.delta_rel * span if span > 0 else config.delta_rel
     return smooth_scheme(fv, cover, delta)
 
 
 def _sample_losses(cloud, filter_family, theta, clusterer, config, base_seed):
-    fv = filter_family.evaluate(cloud, theta)
+    with np.errstate(over="raise", invalid="raise"):  # too long a step overflows the filter
+        fv = filter_family.evaluate(cloud, theta)
     scheme = _build_scheme(fv, config)
     # every sample shares the linkage clustering of the scheme's deterministic core
     epoch = (LinkageEpoch(cloud, scheme.probs, clusterer)
@@ -155,6 +159,8 @@ def optimize(
             raise FloatingPointError(f"epoch {epoch}: non-finite risk or gradient")
         xi = noise_rng.normal(0.0, config.noise_std, size=theta.shape) if config.noise_std > 0 else 0.0
         theta = theta - config.learning_rate(epoch) * (y + xi)
+        if not np.all(np.isfinite(theta)):
+            raise FloatingPointError(f"epoch {epoch}: the step made the parameters non-finite")
         trace.append(epoch, theta, risk, float(np.linalg.norm(y)), time.perf_counter() - t0)
     return theta, trace
 

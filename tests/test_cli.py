@@ -56,7 +56,8 @@ def test_build_is_reproducible(tmp_path):
     ]
     main(argv + ["--out-dir", str(tmp_path / "a")])
     main(argv + ["--out-dir", str(tmp_path / "b")])
-    for name in ("mapper.json", "mapper.dot", "diagram.csv"):
+    # the output directory is no result, so the config hash ignores it too
+    for name in ("mapper.json", "mapper.dot", "diagram.csv", "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -121,6 +122,28 @@ def test_config_unknown_key(tmp_path, capsys):
     rc = main(["build", "--config", str(cfg), "--shape", "circle"])
     assert rc == 1
     assert "bogus_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [{"epochs": 2.5}, {"maximize": 1}, {"scheme": "rough"},
+                                    {"theta": [1, 0]}])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["optimize", "--config", str(cfg), "--shape", "circle", "--threshold", "0.8",
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--step-size", "1e308"],  # the second epoch's filter values overflow
+    ["--theta", "0,0,0"],  # a constant filter: its range cannot be covered
+])
+def test_numeric_failures_exit_two(tmp_path, capsys, flags):
+    rc = main(["optimize", "--shape", "y_shape", "--n", "200", "--threshold", "0.2",
+               "--maximize", "--epochs", "3", "--out-dir", str(tmp_path)] + flags)
+    assert rc == 2
+    assert "epoch " in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

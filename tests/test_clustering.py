@@ -42,6 +42,12 @@ def test_empty_member_set_rejected(line_cloud):
         cluster(SingleLinkageClusterer(0.5), line_cloud, [])
 
 
+def test_threshold_below_coordinate_resolution_rejected(line_cloud):
+    # cells of side t / 2 could not be told apart in floating point
+    with pytest.raises(ValueError, match="too small"):
+        cluster(SingleLinkageClusterer(1e-300), line_cloud, [0, 1, 2, 3])
+
+
 def test_kmeans_more_clusters_than_points(line_cloud):
     parts = cluster(KMeansClusterer(10, seed=0), line_cloud, [0, 2, 3])
     assert len(parts) == 3

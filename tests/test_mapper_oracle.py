@@ -16,11 +16,12 @@ from scipy import sparse
 from scipy.spatial.distance import cdist
 
 from softmapper.clustering import (
+    Grid,
     KMeansClusterer,
     SingleLinkageClusterer,
     _kmeans_labels,
     cluster,
-    cross_radius_pairs,
+    range_pairs,
 )
 from softmapper.cover import sample_assignment, smooth_scheme, uniform_cover
 from softmapper.data import PointCloud
@@ -74,21 +75,32 @@ def assert_same_graph(got, want):
 
 
 def smooth_case(case):
-    """A seeded (cloud, scheme, threshold) of the kind the optimizer samples."""
+    """A seeded (cloud, scheme, threshold) of the kind the optimizer samples.
+
+    Cases 0-7 are y-shapes and planar Gaussian clouds; 8 and 9 are Gaussian
+    clouds in 1 and 4 dimensions, 10 has coordinates near 1e6 and a
+    threshold near 1e-4, and 11 repeats some of its points.
+    """
     rng = np.random.default_rng(500 + case)
-    if case % 2:
-        cloud = generate_synthetic("y_shape", n=int(rng.integers(80, 250)), noise=0.02,
-                                   seed=case)
+    scale = 1e-4 if case == 10 else 1.0
+    if case % 2 and case < 8:
+        pts = generate_synthetic("y_shape", n=int(rng.integers(80, 250)), noise=0.02,
+                                 seed=case).points
     else:
-        cloud = PointCloud(rng.standard_normal((int(rng.integers(40, 160)), 2)))
+        pts = rng.standard_normal((int(rng.integers(40, 160)), {8: 1, 9: 4}.get(case, 2)))
+    if case == 10:
+        pts = 1e6 + scale * pts
+    if case == 11:
+        pts = np.concatenate([pts, pts[rng.integers(0, len(pts), len(pts) // 2)]])
+    cloud = PointCloud(pts)
     fv = LinearFilter().evaluate(cloud, rng.standard_normal(cloud.dim))
     cover = uniform_cover(fv.values, int(rng.integers(2, 9)), float(rng.uniform(0.15, 0.5)))
     span = float(fv.values.max() - fv.values.min())
     scheme = smooth_scheme(fv, cover, float(rng.choice([1e-2, 5e-2, 0.2])) * span)
-    return cloud, scheme, float(rng.uniform(0.1, 0.6))
+    return cloud, scheme, scale * float(rng.uniform(0.1, 0.6))
 
 
-@pytest.mark.parametrize("case", range(8))
+@pytest.mark.parametrize("case", range(12))
 def test_epoch_matches_oracle_on_every_sample(case):
     cloud, scheme, threshold = smooth_case(case)
     assert np.any((scheme.probs > 0) & (scheme.probs < 1))  # the draws really vary
@@ -102,6 +114,26 @@ def test_epoch_matches_oracle_on_every_sample(case):
         assert_same_graph(map_comp(cloud, e, cl), want)
         if m < 2:
             assert_same_graph(map_comp(cloud, e, km), oracle_map_comp(cloud, e, km))
+
+
+def test_margin_linked_to_its_core_inside_one_cell():
+    """Beads of five points on a line, each inside one cell and farther
+    apart than the threshold. The edge of element 0's core cuts bead 3, so
+    its margin points reach the core cluster only inside their cell; bead 4
+    is all margin, in both elements."""
+    pts = (0.12 * np.arange(8)[:, None] + 0.005 + np.linspace(0, 0.02, 5)).reshape(-1, 1)
+    cloud = PointCloud(pts)
+    probs = np.zeros((40, 2))
+    probs[:18, 0] = 1
+    probs[18:25, 0] = 0.5
+    probs[20:25, 1] = 0.5
+    probs[25:, 1] = 1
+    cl = SingleLinkageClusterer(0.06)
+    epoch = LinkageEpoch(cloud, probs, cl)
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        e = ((probs == 1) | ((probs > 0) & (rng.random(probs.shape) < 0.5))).astype(np.uint8)
+        assert_same_graph(epoch.graph(e), oracle_map_comp(cloud, e, cl))
 
 
 def test_epoch_rejects_foreign_draws():
@@ -120,8 +152,19 @@ def test_epoch_rejects_foreign_draws():
 
 
 def all_pairs(pts, threshold):
-    """Every ordered pair (i, j), i == j included, within threshold."""
-    return np.concatenate([np.column_stack(c) for c in cross_radius_pairs(pts, pts, threshold)])
+    """Every ordered pair (i, j), i == j included, within threshold, read off
+    the grid: a cell's points and sure cell pairs unchecked, the other cell
+    pairs by point checks."""
+    g = Grid(pts, np.zeros(len(pts), dtype=int), threshold)
+    s, size = g.start[:-1], np.diff(g.start)
+    (a, b), near = g.split(lambda a, b: np.ones(a.size, dtype=bool))
+    chunks = [c[1:] for c in range_pairs(s, size, s, size)]
+    across = [c[1:] for c in range_pairs(s[a], size[a], s[b], size[b])]
+    a, b = near
+    across += [c[1:] for c in g.linked(s[a], size[a], s[b], size[b],
+                                       lambda ks: np.ones(ks.size, dtype=bool))]
+    chunks += across + [(j, i) for i, j in across]
+    return g.order[np.concatenate([np.column_stack(c) for c in chunks])]
 
 
 def lattice(side):
@@ -147,24 +190,42 @@ def test_ties_at_the_threshold_match_cdist(threshold):
         assert_same_graph(map_comp(cloud, e, cl), oracle_map_comp(cloud, e, cl))
 
 
-@pytest.mark.parametrize("pts", [lattice(8) * 0.1 + 0.3,
-                                 np.random.default_rng(5).random((60, 3)) * 7.3])
+def _points(seed, n, d, scale=7.3, offset=0.0):
+    return offset + np.random.default_rng(seed).random((n, d)) * scale
+
+
+_ULP = 2.0 ** -33  # of coordinates near 1e6
+
+
+@pytest.mark.parametrize("pts", [
+    lattice(8) * 0.1 + 0.3,
+    _points(5, 60, 3),
+    _points(6, 60, 1),
+    _points(7, 60, 4),
+    _points(8, 60, 2, scale=3e-4, offset=1e6),
+    np.repeat(_points(9, 30, 3), 2, axis=0),
+    # two cells whose centres, rounded at 1e6, lie farther apart than the
+    # threshold dense[0, 2] that links points 0 and 2
+    1e6 + _ULP * np.array([[1.0], [0.0], [86001.0], [86002.0]]),
+])
 def test_ties_at_a_rounded_threshold_match_cdist(pts):
-    """Scaled coordinates make the kd-tree and cdist round differently; each
-    threshold is itself a cdist value, so some pairs tie with it exactly, and
-    squaring it loses the last bit often enough to tell sqrt(s) <= t from
-    s <= t * t."""
+    """Scaled coordinates make the bounds and cdist round differently. Each
+    threshold is a cdist value or the float just below one, so some pairs tie
+    with it exactly and others miss it by the last bit; squaring it loses the
+    last bit often enough to tell sqrt(s) <= t from s <= t * t."""
     dense = cdist(pts, pts)
     cloud = PointCloud(pts)
     rng = np.random.default_rng(4)
-    for threshold in dense[0, 1:30]:
-        pairs = all_pairs(pts, threshold)
-        assert len(pairs) == (dense <= threshold).sum()
-        cl = SingleLinkageClusterer(threshold)
-        for trial in range(3):
-            keep = np.flatnonzero(rng.random(len(pts)) < 0.5)
-            got = [p.tolist() for p in cluster(cl, cloud, keep)]
-            assert got == [p.tolist() for p in oracle_cluster(cl, cloud, keep)]
+    for tie in dense[0][dense[0] > 0][:29]:
+        for threshold in (tie, np.nextafter(tie, 0)):
+            pairs = all_pairs(pts, threshold)
+            assert len(pairs) == (dense <= threshold).sum()
+            assert np.all(dense[pairs[:, 0], pairs[:, 1]] <= threshold)
+            cl = SingleLinkageClusterer(threshold)
+            for trial in range(3):
+                keep = np.flatnonzero(rng.random(len(pts)) < 0.5)
+                got = [p.tolist() for p in cluster(cl, cloud, keep)]
+                assert got == [p.tolist() for p in oracle_cluster(cl, cloud, keep)]
 
 
 @st.composite

@@ -1,9 +1,12 @@
-"""The README's Python quick-starts run as written."""
+"""The README's quick-starts run as written."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from softmapper import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +28,29 @@ def test_readme_python_blocks_run():
     correlation, total = printed
     assert correlation > 0.99  # the README promises ~0.999
     assert total > 0
+
+
+def cli_commands():
+    text = README.read_text(encoding="utf-8").split("## Quick start (CLI)")[1]
+    block = re.search(r"```sh\n(.*?)```", text, re.S).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.strip() and not line.lstrip().startswith("#")]
+    return [shlex.split(line) for line in lines]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    """Every command of the CLI quick-start exits 0 and writes the files the
+    README names."""
+    monkeypatch.chdir(tmp_path)
+    commands = cli_commands()
+    assert [argv[:2] for argv in commands] == [["softmapper", c]
+                                               for c in ("build", "optimize", "synth", "export")]
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
+    capsys.readouterr()
+    written = ["out/mapper.json", "out/mapper.dot", "out/diagram.csv", "out/graph.dot",
+               "cylinder.csv", "run/summary.json"]
+    written += [f"run/{name}" for name in ("trace.csv", "curve.svg", "theta_final.json")]
+    written += [f"run/{build}/{name}" for build in ("initial", "final")
+                for name in ("mapper.json", "mapper.dot", "diagram.csv")]
+    assert [name for name in written if not (tmp_path / name).is_file()] == []
