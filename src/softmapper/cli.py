@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .clustering import KMeansClusterer, SingleLinkageClusterer, threshold_from_hausdorff
-from .cover import sample_assignment, smooth_scheme, standard_scheme, uniform_cover
+from .cover import sample_assignment, smooth_scheme, smoothing_width, standard_scheme, uniform_cover
 from .data import FormatError, PointCloud, load_csv, load_off_vertices
 from .export import (
     diagram_to_csv,
@@ -231,11 +231,11 @@ def _config_hash(args) -> str:
 
 
 def _write_build_outputs(out_dir: Path, cloud, fam, theta, args, sampled_seed=None):
-    fv = fam.evaluate(cloud, theta)
+    with np.errstate(over="raise", invalid="raise"):  # a huge theta overflows the filter
+        fv = fam.evaluate(cloud, theta)
+    delta = smoothing_width(fv, args.resolution, args.delta_rel)
     cover = uniform_cover(fv.values, args.resolution, args.gain)
     if sampled_seed is not None:
-        span = float(fv.values.max() - fv.values.min())
-        delta = args.delta_rel * span if span > 0 else args.delta_rel
         e = sample_assignment(smooth_scheme(fv, cover, delta), sampled_seed)
     else:
         e = standard_scheme(fv, cover).probs.astype(np.uint8)

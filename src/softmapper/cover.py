@@ -50,7 +50,6 @@ class AssignmentScheme:
     """Bernoulli success probabilities p_{i,j} for point i vs cover element j."""
 
     probs: np.ndarray
-    kind: str = "standard"
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
@@ -94,6 +93,21 @@ def _as_values(values) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+def smoothing_width(values, resolution: int, delta_rel: float) -> float:
+    """The smooth scheme's margin width: ``delta_rel`` times the range of the
+    values, or ``delta_rel`` itself when they are constant.
+
+    Raises FloatingPointError for constant values and ``resolution`` > 1,
+    since no cover of more than one interval fits a single value.
+    """
+    v = _as_values(values)
+    span = float(v.max() - v.min())
+    if span == 0 and resolution > 1:
+        raise FloatingPointError(f"the filter is constant, so {resolution} intervals"
+                                 " cannot cover its range")
+    return delta_rel * span if span > 0 else delta_rel
+
+
 def standard_scheme(values, cover: IntervalCover) -> AssignmentScheme:
     """Degenerate scheme: p_{i,j} = 1 iff the value lies in the closed interval j."""
     v = _as_values(values)
@@ -103,7 +117,7 @@ def standard_scheme(values, cover: IntervalCover) -> AssignmentScheme:
     if np.any(probs.sum(axis=1) == 0):
         bad = int(np.nonzero(probs.sum(axis=1) == 0)[0][0])
         raise ValueError(f"value {v[bad]} at index {bad} lies outside the cover")
-    return AssignmentScheme(probs, "standard")
+    return AssignmentScheme(probs)
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
@@ -135,7 +149,7 @@ def smooth_scheme(values, cover: IntervalCover, delta: float) -> AssignmentSchem
         right = (v > b[j]) & (v <= b[j] + delta)
         q[right] = _bump((v[right] - b[j]) / delta)
         probs[:, j] = q
-    return AssignmentScheme(probs, "smooth")
+    return AssignmentScheme(probs)
 
 
 def gaussian_scheme(cloud: PointCloud, centers, covariances) -> AssignmentScheme:
@@ -158,7 +172,7 @@ def gaussian_scheme(cloud: PointCloud, centers, covariances) -> AssignmentScheme
         diff = cloud.points - centers[j]
         z = np.linalg.solve(chol, diff.T)
         probs[:, j] = np.exp(-(z * z).sum(axis=0))
-    return AssignmentScheme(probs, "gaussian")
+    return AssignmentScheme(probs)
 
 
 def sample_assignment(scheme: AssignmentScheme, seed: int) -> np.ndarray:

@@ -70,14 +70,6 @@ class FixedFilter:
         return FilterValues(self._values, np.zeros((cloud.n, 0)))
 
 
-def linear_filter(cloud: PointCloud, theta: np.ndarray) -> FilterValues:
-    return LinearFilter().evaluate(cloud, theta)
-
-
-def fixed_filter(values) -> FixedFilter:
-    return FixedFilter(values)
-
-
 def diagonal_init(p: int) -> np.ndarray:
     """Unit-norm diagonal direction (1/sqrt(p), ..., 1/sqrt(p))."""
     if p < 1:

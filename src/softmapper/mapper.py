@@ -300,16 +300,6 @@ def map_comp(
 
 def connected_components(graph: MapperGraph) -> dict[int, int]:
     """Map each node id to its component representative (smallest id)."""
-    parent = {nd.id: nd.id for nd in graph.nodes}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in graph.edges:
-        ra, rb = find(u), find(v)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return {nd.id: find(nd.id) for nd in graph.nodes}
+    edges = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2)
+    label = merge_components(np.arange(graph.n_nodes), edges[:, 0], edges[:, 1])
+    return dict(zip((nd.id for nd in graph.nodes), label.tolist()))

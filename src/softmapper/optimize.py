@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import Clusterer, SingleLinkageClusterer
-from .cover import sample_assignment, smooth_scheme, standard_scheme, uniform_cover
+from .cover import sample_assignment, smooth_scheme, smoothing_width, standard_scheme, uniform_cover
 from .data import PointCloud
 from .mapper import LinkageEpoch
 from .persistence import loss_and_subgradient
@@ -83,14 +83,10 @@ class Trace:
 
 
 def _build_scheme(fv, config: OptimConfig):
-    span = float(fv.values.max() - fv.values.min())
-    if span == 0 and config.resolution > 1:
-        raise FloatingPointError(f"the filter is constant, so {config.resolution} intervals"
-                                 " cannot cover its range")
+    delta = smoothing_width(fv, config.resolution, config.delta_rel)
     cover = uniform_cover(fv.values, config.resolution, config.gain)
     if config.scheme == "standard":
         return standard_scheme(fv, cover)
-    delta = config.delta_rel * span if span > 0 else config.delta_rel
     return smooth_scheme(fv, cover, delta)
 
 

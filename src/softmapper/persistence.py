@@ -1,17 +1,24 @@
 """Graph filtration by mean filter values, persistence diagrams and the
 total-persistence loss with its subgradient.
 
-Extended persistence is computed as regular persistence of the coned
-complex: an apex vertex is added, every graph vertex gets a cone edge and
-every graph edge a cone triangle. Ascending-phase simplices are ordered by
-increasing filtration value; cone simplices by decreasing value of their
-base, where a cone triangle's base value is the min of its edge's endpoint
-values (the superlevel sweep). Every diagram coordinate is realized by a
-specific node, which is what the subgradient chain traverses.
+Both diagram modes come from Kruskal sweeps over one union-find in which
+the elder root survives each merge (Cohen-Steiner, Edelsbrunner & Harer,
+"Extending persistence using Poincare and Lefschetz duality", 2009). The
+ascending sweep adds nodes by (value, id) and edges by (max endpoint value,
+edge): its merges are the regular H0 points and the extended Ord0 points,
+and each component's min pairs with its first node in the descending order
+as an Ext0 point. The descending sweep adds nodes by (-value, id) and edges
+by (-min endpoint value, edge): its merges are the Rel1 points. Each edge
+that closes a cycle in the descending sweep is an Ext1 death; its cycle,
+written as ascending-edge ranks and reduced over Z/2 against the earlier
+Ext1 cycles, has as its latest edge the Ext1 birth. These are the pairs of
+the coned complex's matrix reduction, so every diagram coordinate is
+realized by a specific node, which is what the subgradient chain traverses.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,102 +78,14 @@ def map_pers_filtration(graph: MapperGraph, filter_values: FilterValues) -> Filt
     return FilteredGraph(graph, node_values, edge_values, argmax, argmin)
 
 
-# Internal simplex tags for the coned reduction.
-_APEX, _VERT, _EDGE, _CONE_V, _CONE_E = range(5)
+def _kruskal(key: list, edges: list) -> tuple[list, Callable[[int], int]]:
+    """Add ``edges`` in order to a union-find over the nodes of ``key``; at
+    each merge the root with the smaller key survives (the elder rule).
 
-
-def _reduce(columns: list[set[int]]) -> dict[int, int]:
-    """Standard left-to-right Z/2 boundary reduction; returns {birth: death}."""
-    pivot: dict[int, int] = {}
-    pairs: dict[int, int] = {}
-    for j, col in enumerate(columns):
-        while col:
-            low = max(col)
-            if low not in pivot:
-                pivot[low] = j
-                pairs[low] = j
-                break
-            col ^= columns[pivot[low]]
-        columns[j] = col
-    return pairs
-
-
-def extended_persistence(fg: FilteredGraph) -> Diagram:
-    g = fg.graph
-    phi = fg.node_values
-    if g.n_nodes == 0:
-        return Diagram(())
-    edges = sorted(g.edges)
-    edge_min = {e: float(min(phi[e[0]], phi[e[1]])) for e in edges}
-
-    ascending = [(float(phi[v]), 0, v, (_VERT, v)) for v in range(g.n_nodes)]
-    ascending += [(fg.edge_values[e], 1, i, (_EDGE, e)) for i, e in enumerate(edges)]
-    ascending.sort(key=lambda t: t[:3])
-    descending = [(-float(phi[v]), 0, v, (_CONE_V, v)) for v in range(g.n_nodes)]
-    descending += [(-edge_min[e], 1, i, (_CONE_E, e)) for i, e in enumerate(edges)]
-    descending.sort(key=lambda t: t[:3])
-
-    simplices = [(_APEX, None)] + [t[3] for t in ascending] + [t[3] for t in descending]
-    index = {s: i for i, s in enumerate(simplices)}
-
-    columns = []
-    for kind, payload in simplices:
-        if kind in (_APEX, _VERT):
-            columns.append(set())
-        elif kind == _EDGE:
-            u, v = payload
-            columns.append({index[(_VERT, u)], index[(_VERT, v)]})
-        elif kind == _CONE_V:
-            columns.append({0, index[(_VERT, payload)]})
-        else:
-            u, v = payload
-            columns.append({index[(_EDGE, payload)], index[(_CONE_V, u)], index[(_CONE_V, v)]})
-    pairs = _reduce(columns)
-
-    def coordinate(s):
-        kind, payload = s
-        if kind == _VERT or kind == _CONE_V:
-            return float(phi[payload]), payload
-        if kind == _EDGE:
-            return fg.edge_values[payload], fg.edge_argmax[payload]
-        return edge_min[payload], fg.edge_argmin[payload]
-
-    pts = []
-    for birth_idx, death_idx in pairs.items():
-        sb, sd = simplices[birth_idx], simplices[death_idx]
-        if sb[0] == _APEX:
-            continue
-        b, bn = coordinate(sb)
-        d, dn = coordinate(sd)
-        if sb[0] == _VERT and sd[0] == _EDGE:
-            cls = "Ord0"
-        elif sb[0] == _VERT and sd[0] == _CONE_V:
-            cls = "Ext0"
-        elif sb[0] == _EDGE and sd[0] == _CONE_E:
-            cls = "Ext1"
-        else:
-            cls = "Rel1"
-        if cls in ("Ord0", "Rel1") and b == d:
-            continue  # diagonal noise from same-value merges
-        pts.append(DiagramPoint(b, d, cls, bn, dn))
-    pts.sort(key=lambda p: (p.cls, p.birth, p.death, p.birth_node))
-    return Diagram(tuple(pts))
-
-
-def regular_persistence(fg: FilteredGraph) -> Diagram:
-    """Sublevel-set H0 persistence of the graph filtration via union-find.
-
-    Each merge pairs the younger component (larger min value; ties broken
-    toward the larger birth node id) with the merging edge's value. One
-    essential point per component pairs the component min with the global
-    max of the filtration.
+    Returns the younger root each edge retires (None for an edge that closes
+    a cycle) and the final ``find``.
     """
-    g = fg.graph
-    phi = fg.node_values
-    if g.n_nodes == 0:
-        return Diagram(())
-    parent = list(range(g.n_nodes))
-    birth: dict[int, tuple[float, int]] = {v: (float(phi[v]), v) for v in range(g.n_nodes)}
+    parent = list(range(len(key)))
 
     def find(a):
         while parent[a] != a:
@@ -174,29 +93,101 @@ def regular_persistence(fg: FilteredGraph) -> Diagram:
             a = parent[a]
         return a
 
-    pts = []
-    for e in sorted(g.edges, key=lambda e: (fg.edge_values[e], e)):
-        ra, rb = find(e[0]), find(e[1])
-        if ra == rb:
+    retired = []
+    for u, v in edges:
+        elder, younger = find(u), find(v)
+        if elder == younger:
+            retired.append(None)
             continue
-        # elder rule: the component with the smaller min survives
-        if birth[ra] <= birth[rb]:
-            elder, younger = ra, rb
-        else:
-            elder, younger = rb, ra
-        b, bn = birth[younger]
-        d = fg.edge_values[e]
-        if b != d:
-            pts.append(DiagramPoint(b, d, "H0", bn, fg.edge_argmax[e]))
+        if key[younger] < key[elder]:
+            elder, younger = younger, elder
         parent[younger] = elder
-        birth[elder] = min(birth[elder], birth[younger])
+        retired.append(younger)
+    return retired, find
 
-    gmax = float(phi.max())
-    gmax_node = int(phi.argmax())
-    for v in range(g.n_nodes):
-        if find(v) == v:
-            b, bn = birth[v]
-            pts.append(DiagramPoint(b, gmax, "H0", bn, gmax_node))
+
+def _ascending(fg: FilteredGraph, cls: str) -> tuple[list, list, Callable[[int], int]]:
+    """The sublevel sweep: one ``cls`` point per merge off the diagonal, the
+    edges in sweep order, and the final ``find``, whose roots are their
+    components' minima."""
+    phi = fg.node_values.tolist()
+    edges = sorted(fg.graph.edges, key=lambda e: (fg.edge_values[e], e))
+    retired, find = _kruskal([(x, v) for v, x in enumerate(phi)], edges)
+    pts = [DiagramPoint(phi[r], fg.edge_values[e], cls, r, fg.edge_argmax[e])
+           for e, r in zip(edges, retired) if r is not None and phi[r] != fg.edge_values[e]]
+    return pts, edges, find
+
+
+def _forest(n: int, links: list) -> tuple[list, list, list]:
+    """Root every tree of the forest given as ((u, v), label) links; returns
+    each node's parent (a root is its own), the label of the link to it and
+    its depth."""
+    adj = [[] for _ in range(n)]
+    for (u, v), label in links:
+        adj[u].append((v, label))
+        adj[v].append((u, label))
+    parent, label_up, depth = [None] * n, [None] * n, [0] * n
+    for root in range(n):
+        if parent[root] is None:
+            parent[root], stack = root, [root]
+            while stack:
+                a = stack.pop()
+                for b, label in adj[a]:
+                    if parent[b] is None:
+                        parent[b], label_up[b], depth[b] = a, label, depth[a] + 1
+                        stack.append(b)
+    return parent, label_up, depth
+
+
+def extended_persistence(fg: FilteredGraph) -> Diagram:
+    phi = fg.node_values.tolist()
+    pts, up, find = _ascending(fg, "Ord0")
+    # Ext0: each component's min against its first node in the descending order
+    roots = {}
+    for v in sorted(range(len(phi)), key=lambda v: (-phi[v], v)):
+        roots.setdefault(find(v), v)
+    pts += [DiagramPoint(phi[r], phi[v], "Ext0", r, v) for r, v in roots.items()]
+
+    edge_min = {e: phi[v] for e, v in fg.edge_argmin.items()}
+    down = sorted(up, key=lambda e: (-edge_min[e], e))
+    retired, _ = _kruskal([(-x, v) for v, x in enumerate(phi)], down)
+    rank = {e: i for i, e in enumerate(up)}
+    parent, rank_up, depth = _forest(
+        len(phi), [(e, rank[e]) for e, r in zip(down, retired) if r is not None])
+    cycles: dict[int, set[int]] = {}  # Ext1 cycles, reduced, by their latest ascending edge
+    for e, r in zip(down, retired):
+        if r is not None:
+            if phi[r] != edge_min[e]:
+                pts.append(DiagramPoint(phi[r], edge_min[e], "Rel1", r, fg.edge_argmin[e]))
+            continue
+        # the cycle e closes in the descending forest, as ascending-edge ranks
+        cycle, (u, v) = {rank[e]}, e
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            cycle.add(rank_up[u])
+            u = parent[u]
+        while (low := max(cycle)) in cycles:
+            cycle ^= cycles[low]
+        cycles[low] = cycle
+        b = up[low]
+        pts.append(DiagramPoint(fg.edge_values[b], edge_min[e], "Ext1", fg.edge_argmax[b],
+                                fg.edge_argmin[e]))
+    pts.sort(key=lambda p: (p.cls, p.birth, p.death, p.birth_node))
+    return Diagram(tuple(pts))
+
+
+def regular_persistence(fg: FilteredGraph) -> Diagram:
+    """Sublevel-set H0 persistence: the merges of the sublevel sweep, plus
+    one essential point per component pairing its min with the global max
+    of the filtration."""
+    phi = fg.node_values
+    if phi.size == 0:
+        return Diagram(())
+    pts, _, find = _ascending(fg, "H0")
+    gmax, gmax_node = float(phi.max()), int(phi.argmax())
+    pts += [DiagramPoint(float(phi[v]), gmax, "H0", v, gmax_node)
+            for v in range(phi.size) if find(v) == v]
     pts.sort(key=lambda p: (p.birth, p.death, p.birth_node))
     return Diagram(tuple(pts))
 

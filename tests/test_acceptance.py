@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from test_persistence import _oracle_extended
+from test_persistence import _ext1_values_match, _oracle_extended
 
 from conftest import random_filtered_graph
 from softmapper.clustering import SingleLinkageClusterer, cluster
@@ -108,7 +108,7 @@ def test_criterion_2_extended_persistence_vs_union_find_oracle():
         rng = np.random.default_rng(31000 + trial)
         fg = random_filtered_graph(rng)
         d = extended_persistence(fg)
-        ord0, rel1, ext0, beta1 = _oracle_extended(fg)
+        ord0, rel1, ext0, beta1, births, deaths = _oracle_extended(fg)
 
         def pairs(cls):
             return Counter((round(p.birth, 9), round(p.death, 9)) for p in d.by_class(cls))
@@ -121,9 +121,10 @@ def test_criterion_2_extended_persistence_vs_union_find_oracle():
             and pairs("Rel1") == expected(rel1)
             and pairs("Ext0") == expected(ext0)
             and len(d.by_class("Ext1")) == beta1
+            and _ext1_values_match(d, births, deaths)
         )
         failures += not ok
-    _report(2, "coned reduction agrees with union-find oracle on 100 graphs",
+    _report(2, "persistence sweeps agree with union-find oracle on 100 graphs",
             failures == 0, f"{failures} mismatches")
 
 

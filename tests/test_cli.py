@@ -135,15 +135,22 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, config):
     assert "error: " in capsys.readouterr().err
 
 
+_OPTIMIZE = ["optimize", "--maximize", "--epochs", "3"]
+
+
 @pytest.mark.parametrize("flags", [
-    ["--step-size", "1e308"],  # the second epoch's filter values overflow
-    ["--theta", "0,0,0"],  # a constant filter: its range cannot be covered
+    _OPTIMIZE + ["--step-size", "1e308"],  # the second epoch's filter values overflow
+    _OPTIMIZE + ["--theta", "0,0,0"],  # a constant filter: its range cannot be covered
+    ["build", "--theta", "0,0,0"],
+    ["build", "--theta", "1e308,1e308,1e308"],  # the filter values overflow
 ])
 def test_numeric_failures_exit_two(tmp_path, capsys, flags):
-    rc = main(["optimize", "--shape", "y_shape", "--n", "200", "--threshold", "0.2",
-               "--maximize", "--epochs", "3", "--out-dir", str(tmp_path)] + flags)
+    rc = main(flags + ["--shape", "y_shape", "--n", "200", "--threshold", "0.2",
+                       "--out-dir", str(tmp_path)])
     assert rc == 2
-    assert "epoch " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ")
+    assert ("epoch " in err) == (flags[0] == "optimize")
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

@@ -144,15 +144,15 @@ def test_sample_standard_is_deterministic_indicator():
 
 
 def test_sample_frequency():
-    scheme = AssignmentScheme(np.full((1, 1), 0.5), "smooth")
+    scheme = AssignmentScheme(np.full((1, 1), 0.5))
     draws = [sample_assignment(scheme, s)[0, 0] for s in range(10_000)]
     assert abs(np.mean(draws) - 0.5) < 0.02
 
 
 def test_sample_zero_probs_and_seed_determinism(rng):
-    zero = AssignmentScheme(np.zeros((3, 2)), "smooth")
+    zero = AssignmentScheme(np.zeros((3, 2)))
     assert not sample_assignment(zero, 5).any()
-    scheme = AssignmentScheme(rng.random((6, 3)), "smooth")
+    scheme = AssignmentScheme(rng.random((6, 3)))
     assert np.array_equal(sample_assignment(scheme, 42), sample_assignment(scheme, 42))
 
 
@@ -167,7 +167,7 @@ def test_log_prob_standard():
 
 
 def test_log_prob_bernoulli():
-    scheme = AssignmentScheme(np.array([[0.25]]), "smooth")
+    scheme = AssignmentScheme(np.array([[0.25]]))
     assert log_prob(scheme, np.array([[1]])) == pytest.approx(math.log(0.25), rel=1e-12)
     assert log_prob(scheme, np.array([[0]])) == pytest.approx(math.log(0.75), rel=1e-12)
 
@@ -178,7 +178,7 @@ def test_log_prob_sums_to_one(shape, rng):
     probs = rng.random((n, r))
     probs[0, 0] = 0.0  # include hard entries
     probs[-1, -1] = 1.0
-    scheme = AssignmentScheme(probs, "smooth")
+    scheme = AssignmentScheme(probs)
     total = 0.0
     for bits in itertools.product([0, 1], repeat=n * r):
         e = np.array(bits, dtype=np.uint8).reshape(n, r)

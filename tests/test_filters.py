@@ -2,24 +2,24 @@ import numpy as np
 import pytest
 
 from softmapper.data import PointCloud
-from softmapper.filters import FixedFilter, LinearFilter, diagonal_init, fixed_filter, linear_filter
+from softmapper.filters import FixedFilter, LinearFilter, diagonal_init
 
 
 def test_linear_projection():
     cloud = PointCloud([[1.0, 2.0, 3.0]])
-    fv = linear_filter(cloud, [0.0, 0.0, 1.0])
+    fv = LinearFilter().evaluate(cloud, [0.0, 0.0, 1.0])
     assert fv.values[0] == 3.0
     assert np.array_equal(fv.jacobian, [[1.0, 2.0, 3.0]])
 
 
 def test_linear_zero_theta(rng):
     cloud = PointCloud(rng.standard_normal((6, 4)))
-    assert np.all(linear_filter(cloud, np.zeros(4)).values == 0)
+    assert np.all(LinearFilter().evaluate(cloud, np.zeros(4)).values == 0)
 
 
 def test_linear_dimension_mismatch():
     with pytest.raises(ValueError):
-        linear_filter(PointCloud([[1.0, 2.0]]), [1.0, 2.0, 3.0])
+        LinearFilter().evaluate(PointCloud([[1.0, 2.0]]), [1.0, 2.0, 3.0])
 
 
 def test_linear_jacobian_finite_differences(rng):
@@ -39,15 +39,15 @@ def test_linear_jacobian_finite_differences(rng):
 def test_linear_homogeneity(rng):
     cloud = PointCloud(rng.standard_normal((10, 3)))
     theta = rng.standard_normal(3)
-    base = linear_filter(cloud, theta).values
+    base = LinearFilter().evaluate(cloud, theta).values
     for lam in (-2.0, 0.5, 3.0):
-        scaled = linear_filter(cloud, lam * theta).values
+        scaled = LinearFilter().evaluate(cloud, lam * theta).values
         assert np.allclose(scaled, lam * base, rtol=1e-12, atol=1e-12)
 
 
 def test_fixed_filter():
     cloud = PointCloud([[0.0], [1.0], [2.0]])
-    fv = fixed_filter([0.0, 1.0, 2.0]).evaluate(cloud)
+    fv = FixedFilter([0.0, 1.0, 2.0]).evaluate(cloud)
     assert fv.n_params == 0
     assert fv.jacobian.shape == (3, 0)
     assert np.array_equal(fv.values, [0, 1, 2])

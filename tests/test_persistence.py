@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import coned_reduction
 from conftest import make_filtered_graph, random_filtered_graph
 from softmapper.clustering import SingleLinkageClusterer
 from softmapper.data import PointCloud
@@ -84,12 +85,38 @@ def test_total_persistence_basic():
     assert total_persistence(extended_persistence(make_filtered_graph([], []))) == 0.0
 
 
+# --- the matrix reduction the sweeps replaced, on tie-heavy graphs ---
+
+
+def _tie_heavy_graph(rng, integer):
+    """1-40 nodes, edge probability 0.02-0.4; integer values in {0,...,4}
+    make ties everywhere."""
+    n = int(rng.integers(1, 41))
+    p = rng.uniform(0.02, 0.4)
+    values = rng.integers(0, 5, n).astype(float) if integer else rng.standard_normal(n)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return make_filtered_graph(values, edges)
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_sweeps_match_coned_reduction_exactly(chunk):
+    rng = np.random.default_rng(61000 + chunk)
+    for trial in range(250):
+        fg = _tie_heavy_graph(rng, integer=trial % 2 == 1)
+        assert (extended_persistence(fg).points
+                == coned_reduction.extended_persistence(fg).points), trial
+        assert (regular_persistence(fg).points
+                == coned_reduction.regular_persistence(fg).points), trial
+
+
 # --- independent oracle: merge trees via union-find, no matrix reduction ---
 
 
 def _oracle_extended(fg):
     """Ord0/Rel1 from ascending/descending union-find sweeps, Ext0 per
-    component, Ext1 counted by the Euler formula."""
+    component, Ext1 counted by the Euler formula. The Ext1 births are the
+    values of the ascending edges that close a cycle, its deaths the minima
+    of the descending ones; neither multiset depends on the tie order."""
     n = fg.node_values.shape[0]
     phi = fg.node_values
     edges = sorted(fg.graph.edges)
@@ -104,10 +131,11 @@ def _oracle_extended(fg):
                 a = parent[a]
             return a
 
-        pts = []
+        pts, cycles = [], []
         for e in sorted(edges, key=edge_key, reverse=reverse):
             ra, rb = find(e[0]), find(e[1])
             if ra == rb:
+                cycles.append(edge_key(e))
                 continue
             if better(extreme[ra], extreme[rb]):
                 elder, younger = ra, rb
@@ -116,15 +144,15 @@ def _oracle_extended(fg):
             pts.append((extreme[younger], edge_key(e)))
             parent[younger] = elder
             extreme[elder] = extreme[elder] if better(extreme[elder], extreme[younger]) else extreme[younger]
-        return pts, parent, find
+        return pts, cycles, find
 
     # ascending: edge enters at max endpoint value; elder = smaller min
-    ord0, parent, find = sweep(
+    ord0, ext1_births, find = sweep(
         lambda e: max(phi[e[0]], phi[e[1]]), lambda a, b: a <= b
     )
     ord0 = [(b, d) for b, d in ord0 if b != d]
     # descending: edge enters at min endpoint value; elder = larger max
-    rel1, _, _ = sweep(
+    rel1, ext1_deaths, _ = sweep(
         lambda e: min(phi[e[0]], phi[e[1]]), lambda a, b: a >= b, reverse=True
     )
     rel1 = [(b, d) for b, d in rel1 if b != d]
@@ -134,11 +162,22 @@ def _oracle_extended(fg):
         comps.setdefault(find(v), []).append(v)
     ext0 = [(min(phi[c] for c in comp), max(phi[c] for c in comp)) for comp in comps.values()]
     beta1 = len(edges) - n + len(comps)
-    return ord0, rel1, ext0, beta1
+    return ord0, rel1, ext0, beta1, ext1_births, ext1_deaths
 
 
 def _pairs(diagram, cls):
     return Counter((round(p.birth, 9), round(p.death, 9)) for p in diagram.by_class(cls))
+
+
+def _ext1_values_match(diagram, births, deaths):
+    """The diagram's Ext1 births and deaths are the oracle's multisets."""
+    ext1 = diagram.by_class("Ext1")
+
+    def rounded(values):
+        return Counter(round(x, 9) for x in values)
+
+    return (rounded(p.birth for p in ext1) == rounded(births)
+            and rounded(p.death for p in ext1) == rounded(deaths))
 
 
 @pytest.mark.parametrize("trial", range(100))
@@ -146,11 +185,12 @@ def test_extended_matches_union_find_oracle(trial):
     rng = np.random.default_rng(5000 + trial)
     fg = random_filtered_graph(rng)
     d = extended_persistence(fg)
-    ord0, rel1, ext0, beta1 = _oracle_extended(fg)
+    ord0, rel1, ext0, beta1, births, deaths = _oracle_extended(fg)
     assert _pairs(d, "Ord0") == Counter((round(b, 9), round(x, 9)) for b, x in ord0)
     assert _pairs(d, "Rel1") == Counter((round(b, 9), round(x, 9)) for b, x in rel1)
     assert _pairs(d, "Ext0") == Counter((round(b, 9), round(x, 9)) for b, x in ext0)
     assert len(d.by_class("Ext1")) == beta1
+    assert _ext1_values_match(d, births, deaths)
 
 
 @pytest.mark.parametrize("trial", range(25))
@@ -160,7 +200,7 @@ def test_betti_counts(trial):
     d = extended_persistence(fg)
     n = fg.node_values.shape[0]
     m = len(fg.graph.edges)
-    _, _, ext0, beta1 = _oracle_extended(fg)
+    _, _, ext0, beta1, _, _ = _oracle_extended(fg)
     assert len(d.by_class("Ext0")) == len(ext0)
     assert len(d.by_class("Ext1")) == m - n + len(ext0)
     assert beta1 == m - n + len(ext0)
