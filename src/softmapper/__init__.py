@@ -8,7 +8,6 @@ from .cover import (
     uniform_cover,
     standard_scheme,
     smooth_scheme,
-    gaussian_scheme,
     sample_assignment,
     log_prob,
 )

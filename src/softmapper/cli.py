@@ -28,7 +28,7 @@ from .export import (
 )
 from .filters import FixedFilter, LinearFilter, diagonal_init
 from .mapper import map_comp
-from .optimize import OptimConfig, direction_correlation, estimate_risk, optimize
+from .optimize import OptimConfig, direction_correlation, optimize
 from .persistence import extended_persistence, map_pers_filtration, regular_persistence
 from .synthetic import generate_synthetic
 
@@ -267,6 +267,11 @@ def cmd_optimize(args) -> int:
     fam, theta0 = _make_filter(args, cloud)
     if theta0.size == 0:
         raise ConfigError("the 'coord' filter has no parameters to optimize")
+    ref = None
+    if args.reference_direction:
+        ref = _parse_vector(args.reference_direction, cloud.dim)
+        if not 0 < np.linalg.norm(ref) < np.inf:
+            raise ConfigError("--reference-direction must be finite and nonzero")
     clusterer = _make_clusterer(args, cloud)
     config = OptimConfig(
         epochs=args.epochs,
@@ -299,8 +304,7 @@ def cmd_optimize(args) -> int:
         "final_risk": trace.risks[-1],
         "theta_final": [float(x) for x in theta_n],
     }
-    if args.reference_direction:
-        ref = _parse_vector(args.reference_direction, cloud.dim)
+    if ref is not None:
         summary["reference_correlation"] = direction_correlation(theta_n, ref)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PointCloud
 from .filters import FilterValues
 
 # Probabilities strictly inside (0,1) are clamped this far from the endpoints
@@ -135,7 +134,7 @@ def smooth_scheme(values, cover: IntervalCover, delta: float) -> AssignmentSchem
     p_{i,j} is 1 on [a_j, b_j], falls off as a smooth bump over a margin of
     width delta on each side, and is 0 beyond the margin.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     v = _as_values(values)
     a = cover.intervals[:, 0]
@@ -149,29 +148,6 @@ def smooth_scheme(values, cover: IntervalCover, delta: float) -> AssignmentSchem
         right = (v > b[j]) & (v <= b[j] + delta)
         q[right] = _bump((v[right] - b[j]) / delta)
         probs[:, j] = q
-    return AssignmentScheme(probs)
-
-
-def gaussian_scheme(cloud: PointCloud, centers, covariances) -> AssignmentScheme:
-    """Filterless scheme: p_{i,j} = exp(-(x_i - c_j)^T Sigma_j^{-1} (x_i - c_j))."""
-    centers = np.asarray(centers, dtype=float)
-    if centers.ndim != 2 or centers.shape[1] != cloud.dim:
-        raise ValueError("centers must be an r x p matrix")
-    r = centers.shape[0]
-    if len(covariances) != r:
-        raise ValueError("need one covariance per center")
-    probs = np.zeros((cloud.n, r))
-    for j in range(r):
-        sig = np.asarray(covariances[j], dtype=float)
-        if sig.shape != (cloud.dim, cloud.dim) or not np.allclose(sig, sig.T):
-            raise ValueError(f"covariance {j} is not a symmetric p x p matrix")
-        try:
-            chol = np.linalg.cholesky(sig)
-        except np.linalg.LinAlgError:
-            raise ValueError(f"covariance {j} is not positive definite") from None
-        diff = cloud.points - centers[j]
-        z = np.linalg.solve(chol, diff.T)
-        probs[:, j] = np.exp(-(z * z).sum(axis=0))
     return AssignmentScheme(probs)
 
 

@@ -6,12 +6,10 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-from scipy import sparse
 
 from .clustering import (
     Clusterer,
     Grid,
-    KMeansClusterer,
     SingleLinkageClusterer,
     cluster,
     merge_components,
@@ -51,22 +49,23 @@ class MapperGraph:
         return len(self.edges)
 
 
-def _nerve(n: int, members: np.ndarray, indptr: np.ndarray, nodes: tuple) -> MapperGraph:
-    """The graph on the nodes; node k's members are members[indptr[k]:indptr[k + 1]].
+def _nerve(pts: np.ndarray, col: np.ndarray, nodes: tuple) -> MapperGraph:
+    """The graph on the nodes; membership k puts point pts[k] in node col[k].
 
-    Nodes u < v sharing points get an edge weighted by the shared count, read
-    off the sparse product B^T B of the n x K membership matrix B; the keys
-    are inserted in ascending (u, v) order.
+    Nodes u < v sharing points get an edge weighted by the shared count: with
+    the memberships sorted by (point, node), every two nodes of one point lie
+    at most (nodes per point - 1) places apart. The keys are inserted in
+    ascending (u, v) order.
     """
-    bt = sparse.csr_matrix((np.ones(members.size, dtype=np.int32), members, indptr),
-                           shape=(len(nodes), n))
-    shared = bt @ bt.T
-    rows = np.repeat(np.arange(len(nodes)), np.diff(shared.indptr))
-    upper = shared.indices > rows
-    u, v, w = rows[upper], shared.indices[upper], shared.data[upper]
-    order = np.lexsort((v, u))
-    keys = zip(u[order].tolist(), v[order].tolist())
-    return MapperGraph(nodes, dict(zip(keys, w[order].tolist())))
+    order = np.lexsort((col, pts))
+    pts, col = pts[order], col[order]
+    keys, gap = [], 1
+    while np.any(same := pts[gap:] == pts[:-gap]):
+        keys.append(col[:-gap][same] * len(nodes) + col[gap:][same])
+        gap += 1
+    keys, counts = np.unique(_cat(keys), return_counts=True)
+    pairs = zip(*(x.tolist() for x in np.divmod(keys, len(nodes))))
+    return MapperGraph(nodes, dict(zip(pairs, counts.tolist())))
 
 
 def _cat(parts: list) -> np.ndarray:
@@ -105,33 +104,23 @@ def _among(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (keys[at] == q) if keys.size else np.zeros(q.size, dtype=bool)
 
 
-def _kmeans_graph(cloud: PointCloud, e: np.ndarray, clusterer: KMeansClusterer) -> MapperGraph:
-    """Cluster every cover element's support of e from scratch."""
-    nodes, parts = [], []
-    for j in range(e.shape[1]):
-        support = np.flatnonzero(e[:, j])
-        if support.size == 0:
-            continue
-        for part in cluster(clusterer, cloud, support):
-            nodes.append(MapperNode(len(nodes), j + 1, tuple(part.tolist())))
-            parts.append(part)
-    indptr = np.cumsum([0] + [part.size for part in parts])
-    return _nerve(cloud.n, _cat(parts), indptr, tuple(nodes))
-
-
 class LinkageEpoch:
-    """Single-linkage Mapper graphs of every draw of one Bernoulli scheme.
+    """Mapper graphs of every draw of one Bernoulli scheme.
 
     Entries with p = 1 form each cover element's deterministic core, which is
     clustered once here; entries with 0 < p < 1 form its margin. A draw keeps
-    the whole core and some of the margin, so the clusters of element j are
-    the connected components of a small graph whose units are the core
-    clusters of j and its drawn margin points. Its edges, built once here,
-    join units exactly when the radius graph does in every draw.
-    ``graph(e)`` equals the Mapper graph of e clustered from scratch.
+    the whole core and some of the margin, so under single linkage the
+    clusters of element j are the connected components of a small graph whose
+    units are the core clusters of j and its drawn margin points. Its edges,
+    built once here, join units exactly when the radius graph does in every
+    draw. ``graph(e)`` equals the Mapper graph of e clustered from scratch.
+
+    Any clusterer serves a scheme without margin entries (a single draw, as
+    ``map_comp`` builds for k-means); a scheme with them needs single linkage,
+    and any other clusterer raises ValueError.
     """
 
-    def __init__(self, cloud: PointCloud, probs, clusterer: SingleLinkageClusterer):
+    def __init__(self, cloud: PointCloud, probs, clusterer: Clusterer):
         p = np.asarray(probs)
         if p.ndim != 2 or p.shape[0] != cloud.n:
             raise ValueError(f"scheme must have {cloud.n} rows, got {p.shape}")
@@ -141,6 +130,8 @@ class LinkageEpoch:
         pt, elem = np.divmod(flat, p.shape[1])
         core = p.ravel()[flat] == 1
         margin = ~core & (p.ravel()[flat] < 1)
+        if margin.any() and not isinstance(clusterer, SingleLinkageClusterer):
+            raise ValueError("a scheme with margin entries (0 < p < 1) needs single linkage")
         by_elem = np.argsort(elem[core], kind="stable")
         pt_core, elem_core = pt[core][by_elem], elem[core][by_elem]
         bounds = np.searchsorted(elem_core, np.arange(p.shape[1] + 1)).tolist()
@@ -263,13 +254,12 @@ class LinkageEpoch:
         node = np.empty(present.size, dtype=np.intp)
         node[by_node] = np.arange(by_node.size)
         col = node[roots]
-        members = pts[np.lexsort((pts, col))]
-        indptr = np.zeros(by_node.size + 1, dtype=np.intp)
-        np.cumsum(np.bincount(col, minlength=by_node.size), out=indptr[1:])
-        flat, bounds = members.tolist(), indptr.tolist()
+        by_col = np.lexsort((pts, col))
+        flat = pts[by_col].tolist()
+        bounds = np.searchsorted(col[by_col], np.arange(by_node.size + 1)).tolist()
         nodes = tuple(MapperNode(k, j + 1, tuple(flat[bounds[k]:bounds[k + 1]]))
                       for k, j in enumerate(self._unit_elem[by_node].tolist()))
-        return _nerve(self.cloud.n, members, indptr, nodes)
+        return _nerve(pts, col, nodes)
 
 
 def map_comp(
@@ -282,15 +272,14 @@ def map_comp(
     cluster) order. Every node pair sharing a point gets an edge, whatever
     their cover indices.
 
-    A single-linkage graph comes from ``epoch.graph(e)``; pass the epoch
-    built once for the scheme e was drawn from, or leave it out to treat e
-    as its own scheme. k-means clusters every support from scratch.
+    The graph comes from ``epoch.graph(e)``. For single linkage, pass the
+    epoch built once for the scheme e was drawn from; leave it out, as for
+    k-means, to treat e as its own scheme, which clusters every nonempty
+    column once.
     """
     e = np.asarray(e)
     if e.ndim != 2 or e.shape[0] != cloud.n:
         raise ValueError(f"assignment matrix must have {cloud.n} rows, got {e.shape}")
-    if isinstance(clusterer, KMeansClusterer):
-        return _kmeans_graph(cloud, e, clusterer)
     if epoch is None:
         epoch = LinkageEpoch(cloud, e != 0, clusterer)
     elif epoch.cloud is not cloud or epoch.clusterer != clusterer:

@@ -44,7 +44,7 @@ class OptimConfig:
             raise ValueError("step_size must be >= 0")
         if self.schedule not in ("constant", "robbins_monro"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:
             raise ValueError("noise_std must be >= 0")
         if self.mode not in ("regular", "extended"):
             raise ValueError(f"unknown mode {self.mode!r}")

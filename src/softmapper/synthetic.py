@@ -77,7 +77,7 @@ def generate_synthetic(name: str, n: int, noise: float = 0.0, seed: int = 0) -> 
         raise ValueError(f"unknown shape {name!r}; choose from {sorted(_GENERATORS)}")
     if n < 10:
         raise ValueError("need n >= 10 points")
-    if noise < 0:
+    if not noise >= 0:
         raise ValueError("noise must be >= 0")
     rng = np.random.default_rng(seed)
     pts = _GENERATORS[name](n, rng)

@@ -160,6 +160,19 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["frobnicate"]) == 1
     assert main(["build", "--shape", "circle", "--clusterer", "linkage",
                  "--out-dir", str(tmp_path)]) == 1  # linkage without threshold
+    # NaN passes a "<= 0" or "< 0" check
+    assert main(["build", "--shape", "circle", "--n", "200", "--filter", "coord",
+                 "--threshold", "0.5", "--sample", "--delta-rel", "nan",
+                 "--out-dir", str(tmp_path)]) == 1
+    assert main(["synth", "--shape", "circle", "--noise", "nan",
+                 "--out", str(tmp_path / "cloud.csv")]) == 1
+    optimize = ["optimize", "--shape", "circle", "--n", "60", "--theta", "0.6,0.8",
+                "--epochs", "1", "--mc-samples", "1", "--threshold", "0.8"]
+    assert main(optimize + ["--noise-std", "nan", "--out-dir", str(tmp_path)]) == 1
+    for ref in ["1,2,3", "0,0", "nan,1"]:  # checked before the first epoch
+        out = tmp_path / f"ref {ref}"
+        assert main(optimize + ["--reference-direction", ref, "--out-dir", str(out)]) == 1
+        assert not (out / "trace.csv").exists()
     capsys.readouterr()
 
 

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 from softmapper.cover import (
     AssignmentScheme,
-    gaussian_scheme,
     log_prob,
     sample_assignment,
     smooth_scheme,
     standard_scheme,
     uniform_cover,
 )
-from softmapper.data import PointCloud
 
 
 def test_uniform_cover_r2():
@@ -116,24 +114,6 @@ def test_smooth_pointwise_limit():
             assert gap <= prev_gap + 1e-15
         prev_gap = gap
     assert prev_gap == 0.0
-
-
-def test_gaussian_scheme_values():
-    cloud = PointCloud([[0.0, 0.0], [1.0, 0.0]])
-    centers = [[0.0, 0.0]]
-    scheme = gaussian_scheme(cloud, centers, [np.eye(2)])
-    assert scheme.probs[0, 0] == 1.0
-    assert scheme.probs[1, 0] == pytest.approx(math.exp(-1), rel=1e-12)
-    scheme = gaussian_scheme(cloud, centers, [4 * np.eye(2)])
-    assert scheme.probs[1, 0] == pytest.approx(math.exp(-0.25), rel=1e-12)
-
-
-def test_gaussian_scheme_rejects_bad_covariance():
-    cloud = PointCloud([[0.0, 0.0]])
-    with pytest.raises(ValueError):
-        gaussian_scheme(cloud, [[0.0, 0.0]], [np.zeros((2, 2))])
-    with pytest.raises(ValueError):
-        gaussian_scheme(cloud, [[0.0, 0.0]], [np.array([[1.0, 2.0], [0.0, 1.0]])])
 
 
 def test_sample_standard_is_deterministic_indicator():

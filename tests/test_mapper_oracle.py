@@ -116,6 +116,28 @@ def test_epoch_matches_oracle_on_every_sample(case):
             assert_same_graph(map_comp(cloud, e, km), oracle_map_comp(cloud, e, km))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_dense_draws_with_points_in_many_nodes(seed):
+    """Dense 0/1 draws over 5-8 elements put points in 3 or more nodes, so
+    the nerve pairs nodes more than one membership apart."""
+    rng = np.random.default_rng(700 + seed)
+    n, r = int(rng.integers(30, 90)), int(rng.integers(5, 9))
+    cloud = PointCloud(rng.standard_normal((n, 2)))
+    e = (rng.random((n, r)) < rng.uniform(0.4, 0.8)).astype(np.uint8)
+    for cl in (SingleLinkageClusterer(float(rng.uniform(0.2, 0.6))), KMeansClusterer(3, seed=seed)):
+        g = map_comp(cloud, e, cl)
+        assert max(np.bincount([i for nd in g.nodes for i in nd.members])) >= 3
+        assert_same_graph(g, oracle_map_comp(cloud, e, cl))
+
+
+def test_margin_needs_single_linkage():
+    cloud = PointCloud(np.arange(4.0)[:, None])
+    probs = np.array([[1, 0], [0.5, 0.5], [0, 1], [0, 1]])
+    with pytest.raises(ValueError, match="single linkage"):
+        LinkageEpoch(cloud, probs, KMeansClusterer(2))
+    LinkageEpoch(cloud, probs == 1, KMeansClusterer(2))  # no margin: any clusterer
+
+
 def test_margin_linked_to_its_core_inside_one_cell():
     """Beads of five points on a line, each inside one cell and farther
     apart than the threshold. The edge of element 0's core cuts bead 3, so
