@@ -27,7 +27,7 @@ from .export import (
     trace_to_csv,
 )
 from .filters import FixedFilter, LinearFilter, diagonal_init
-from .mapper import map_comp
+from .mapper import map_comp, node_means
 from .optimize import OptimConfig, direction_correlation, optimize
 from .persistence import extended_persistence, map_pers_filtration, regular_persistence
 from .synthetic import generate_synthetic
@@ -115,15 +115,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return top, commands
 
 
-def _read_config(argv) -> dict:
-    """The JSON object named by --config, if any."""
-    if "--config" not in argv:
-        return {}
-    i = argv.index("--config")
-    try:
-        path = argv[i + 1]
-    except IndexError:
-        raise ConfigError("--config needs a path") from None
+def _read_config(path) -> dict:
+    """The JSON object in the config file at ``path``."""
     try:
         with open(path) as fh:
             values = json.load(fh)
@@ -211,15 +204,6 @@ def _make_clusterer(args, cloud):
     return SingleLinkageClusterer(args.threshold)
 
 
-def _node_colors(graph, cloud, args, filter_vals):
-    source = filter_vals
-    if args.color_attr:
-        if args.color_attr not in cloud.attributes:
-            raise ConfigError(f"unknown attribute {args.color_attr!r}")
-        source = cloud.attributes[args.color_attr]
-    return np.array([source[list(nd.members)].mean() for nd in graph.nodes])
-
-
 # Where the outputs go and where the defaults came from change no result.
 _NOT_HASHED = ("config", "out_dir")
 
@@ -243,7 +227,11 @@ def _write_build_outputs(out_dir: Path, cloud, fam, theta, args, sampled_seed=No
     graph = map_comp(cloud, e, clusterer)
     fg = map_pers_filtration(graph, fv)
     diagram = extended_persistence(fg) if args.mode == "extended" else regular_persistence(fg)
-    colors = _node_colors(graph, cloud, args, fv.values)
+    colors = fg.node_values
+    if args.color_attr:
+        if args.color_attr not in cloud.attributes:
+            raise ConfigError(f"unknown attribute {args.color_attr!r}")
+        colors = node_means(graph, cloud.attributes[args.color_attr])
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "mapper.json").write_text(graph_to_json(graph, fg.node_values, colors))
     (out_dir / "mapper.dot").write_text(export_dot(graph, colors))
@@ -333,9 +321,11 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     try:
-        _apply_config(commands, _read_config(argv))
         try:
             args = parser.parse_args(argv)
+            if getattr(args, "config", None) is not None:  # its values become defaults
+                _apply_config(commands, _read_config(args.config))
+                args = parser.parse_args(argv)
         except SystemExit as exc:  # argparse printed the help, the version or a usage error
             return 0 if exc.code in (0, None) else 1
         return _COMMANDS[args.command](args)

@@ -39,10 +39,6 @@ class IntervalCover:
     def resolution(self) -> int:
         return self.intervals.shape[0]
 
-    @property
-    def length(self) -> float:
-        return float(self.intervals[0, 1] - self.intervals[0, 0])
-
 
 @dataclass(frozen=True)
 class AssignmentScheme:
@@ -96,9 +92,12 @@ def smoothing_width(values, resolution: int, delta_rel: float) -> float:
     """The smooth scheme's margin width: ``delta_rel`` times the range of the
     values, or ``delta_rel`` itself when they are constant.
 
-    Raises FloatingPointError for constant values and ``resolution`` > 1,
-    since no cover of more than one interval fits a single value.
+    Raises ValueError unless ``delta_rel`` > 0, and FloatingPointError for
+    constant values and ``resolution`` > 1, since no cover of more than one
+    interval fits a single value.
     """
+    if not delta_rel > 0:
+        raise ValueError(f"delta_rel must be positive, got {delta_rel}")
     v = _as_values(values)
     span = float(v.max() - v.min())
     if span == 0 and resolution > 1:

@@ -54,7 +54,7 @@ def graph_to_json(graph: MapperGraph, values=None, colors=None) -> str:
             {
                 "id": nd.id,
                 "cover_index": nd.cover_index,
-                "members": list(nd.members),
+                "members": nd.members,
                 "value": float(values[nd.id]),
                 "color": float(colors[nd.id]),
             }
@@ -70,14 +70,20 @@ def graph_to_json(graph: MapperGraph, values=None, colors=None) -> str:
 
 def graph_from_json(text: str) -> MapperGraph:
     doc = json.loads(text)
-    nodes = tuple(
-        MapperNode(nd["id"], nd["cover_index"], tuple(nd["members"]))
-        for nd in sorted(doc["nodes"], key=lambda nd: nd["id"])
-    )
-    edges = {
-        (min(e["source"], e["target"]), max(e["source"], e["target"])): e["weight"]
-        for e in doc["edges"]
-    }
+    try:
+        nodes = tuple(
+            MapperNode(nd["id"], nd["cover_index"], tuple(nd["members"]))
+            for nd in sorted(doc["nodes"], key=lambda nd: nd["id"])
+        )
+        edges = {
+            (min(e["source"], e["target"]), max(e["source"], e["target"])): e["weight"]
+            for e in doc["edges"]
+        }
+    except KeyError as exc:
+        raise ValueError(f"graph document lacks the key {exc}") from None
+    except TypeError:
+        raise ValueError("a graph document is an object with 'nodes' and 'edges' lists"
+                         " of objects") from None
     return MapperGraph(nodes, edges)
 
 

@@ -292,3 +292,13 @@ def connected_components(graph: MapperGraph) -> dict[int, int]:
     edges = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2)
     label = merge_components(np.arange(graph.n_nodes), edges[:, 0], edges[:, 1])
     return dict(zip((nd.id for nd in graph.nodes), label.tolist()))
+
+
+def node_means(graph: MapperGraph, values) -> np.ndarray:
+    """Each node's mean of ``values`` (one value or row per point) over its
+    members, one row per node in id order, summed in member order."""
+    sizes = np.fromiter((len(nd.members) for nd in graph.nodes), np.intp, graph.n_nodes)
+    flat = np.fromiter(chain.from_iterable(nd.members for nd in graph.nodes), np.intp,
+                       int(sizes.sum()))
+    sums = np.add.reduceat(np.asarray(values, dtype=float)[flat], np.cumsum(sizes) - sizes, axis=0)
+    return (sums.T / sizes).T

@@ -26,16 +26,13 @@ import numpy as np
 from .clustering import Clusterer
 from .data import PointCloud
 from .filters import FilterValues
-from .mapper import LinkageEpoch, MapperGraph, map_comp
+from .mapper import LinkageEpoch, MapperGraph, map_comp, node_means
 
 
 @dataclass(frozen=True)
 class FilteredGraph:
     graph: MapperGraph
-    node_values: np.ndarray  # phi per node id
-    edge_values: dict[tuple[int, int], float]  # max of endpoint values
-    edge_argmax: dict[tuple[int, int], int]  # endpoint realizing the max (tie: smaller id)
-    edge_argmin: dict[tuple[int, int], int]  # endpoint realizing the min (tie: smaller id)
+    node_values: np.ndarray  # phi per node id; an edge's values are its endpoints' (see _ends)
 
 
 @dataclass(frozen=True)
@@ -63,19 +60,14 @@ class Diagram:
 
 def map_pers_filtration(graph: MapperGraph, filter_values: FilterValues) -> FilteredGraph:
     """Node value = mean filter value over members; edge value = max endpoint."""
-    fv = filter_values.values
-    node_values = np.array([fv[list(nd.members)].mean() for nd in graph.nodes])
-    edge_values, argmax, argmin = {}, {}, {}
-    for (u, v) in graph.edges:
-        # u < v by construction, so ties resolve to the smaller id
-        if node_values[v] > node_values[u]:
-            argmax[(u, v)], argmin[(u, v)] = v, u
-        elif node_values[v] < node_values[u]:
-            argmax[(u, v)], argmin[(u, v)] = u, v
-        else:
-            argmax[(u, v)], argmin[(u, v)] = u, u
-        edge_values[(u, v)] = float(node_values[argmax[(u, v)]])
-    return FilteredGraph(graph, node_values, edge_values, argmax, argmin)
+    return FilteredGraph(graph, node_means(graph, filter_values.values))
+
+
+def _ends(phi: list, e: tuple[int, int]) -> tuple[int, int]:
+    """The endpoints of the edge e = (u, v), u < v, that realize its max and
+    its min value; a tie goes to the smaller id."""
+    u, v = e
+    return (v, u) if phi[v] > phi[u] else (u, v) if phi[v] < phi[u] else (u, u)
 
 
 def _kruskal(key: list, edges: list) -> tuple[list, Callable[[int], int]]:
@@ -111,10 +103,10 @@ def _ascending(fg: FilteredGraph, cls: str) -> tuple[list, list, Callable[[int],
     edges in sweep order, and the final ``find``, whose roots are their
     components' minima."""
     phi = fg.node_values.tolist()
-    edges = sorted(fg.graph.edges, key=lambda e: (fg.edge_values[e], e))
+    edges = sorted(fg.graph.edges, key=lambda e: (phi[_ends(phi, e)[0]], e))
     retired, find = _kruskal([(x, v) for v, x in enumerate(phi)], edges)
-    pts = [DiagramPoint(phi[r], fg.edge_values[e], cls, r, fg.edge_argmax[e])
-           for e, r in zip(edges, retired) if r is not None and phi[r] != fg.edge_values[e]]
+    pts = [DiagramPoint(phi[r], phi[top], cls, r, top) for e, r in zip(edges, retired)
+           if r is not None and phi[r] != phi[top := _ends(phi, e)[0]]]
     return pts, edges, find
 
 
@@ -148,17 +140,17 @@ def extended_persistence(fg: FilteredGraph) -> Diagram:
         roots.setdefault(find(v), v)
     pts += [DiagramPoint(phi[r], phi[v], "Ext0", r, v) for r, v in roots.items()]
 
-    edge_min = {e: phi[v] for e, v in fg.edge_argmin.items()}
-    down = sorted(up, key=lambda e: (-edge_min[e], e))
+    down = sorted(up, key=lambda e: (-phi[_ends(phi, e)[1]], e))
     retired, _ = _kruskal([(-x, v) for v, x in enumerate(phi)], down)
     rank = {e: i for i, e in enumerate(up)}
     parent, rank_up, depth = _forest(
         len(phi), [(e, rank[e]) for e, r in zip(down, retired) if r is not None])
     cycles: dict[int, set[int]] = {}  # Ext1 cycles, reduced, by their latest ascending edge
     for e, r in zip(down, retired):
+        bottom = _ends(phi, e)[1]
         if r is not None:
-            if phi[r] != edge_min[e]:
-                pts.append(DiagramPoint(phi[r], edge_min[e], "Rel1", r, fg.edge_argmin[e]))
+            if phi[r] != phi[bottom]:
+                pts.append(DiagramPoint(phi[r], phi[bottom], "Rel1", r, bottom))
             continue
         # the cycle e closes in the descending forest, as ascending-edge ranks
         cycle, (u, v) = {rank[e]}, e
@@ -170,9 +162,8 @@ def extended_persistence(fg: FilteredGraph) -> Diagram:
         while (low := max(cycle)) in cycles:
             cycle ^= cycles[low]
         cycles[low] = cycle
-        b = up[low]
-        pts.append(DiagramPoint(fg.edge_values[b], edge_min[e], "Ext1", fg.edge_argmax[b],
-                                fg.edge_argmin[e]))
+        top = _ends(phi, up[low])[0]
+        pts.append(DiagramPoint(phi[top], phi[bottom], "Ext1", top, bottom))
     pts.sort(key=lambda p: (p.cls, p.birth, p.death, p.birth_node))
     return Diagram(tuple(pts))
 
@@ -227,21 +218,14 @@ def loss_and_subgradient(
     grad = np.zeros(s)
     if s == 0:
         return loss, grad
-    node_grads: dict[int, np.ndarray] = {}
-
-    def node_grad(nid: int) -> np.ndarray:
-        if nid not in node_grads:
-            members = list(graph.nodes[nid].members)
-            node_grads[nid] = fv.jacobian[members].mean(axis=0)
-        return node_grads[nid]
-
+    node_grad = node_means(graph, fv.jacobian)
     for pt in diagram:
         sign = np.sign(pt.birth - pt.death)
         if sign == 0:
             continue
-        grad += sign * node_grad(pt.birth_node)
+        grad += sign * node_grad[pt.birth_node]
         if pt.death_node is not None:
-            grad -= sign * node_grad(pt.death_node)
+            grad -= sign * node_grad[pt.death_node]
     if not np.all(np.isfinite(grad)) or not np.isfinite(loss):
         raise FloatingPointError("non-finite loss or subgradient")
     return loss, grad

@@ -16,6 +16,18 @@ from softmapper.persistence import Diagram, DiagramPoint
 _APEX, _VERT, _EDGE, _CONE_V, _CONE_E = range(5)
 
 
+def _edge_extremes(phi, edges):
+    """Each edge's value (the max of its endpoints' values) and the endpoints
+    realizing its max and its min; edges are (u, v) with u < v, and a tie
+    goes to the smaller id."""
+    value, argmax, argmin = {}, {}, {}
+    for u, v in edges:
+        argmax[(u, v)] = v if phi[v] > phi[u] else u
+        argmin[(u, v)] = v if phi[v] < phi[u] else u
+        value[(u, v)] = float(phi[argmax[(u, v)]])
+    return value, argmax, argmin
+
+
 def _reduce(columns: list[set[int]]) -> dict[int, int]:
     """Standard left-to-right Z/2 boundary reduction; returns {birth: death}."""
     pivot: dict[int, int] = {}
@@ -38,10 +50,11 @@ def extended_persistence(fg) -> Diagram:
     if g.n_nodes == 0:
         return Diagram(())
     edges = sorted(g.edges)
+    edge_values, edge_argmax, edge_argmin = _edge_extremes(phi, edges)
     edge_min = {e: float(min(phi[e[0]], phi[e[1]])) for e in edges}
 
     ascending = [(float(phi[v]), 0, v, (_VERT, v)) for v in range(g.n_nodes)]
-    ascending += [(fg.edge_values[e], 1, i, (_EDGE, e)) for i, e in enumerate(edges)]
+    ascending += [(edge_values[e], 1, i, (_EDGE, e)) for i, e in enumerate(edges)]
     ascending.sort(key=lambda t: t[:3])
     descending = [(-float(phi[v]), 0, v, (_CONE_V, v)) for v in range(g.n_nodes)]
     descending += [(-edge_min[e], 1, i, (_CONE_E, e)) for i, e in enumerate(edges)]
@@ -69,8 +82,8 @@ def extended_persistence(fg) -> Diagram:
         if kind == _VERT or kind == _CONE_V:
             return float(phi[payload]), payload
         if kind == _EDGE:
-            return fg.edge_values[payload], fg.edge_argmax[payload]
-        return edge_min[payload], fg.edge_argmin[payload]
+            return edge_values[payload], edge_argmax[payload]
+        return edge_min[payload], edge_argmin[payload]
 
     pts = []
     for birth_idx, death_idx in pairs.items():
@@ -106,6 +119,7 @@ def regular_persistence(fg) -> Diagram:
     phi = fg.node_values
     if g.n_nodes == 0:
         return Diagram(())
+    edge_values, edge_argmax, _ = _edge_extremes(phi, g.edges)
     parent = list(range(g.n_nodes))
     birth: dict[int, tuple[float, int]] = {v: (float(phi[v]), v) for v in range(g.n_nodes)}
 
@@ -116,7 +130,7 @@ def regular_persistence(fg) -> Diagram:
         return a
 
     pts = []
-    for e in sorted(g.edges, key=lambda e: (fg.edge_values[e], e)):
+    for e in sorted(g.edges, key=lambda e: (edge_values[e], e)):
         ra, rb = find(e[0]), find(e[1])
         if ra == rb:
             continue
@@ -126,9 +140,9 @@ def regular_persistence(fg) -> Diagram:
         else:
             elder, younger = rb, ra
         b, bn = birth[younger]
-        d = fg.edge_values[e]
+        d = edge_values[e]
         if b != d:
-            pts.append(DiagramPoint(b, d, "H0", bn, fg.edge_argmax[e]))
+            pts.append(DiagramPoint(b, d, "H0", bn, edge_argmax[e]))
         parent[younger] = elder
         birth[elder] = min(birth[elder], birth[younger])
 

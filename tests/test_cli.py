@@ -103,11 +103,13 @@ def test_optimize_reference_correlation(tmp_path):
     assert summary["reference_correlation"] == pytest.approx(1.0)
 
 
-def test_config_file_defaults_and_override(tmp_path):
+@pytest.mark.parametrize("config_flag", [["--config", "{}"], ["--config={}"]],
+                         ids=["separate", "equals"])
+def test_config_file_defaults_and_override(tmp_path, config_flag):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"threshold": 0.8, "n": 80, "shape": "circle"}))
     rc = main([
-        "build", "--config", str(cfg), "--n", "100",
+        "build", *(t.format(cfg) for t in config_flag), "--n", "100",
         "--out-dir", str(tmp_path / "out"),
     ])
     assert rc == 0
@@ -164,6 +166,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["build", "--shape", "circle", "--n", "200", "--filter", "coord",
                  "--threshold", "0.5", "--sample", "--delta-rel", "nan",
                  "--out-dir", str(tmp_path)]) == 1
+    for delta_rel in ["nan", "0", "-1"]:  # the standard scheme checks it too
+        assert main(["build", "--shape", "circle", "--n", "200", "--filter", "coord",
+                     "--threshold", "0.5", "--delta-rel", delta_rel,
+                     "--out-dir", str(tmp_path)]) == 1
     assert main(["synth", "--shape", "circle", "--noise", "nan",
                  "--out", str(tmp_path / "cloud.csv")]) == 1
     optimize = ["optimize", "--shape", "circle", "--n", "60", "--theta", "0.6,0.8",
@@ -210,6 +216,15 @@ def test_export_missing_graph(tmp_path, capsys):
     assert main(["export", "--graph", str(tmp_path / "g.json"),
                  "--out", str(tmp_path / "g.dot")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("doc", ["{}", "[1]", '{"nodes": [1], "edges": []}'])
+def test_export_rejects_a_document_that_is_not_a_graph(tmp_path, capsys, doc):
+    graph = tmp_path / "g.json"
+    graph.write_text(doc)
+    assert main(["export", "--graph", str(graph), "--out", str(tmp_path / "g.dot")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "g.dot").exists()
 
 
 def test_kmeans_clusterer_path(tmp_path):

@@ -5,7 +5,7 @@ from scipy.cluster.hierarchy import fcluster, linkage
 from softmapper.clustering import SingleLinkageClusterer
 from softmapper.cover import standard_scheme, uniform_cover
 from softmapper.data import PointCloud
-from softmapper.mapper import MapperGraph, MapperNode, connected_components, map_comp
+from softmapper.mapper import MapperGraph, MapperNode, connected_components, map_comp, node_means
 
 
 def trivial_clusterer():
@@ -24,6 +24,24 @@ def test_empty_assignment():
     cloud = PointCloud([[0.0], [1.0]])
     g = map_comp(cloud, np.zeros((2, 3), dtype=np.uint8), trivial_clusterer())
     assert g.n_nodes == 0 and g.n_edges == 0
+
+
+def test_node_means():
+    rng = np.random.default_rng(5)
+    n = 500
+    # sizes on both sides of numpy's 8-way unrolled pairwise summation
+    members = [np.sort(rng.choice(n, size=k, replace=False)) for k in (1, 2, 7, 8, 9, 130, n)]
+    graph = MapperGraph(tuple(MapperNode(i, 1, tuple(m.tolist())) for i, m in enumerate(members)))
+    values = rng.uniform(1.0, 2.0, n)
+    jacobian = rng.uniform(-2.0, -1.0, (n, 3))
+    for v in (values, jacobian):
+        want = np.array([v[m].mean(axis=0) for m in members])
+        got = node_means(graph, v)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    empty = MapperGraph(())
+    assert node_means(empty, values).shape == (0,)
+    assert node_means(empty, jacobian).shape == (0, 3)
 
 
 def test_circle_loop():

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,14 +26,19 @@ def test_filtration_values():
     fg = map_pers_filtration(graph, fv)
     assert fg.node_values[0] == 0.5
     assert fg.node_values[1] == 2.0
-    assert fg.edge_values[(0, 1)] == 2.0
-    assert fg.edge_argmax[(0, 1)] == 1
+    assert [f.name for f in fields(fg)] == ["graph", "node_values"]
+    d = extended_persistence(fg)
+    assert [(p.cls, p.birth, p.death, p.birth_node, p.death_node) for p in d] == [
+        ("Ext0", 0.5, 2.0, 0, 1)]
 
 
 def test_edge_tie_goes_to_smaller_id():
-    fg = make_filtered_graph([1.0, 1.0], [(0, 1)])
-    assert fg.edge_argmax[(0, 1)] == 0
-    assert fg.edge_argmin[(0, 1)] == 0
+    # edge (2, 3) joins two equal values: its max and its min are both node 2
+    edges = [(0, 2), (1, 3), (2, 3)]
+    d = extended_persistence(make_filtered_graph([0, 1, 2, 2], edges))
+    assert [(p.birth, p.death, p.death_node) for p in d.by_class("Ord0")] == [(1.0, 2.0, 2)]
+    d = extended_persistence(make_filtered_graph([2, 1, 0, 0], edges))
+    assert [(p.birth, p.death, p.death_node) for p in d.by_class("Rel1")] == [(1.0, 0.0, 2)]
 
 
 def test_extended_path():
