@@ -27,7 +27,7 @@ from .export import (
     trace_to_csv,
 )
 from .filters import FixedFilter, LinearFilter, diagonal_init
-from .mapper import map_comp, node_means
+from .mapper import map_comp
 from .optimize import OptimConfig, direction_correlation, optimize
 from .persistence import extended_persistence, map_pers_filtration, regular_persistence
 from .synthetic import generate_synthetic
@@ -86,7 +86,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--mode", choices=["regular", "extended"], default="extended")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", default=".")
-        p.add_argument("--color-attr", help="attribute name used for node colors")
         if name == "build":
             p.add_argument("--sample", action="store_true",
                            help="sample the smooth scheme instead of the standard assignment")
@@ -227,14 +226,9 @@ def _write_build_outputs(out_dir: Path, cloud, fam, theta, args, sampled_seed=No
     graph = map_comp(cloud, e, clusterer)
     fg = map_pers_filtration(graph, fv)
     diagram = extended_persistence(fg) if args.mode == "extended" else regular_persistence(fg)
-    colors = fg.node_values
-    if args.color_attr:
-        if args.color_attr not in cloud.attributes:
-            raise ConfigError(f"unknown attribute {args.color_attr!r}")
-        colors = node_means(graph, cloud.attributes[args.color_attr])
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "mapper.json").write_text(graph_to_json(graph, fg.node_values, colors))
-    (out_dir / "mapper.dot").write_text(export_dot(graph, colors))
+    (out_dir / "mapper.json").write_text(graph_to_json(graph, fg.node_values))
+    (out_dir / "mapper.dot").write_text(export_dot(graph, fg.node_values))
     (out_dir / "diagram.csv").write_text(diagram_to_csv(diagram))
     return graph, diagram
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,22 @@ def _within(a_cols, b_cols, i, j, threshold: float) -> np.ndarray:
     return np.sqrt(sq) <= threshold
 
 
+def _cells_across(shifted: np.ndarray, threshold: float) -> tuple[float, float]:
+    """The side threshold / (2 sqrt(d)) of the exact grid's cells, and the
+    number of whole cells across the widest coordinate of ``shifted`` (the
+    points less their least coordinates).
+
+    Raises ValueError from 2**50 cells on, where a cell could no longer be
+    told apart in floating point. Every single-linkage call applies this
+    rule, whichever way it links, so the outcome never depends on set size.
+    """
+    side = threshold / (2 * math.sqrt(shifted.shape[1]))
+    cells = np.floor(shifted.max() / side)
+    if cells >= 2.0 ** 50:
+        raise ValueError(f"threshold {threshold} is too small for the extent of the points")
+    return side, cells
+
+
 def range_pairs(sa, na, sb, nb):
     """Yield chunks (k, i, j) of at most _CHUNK index pairs: for each k,
     every i in [sa[k], sa[k] + na[k]) with every j in [sb[k], sb[k] + nb[k])."""
@@ -126,12 +143,10 @@ class Grid:
         n, d = pts.shape
         self.threshold = threshold
         shifted = pts - pts.min(axis=0)
+        side, cells = _cells_across(shifted, threshold)
         key = np.empty((d + 1, n))  # per entry: set, then cell coordinates
         key[0] = owner
-        np.floor(shifted.T / (threshold / (2 * np.sqrt(d))), out=key[1:])
-        cells = key[1:].max()
-        if cells >= 2.0 ** 50:
-            raise ValueError(f"threshold {threshold} is too small for the extent of the points")
+        np.floor(shifted.T / side, out=key[1:])
         self.order = np.lexsort(key[::-1] if rank is None else np.vstack([[rank], key[::-1]]))
         key = key[:, self.order]
         new = np.ones(n + 1, dtype=bool)
@@ -244,6 +259,20 @@ def merge_components(label: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndar
 
 def _linkage_labels(pts: np.ndarray, threshold: float) -> np.ndarray:
     """Connected components of the graph linking points at distance <= threshold.
+
+    A set whose point pairs fit one check block, n(n - 1)/2 <= _CHUNK, is
+    linked from a single cdist; there the grid's set-up costs more than
+    checking every pair. Larger sets go through the grid.
+    """
+    n = pts.shape[0]
+    if n * (n - 1) // 2 > _CHUNK:
+        return _grid_labels(pts, threshold)
+    _cells_across(pts - pts.min(axis=0), threshold)
+    return merge_components(np.arange(n), *np.nonzero(cdist(pts, pts) <= threshold))
+
+
+def _grid_labels(pts: np.ndarray, threshold: float) -> np.ndarray:
+    """_linkage_labels through the exact grid.
 
     Cells are joined outright, then along sure cell pairs; the other cell
     pairs are point-checked nearest first. Cell pairs already joined are

@@ -46,17 +46,19 @@ def export_dot(graph: MapperGraph, colors) -> str:
     return "\n".join(out) + "\n"
 
 
-def graph_to_json(graph: MapperGraph, values=None, colors=None) -> str:
+def graph_to_json(graph: MapperGraph, values=None) -> str:
+    """The graph as one line of JSON; each node's "value" and "color" are its
+    entry of ``values`` (zeros when left out)."""
     values = np.zeros(graph.n_nodes) if values is None else np.asarray(values, dtype=float)
-    colors = values if colors is None else np.asarray(colors, dtype=float)
+    values = values.tolist()
     doc = {
         "nodes": [
             {
                 "id": nd.id,
                 "cover_index": nd.cover_index,
                 "members": nd.members,
-                "value": float(values[nd.id]),
-                "color": float(colors[nd.id]),
+                "value": values[nd.id],
+                "color": values[nd.id],
             }
             for nd in graph.nodes
         ],
@@ -65,7 +67,7 @@ def graph_to_json(graph: MapperGraph, values=None, colors=None) -> str:
             for (u, v), w in sorted(graph.edges.items())
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def graph_from_json(text: str) -> MapperGraph:

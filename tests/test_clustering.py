@@ -5,6 +5,7 @@ from scipy import sparse
 from softmapper.clustering import (
     KMeansClusterer,
     SingleLinkageClusterer,
+    _grid_labels,
     cluster,
     merge_components,
     threshold_from_hausdorff,
@@ -46,6 +47,18 @@ def test_threshold_below_coordinate_resolution_rejected(line_cloud):
     # cells of side t / 2 could not be told apart in floating point
     with pytest.raises(ValueError, match="too small"):
         cluster(SingleLinkageClusterer(1e-300), line_cloud, [0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("n", [4, 128, 129, 300])
+def test_resolution_rule_is_the_same_on_both_branches(n):
+    # sets up to 128 points are linked by one cdist, larger ones on the grid;
+    # either way a threshold below the resolution of the extent is rejected
+    cloud = PointCloud(np.linspace(0, 1e6, n)[:, None])
+    with pytest.raises(ValueError, match="too small"):
+        cluster(SingleLinkageClusterer(1e-300), cloud, range(n))
+    with pytest.raises(ValueError, match="too small"):
+        _grid_labels(cloud.points, 1e-300)
+    assert len(cluster(SingleLinkageClusterer(1e6), cloud, range(n))) == 1
 
 
 def test_kmeans_more_clusters_than_points(line_cloud):

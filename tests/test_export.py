@@ -44,6 +44,7 @@ def test_dot_constant_colors_use_middle_ramp():
 def test_json_round_trip():
     g = _two_node_graph()
     text = graph_to_json(g, values=[0.5, 1.5])
+    assert text.count("\n") == 1 and text.endswith("\n")  # one compact line
     back = graph_from_json(text)
     assert back == g
     assert back.edges == g.edges

@@ -15,11 +15,14 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.spatial.distance import cdist
 
+from softmapper import clustering
 from softmapper.clustering import (
     Grid,
     KMeansClusterer,
     SingleLinkageClusterer,
+    _grid_labels,
     _kmeans_labels,
+    _linkage_labels,
     cluster,
     range_pairs,
 )
@@ -67,6 +70,23 @@ def oracle_map_comp(cloud, e, clusterer):
             if w:
                 edges[(u, v)] = w
     return MapperGraph(tuple(nodes), edges)
+
+
+def same_partition(a, b):
+    """Whether two labellings of the same points group them alike."""
+    def first_of_group(labels):
+        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        return first[inverse]
+    return np.array_equal(first_of_group(a), first_of_group(b))
+
+
+def assert_both_branches_match_cdist(pts, threshold):
+    """The grid and the all-pairs check each partition pts as the oracle
+    does; _linkage_labels takes the all-pairs check below 129 points."""
+    want = oracle_linkage_labels(pts, threshold)
+    assert same_partition(_grid_labels(pts, threshold), want)
+    if len(pts) <= 128:
+        assert same_partition(_linkage_labels(pts, threshold), want)
 
 
 def assert_same_graph(got, want):
@@ -208,6 +228,7 @@ def test_ties_at_the_threshold_match_cdist(threshold):
         cl = SingleLinkageClusterer(threshold)
         got = [p.tolist() for p in cluster(cl, cloud, keep)]
         assert got == [p.tolist() for p in oracle_cluster(cl, cloud, keep)]
+        assert_both_branches_match_cdist(pts[keep], threshold)
         e = (rng.random((len(pts), 3)) < 0.6).astype(np.uint8)
         assert_same_graph(map_comp(cloud, e, cl), oracle_map_comp(cloud, e, cl))
 
@@ -248,6 +269,27 @@ def test_ties_at_a_rounded_threshold_match_cdist(pts):
                 keep = np.flatnonzero(rng.random(len(pts)) < 0.5)
                 got = [p.tolist() for p in cluster(cl, cloud, keep)]
                 assert got == [p.tolist() for p in oracle_cluster(cl, cloud, keep)]
+                assert_both_branches_match_cdist(pts[keep], threshold)
+
+
+@pytest.mark.parametrize("n", [128, 129])
+def test_linkage_on_either_side_of_the_pair_bound(n, monkeypatch):
+    """128 points make 8128 pairs, within one check block of _CHUNK = 8192,
+    and take the all-pairs check; 129 make 8256 and take the grid. Lattice
+    holes leave pieces that only the tied edges join."""
+    grid_calls = []
+    monkeypatch.setattr(clustering, "_grid_labels",
+                        lambda *args: grid_calls.append(1) or _grid_labels(*args))
+    pts = lattice(16)
+    cloud = PointCloud(pts)
+    rng = np.random.default_rng(11)
+    for threshold in (1.0, np.sqrt(2)):
+        for trial in range(5):
+            keep = np.sort(rng.permutation(len(pts))[:n])
+            cl = SingleLinkageClusterer(threshold)
+            got = [p.tolist() for p in cluster(cl, cloud, keep)]
+            assert got == [p.tolist() for p in oracle_cluster(cl, cloud, keep)]
+    assert len(grid_calls) == (10 if n > 128 else 0)
 
 
 @st.composite
@@ -302,3 +344,10 @@ def test_edge_weights_are_member_intersections(case):
             shared = len(set(g.nodes[u].members) & set(g.nodes[v].members))
             assert g.edges.get((u, v), 0) == shared
     assert all(u < v for u, v in g.edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(assignments())
+def test_both_linkage_branches_match_cdist(case):
+    pts, _, threshold = case
+    assert_both_branches_match_cdist(pts, threshold)
