@@ -29,8 +29,10 @@ class IntervalCover:
         iv = np.asarray(self.intervals, dtype=float)
         if iv.ndim != 2 or iv.shape[1] != 2 or iv.shape[0] < 1:
             raise ValueError("intervals must be an r x 2 array")
-        if np.any(iv[:, 0] >= iv[:, 1]):
+        if not np.all(iv[:, 0] < iv[:, 1]):
             raise ValueError("each interval needs a_j < b_j")
+        if not np.all(np.diff(iv, axis=0) >= 0):
+            raise ValueError("interval endpoints must be non-decreasing")
         if iv.shape[0] > 1 and np.any(iv[1:, 0] >= iv[:-1, 1]):
             raise ValueError("consecutive intervals must overlap")
         object.__setattr__(self, "intervals", iv)
@@ -50,7 +52,7 @@ class AssignmentScheme:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 2:
             raise ValueError("probs must be an n x r matrix")
-        if np.any(p < 0) or np.any(p > 1) or not np.all(np.isfinite(p)):
+        if p.size and not (p.min() >= 0 and p.max() <= 1):  # NaN fails both
             raise ValueError("probabilities must lie in [0,1]")
         object.__setattr__(self, "probs", p)
 
@@ -106,15 +108,29 @@ def smoothing_width(values, resolution: int, delta_rel: float) -> float:
     return delta_rel * span if span > 0 else delta_rel
 
 
+def _runs(v: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The (point, element) entries with lo_j <= v_i <= hi_j, and each point's count.
+
+    ``lo`` and ``hi`` are non-decreasing with lo_j < hi_j, so the elements that
+    contain v are one run: from the first j with v <= hi_j up to the last j
+    with lo_j <= v. Entries come out by point, then by element.
+    """
+    first = np.searchsorted(hi, v, side="left")
+    count = np.searchsorted(lo, v, side="right") - first
+    rows = np.repeat(np.arange(v.size), count)
+    cols = np.arange(rows.size) - np.repeat(np.cumsum(count) - count - first, count)
+    return rows, cols, count
+
+
 def standard_scheme(values, cover: IntervalCover) -> AssignmentScheme:
     """Degenerate scheme: p_{i,j} = 1 iff the value lies in the closed interval j."""
     v = _as_values(values)
-    a = cover.intervals[:, 0]
-    b = cover.intervals[:, 1]
-    probs = ((v[:, None] >= a[None, :]) & (v[:, None] <= b[None, :])).astype(float)
-    if np.any(probs.sum(axis=1) == 0):
-        bad = int(np.nonzero(probs.sum(axis=1) == 0)[0][0])
+    rows, cols, count = _runs(v, cover.intervals[:, 0], cover.intervals[:, 1])
+    if not count.all():
+        bad = int(np.flatnonzero(count == 0)[0])
         raise ValueError(f"value {v[bad]} at index {bad} lies outside the cover")
+    probs = np.zeros((v.size, cover.resolution))
+    probs[rows, cols] = 1.0
     return AssignmentScheme(probs)
 
 
@@ -138,15 +154,15 @@ def smooth_scheme(values, cover: IntervalCover, delta: float) -> AssignmentSchem
     v = _as_values(values)
     a = cover.intervals[:, 0]
     b = cover.intervals[:, 1]
-    probs = np.zeros((v.shape[0], cover.resolution))
-    for j in range(cover.resolution):
-        q = np.zeros_like(v)
-        q[(v >= a[j]) & (v <= b[j])] = 1.0
-        left = (v >= a[j] - delta) & (v < a[j])
-        q[left] = _bump((a[j] - v[left]) / delta)
-        right = (v > b[j]) & (v <= b[j] + delta)
-        q[right] = _bump((v[right] - b[j]) / delta)
-        probs[:, j] = q
+    rows, cols, _ = _runs(v, a - delta, b + delta)
+    vi, aj, bj = v[rows], a[cols], b[cols]
+    q = np.ones(rows.size)
+    left = vi < aj
+    q[left] = _bump((aj[left] - vi[left]) / delta)
+    right = vi > bj
+    q[right] = _bump((vi[right] - bj[right]) / delta)
+    probs = np.zeros((v.size, cover.resolution))
+    probs[rows, cols] = q
     return AssignmentScheme(probs)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -58,26 +59,28 @@ def load_csv(path, has_header: bool = False) -> PointCloud:
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh]
-    lines = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
+    linenos = [i for i, ln in enumerate(lines, 1) if ln]
     if has_header:
-        lines = lines[1:]
-    if not lines:
+        linenos = linenos[1:]
+    if not linenos:
         raise FormatError(f"{path}: no data rows")
-    rows = []
-    width = None
-    for lineno, ln in lines:
-        cells = ln.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise FormatError(
-                f"{path}: line {lineno} has {len(cells)} columns, expected {width}"
-            )
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError:
-            raise FormatError(f"{path}: non-numeric cell at line {lineno}") from None
-    return PointCloud(np.array(rows))
+    rows = [lines[i - 1] for i in linenos]
+    commas = np.fromiter(map(str.count, rows, repeat(",")), int, len(rows))
+    ragged = np.flatnonzero(commas != commas[0])
+    n = int(ragged[0]) if ragged.size else len(rows)
+    try:
+        cells = np.fromiter(map(float, ",".join(rows[:n]).split(",")), float)
+    except ValueError:
+        for lineno, row in zip(linenos, rows):
+            try:
+                list(map(float, row.split(",")))
+            except ValueError:
+                raise FormatError(f"{path}: non-numeric cell at line {lineno}") from None
+    if n < len(rows):
+        raise FormatError(
+            f"{path}: line {linenos[n]} has {commas[n] + 1} columns, expected {commas[0] + 1}"
+        )
+    return PointCloud(cells.reshape(n, -1))
 
 
 def load_off_vertices(path) -> PointCloud:

@@ -8,12 +8,39 @@ from hypothesis import strategies as st
 
 from softmapper.cover import (
     AssignmentScheme,
+    IntervalCover,
+    _bump,
     log_prob,
     sample_assignment,
     smooth_scheme,
     standard_scheme,
     uniform_cover,
 )
+
+
+def reference_standard(v, cover):
+    """The broadcast builder: compare every value with every endpoint."""
+    a, b = cover.intervals[:, 0], cover.intervals[:, 1]
+    probs = ((v[:, None] >= a[None, :]) & (v[:, None] <= b[None, :])).astype(float)
+    if np.any(probs.sum(axis=1) == 0):
+        bad = int(np.nonzero(probs.sum(axis=1) == 0)[0][0])
+        raise ValueError(f"value {v[bad]} at index {bad} lies outside the cover")
+    return probs
+
+
+def reference_smooth(v, cover, delta):
+    """The per-column builder: one pass over the values for each element."""
+    a, b = cover.intervals[:, 0], cover.intervals[:, 1]
+    probs = np.zeros((v.shape[0], cover.resolution))
+    for j in range(cover.resolution):
+        q = np.zeros_like(v)
+        q[(v >= a[j]) & (v <= b[j])] = 1.0
+        left = (v >= a[j] - delta) & (v < a[j])
+        q[left] = _bump((a[j] - v[left]) / delta)
+        right = (v > b[j]) & (v <= b[j] + delta)
+        q[right] = _bump((v[right] - b[j]) / delta)
+        probs[:, j] = q
+    return probs
 
 
 def test_uniform_cover_r2():
@@ -164,3 +191,70 @@ def test_log_prob_sums_to_one(shape, rng):
         e = np.array(bits, dtype=np.uint8).reshape(n, r)
         total += math.exp(log_prob(scheme, e))
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError as err:
+        return str(err)
+
+
+@given(
+    st.integers(1, 60),
+    st.sampled_from([0.05, 0.3, 0.5, 0.8]),
+    st.sampled_from([1e-12, 1e-4, 0.02, 0.3, 3.0]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_schemes_match_reference_builders(r, gain, delta_rel, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = sorted(rng.uniform(-5, 5, 2))
+    cover = uniform_cover([lo, hi], r, gain)
+    delta = delta_rel * (hi - lo)
+    a, b = cover.intervals[:, 0], cover.intervals[:, 1]
+    edges = np.concatenate([a, b, a - delta, b + delta])
+    v = np.concatenate([
+        rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), 30),
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+    ])
+    rng.shuffle(v)
+    smooth = smooth_scheme(v, cover, delta).probs
+    assert np.array_equal(smooth, reference_smooth(v, cover, delta))
+    inside = v[(v >= lo) & (v <= hi)]
+    assert np.array_equal(standard_scheme(inside, cover).probs, reference_standard(inside, cover))
+    expected = _outcome(reference_standard, v, cover)
+    got = _outcome(lambda *args: standard_scheme(*args).probs, v, cover)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert np.array_equal(got, expected)
+
+
+def test_standard_scheme_reports_first_value_outside():
+    cover = uniform_cover([0.0, 1.0], 3, 0.3)
+    with pytest.raises(ValueError, match=r"value 1\.5 at index 1 lies outside the cover"):
+        standard_scheme(np.array([0.5, 1.5, -1.0]), cover)
+
+
+def test_interval_cover_rejects_endpoints_out_of_order():
+    with pytest.raises(ValueError, match="non-decreasing"):
+        IntervalCover([[0, 3], [-1, 1]], 0.3)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        IntervalCover([[0, 3], [1, 2]], 0.3)
+    tied = IntervalCover([[0, 1], [0, 2], [1.5, 2]], 0.3)
+    assert np.array_equal(standard_scheme(np.array([0.0, 1.0, 2.0]), tied).probs,
+                          [[1, 1, 0], [1, 1, 0], [0, 1, 1]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -5e-324, np.nextafter(1, 2)])
+def test_assignment_scheme_rejects_probabilities_outside_unit_interval(bad):
+    probs = np.full((2, 3), 0.5)
+    probs[1, 2] = bad
+    with pytest.raises(ValueError, match=r"\[0,1\]"):
+        AssignmentScheme(probs)
+
+
+def test_assignment_scheme_accepts_empty_and_endpoints():
+    assert AssignmentScheme(np.zeros((0, 3))).probs.shape == (0, 3)
+    assert AssignmentScheme(np.array([[0.0, 1.0]])).probs.tolist() == [[0.0, 1.0]]

@@ -35,6 +35,43 @@ def test_load_csv_ragged(tmp_path):
         load_csv(f)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,2\n3,x\n4,5,6\n", "non-numeric cell at line 2"),
+        ("1,2\n4,5,6\n3,x\n", "line 2 has 3 columns, expected 2"),
+        ("1,2\n4,x,6\n", "line 2 has 3 columns, expected 2"),
+    ],
+)
+def test_load_csv_reports_first_faulty_line(tmp_path, text, message):
+    f = tmp_path / "bad.csv"
+    f.write_text(text)
+    with pytest.raises(FormatError, match=message):
+        load_csv(f)
+
+
+@pytest.mark.parametrize(
+    "text, has_header, message",
+    [
+        ("\n1,2\n\n3,y\n", False, "non-numeric cell at line 4"),
+        ("x,y\n\n1,2\n  \n3\n", True, "line 5 has 1 columns, expected 2"),
+        ("x,y\n1,2\nz,2\n", True, "non-numeric cell at line 3"),
+    ],
+)
+def test_load_csv_line_numbers_count_blank_lines_and_header(tmp_path, text, has_header, message):
+    f = tmp_path / "bad.csv"
+    f.write_text(text)
+    with pytest.raises(FormatError, match=message):
+        load_csv(f, has_header=has_header)
+
+
+def test_load_csv_accepts_what_float_accepts(tmp_path):
+    f = tmp_path / "pts.csv"
+    f.write_text("1_0, 1.5 \n \t \n-2e-1,3\n")
+    cloud = load_csv(f)
+    assert np.array_equal(cloud.points, [[float("1_0"), float(" 1.5 ")], [-0.2, 3.0]])
+
+
 def test_load_csv_4x3_and_header(tmp_path):
     f = tmp_path / "pts.csv"
     f.write_text("x,y,z\n" + "\n".join("1,2,3" for _ in range(4)) + "\n")
