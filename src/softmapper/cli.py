@@ -213,7 +213,7 @@ def _config_hash(args) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
-def _write_build_outputs(out_dir: Path, cloud, fam, theta, args, sampled_seed=None):
+def _write_build_outputs(out_dir: Path, cloud, fam, theta, clusterer, args, sampled_seed=None):
     with np.errstate(over="raise", invalid="raise"):  # a huge theta overflows the filter
         fv = fam.evaluate(cloud, theta)
     delta = smoothing_width(fv, args.resolution, args.delta_rel)
@@ -222,7 +222,6 @@ def _write_build_outputs(out_dir: Path, cloud, fam, theta, args, sampled_seed=No
         e = sample_assignment(smooth_scheme(fv, cover, delta), sampled_seed)
     else:
         e = standard_scheme(fv, cover).probs.astype(np.uint8)
-    clusterer = _make_clusterer(args, cloud)
     graph = map_comp(cloud, e, clusterer)
     fg = map_pers_filtration(graph, fv)
     diagram = extended_persistence(fg) if args.mode == "extended" else regular_persistence(fg)
@@ -236,9 +235,10 @@ def _write_build_outputs(out_dir: Path, cloud, fam, theta, args, sampled_seed=No
 def cmd_build(args) -> int:
     cloud = _load_cloud(args)
     fam, theta = _make_filter(args, cloud)
+    clusterer = _make_clusterer(args, cloud)
     out_dir = Path(args.out_dir)
     seed = args.seed if args.sample else None
-    _write_build_outputs(out_dir, cloud, fam, theta, args, sampled_seed=seed)
+    _write_build_outputs(out_dir, cloud, fam, theta, clusterer, args, sampled_seed=seed)
     summary = {"seed": args.seed, "config_hash": _config_hash(args), "version": __version__}
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0
@@ -277,8 +277,8 @@ def cmd_optimize(args) -> int:
     (out_dir / "theta_final.json").write_text(
         json.dumps({"theta": [float(x) for x in theta_n]}, indent=2) + "\n"
     )
-    _write_build_outputs(out_dir / "initial", cloud, fam, theta0, args)
-    _write_build_outputs(out_dir / "final", cloud, fam, theta_n, args)
+    _write_build_outputs(out_dir / "initial", cloud, fam, theta0, clusterer, args)
+    _write_build_outputs(out_dir / "final", cloud, fam, theta_n, clusterer, args)
     summary = {
         "seed": args.seed,
         "config_hash": _config_hash(args),

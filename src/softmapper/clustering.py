@@ -28,8 +28,8 @@ class SingleLinkageClusterer:
     threshold: float
 
     def __post_init__(self):
-        if not self.threshold > 0:
-            raise ValueError(f"threshold must be > 0, got {self.threshold}")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError(f"threshold must be finite and > 0, got {self.threshold}")
 
 
 Clusterer = KMeansClusterer | SingleLinkageClusterer
@@ -257,22 +257,47 @@ def merge_components(label: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndar
             label = up
 
 
-def _linkage_labels(pts: np.ndarray, threshold: float) -> np.ndarray:
-    """Connected components of the graph linking points at distance <= threshold.
+def _linkage_parts(members: np.ndarray, pts: np.ndarray, threshold: float) -> list[np.ndarray]:
+    """The sorted, unique ``members`` at points ``pts``, split into the
+    connected components of the graph linking points at distance <=
+    threshold, ordered by smallest member.
 
     A set whose point pairs fit one check block, n(n - 1)/2 <= _CHUNK, is
     linked from a single cdist; there the grid's set-up costs more than
-    checking every pair. Larger sets go through the grid.
+    checking every pair. Each point's links are then one int, bit k for
+    point k, and every component is grown breadth-first from its lowest
+    unseen point, each point expanded once. Larger sets go through the grid.
     """
     n = pts.shape[0]
     if n * (n - 1) // 2 > _CHUNK:
-        return _grid_labels(pts, threshold)
+        return _split(members, _grid_labels(pts, threshold))
     _cells_across(pts - pts.min(axis=0), threshold)
-    return merge_components(np.arange(n), *np.nonzero(cdist(pts, pts) <= threshold))
+    w = (n + 7) // 8
+    raw = np.packbits(cdist(pts, pts) <= threshold, axis=1, bitorder="little").tobytes()
+    from_bytes = int.from_bytes
+    links = [from_bytes(raw[k:k + w], "little") for k in range(0, n * w, w)]
+    unseen = (1 << n) - 1
+    found = []
+    while unseen:
+        part = new = unseen & -unseen
+        while new:
+            reach = 0
+            while new:
+                bit = new & -new
+                reach |= links[bit.bit_length() - 1]
+                new ^= bit
+            new = reach & ~part
+            part |= new
+        unseen ^= part
+        found.append(part.to_bytes(w, "little"))
+    rows = np.frombuffer(b"".join(found), dtype=np.uint8).reshape(-1, w)
+    rows = np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
+    return [members[row] for row in rows]
 
 
 def _grid_labels(pts: np.ndarray, threshold: float) -> np.ndarray:
-    """_linkage_labels through the exact grid.
+    """Component labels of the graph linking points at distance <=
+    threshold, through the exact grid.
 
     Cells are joined outright, then along sure cell pairs; the other cell
     pairs are point-checked nearest first. Cell pairs already joined are
@@ -298,28 +323,33 @@ def _grid_labels(pts: np.ndarray, threshold: float) -> np.ndarray:
     return out
 
 
+def _split(members: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
+    """The sorted ``members`` grouped by label, ordered by smallest member."""
+    # each group is sorted after a stable sort by label
+    order = labels.argsort(kind="stable")
+    cut = [0, *((labels[order[1:]] != labels[order[:-1]]).nonzero()[0] + 1).tolist(), order.size]
+    members = members[order]
+    return sorted((members[i:j] for i, j in zip(cut, cut[1:])), key=lambda part: part[0])
+
+
 def cluster(clusterer: Clusterer, cloud: PointCloud, member_indices) -> list[np.ndarray]:
     """Partition the given point indices into clusters.
 
     Returns disjoint sorted index arrays, ordered by smallest member index.
     """
-    members = np.unique(np.asarray(member_indices, dtype=np.intp))
+    members = np.asarray(member_indices, dtype=np.intp)
+    if members.ndim != 1 or not (members[1:] > members[:-1]).all():
+        members = np.unique(members)
     if members.size == 0:
         raise ValueError("cannot cluster an empty member set")
     if members[-1] >= cloud.n or members[0] < 0:
         raise ValueError("member index out of range")
     if members.size == 1:
-        return [members]
-    pts = cloud.points[members]
+        return [members.copy()]  # members may be the caller's own array
+    pts = cloud.points.take(members, axis=0)
     if isinstance(clusterer, KMeansClusterer):
-        labels = _kmeans_labels(pts, clusterer)
-    else:
-        labels = _linkage_labels(pts, clusterer.threshold)
-    # members are sorted, and so is each cluster after a stable sort by label
-    order = labels.argsort(kind="stable")
-    cut = [0, *((labels[order[1:]] != labels[order[:-1]]).nonzero()[0] + 1).tolist(), order.size]
-    members = members[order]
-    return sorted((members[i:j] for i, j in zip(cut, cut[1:])), key=lambda part: part[0])
+        return _split(members, _kmeans_labels(pts, clusterer))
+    return _linkage_parts(members, pts, clusterer.threshold)
 
 
 def threshold_from_hausdorff(

@@ -179,6 +179,14 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         out = tmp_path / f"ref {ref}"
         assert main(optimize + ["--reference-direction", ref, "--out-dir", str(out)]) == 1
         assert not (out / "trace.csv").exists()
+    for flag in ["--threshold", "--threshold-factor"]:  # inf passes a "<= 0" check
+        out = tmp_path / f"build {flag}"
+        assert main(["build", "--shape", "y_shape", "--n", "200", "--threshold", "0.5",
+                     flag, "inf", "--out-dir", str(out)]) == 1
+        assert not out.exists()
+        out = tmp_path / f"optimize {flag}"
+        assert main(optimize + [flag, "inf", "--out-dir", str(out)]) == 1
+        assert not (out / "trace.csv").exists()
     capsys.readouterr()
 
 

@@ -61,6 +61,12 @@ def test_resolution_rule_is_the_same_on_both_branches(n):
     assert len(cluster(SingleLinkageClusterer(1e6), cloud, range(n))) == 1
 
 
+@pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), float("inf")])
+def test_threshold_must_be_finite_and_positive(threshold):
+    with pytest.raises(ValueError, match="threshold must be finite and > 0"):
+        SingleLinkageClusterer(threshold)
+
+
 def test_kmeans_more_clusters_than_points(line_cloud):
     parts = cluster(KMeansClusterer(10, seed=0), line_cloud, [0, 2, 3])
     assert len(parts) == 3
@@ -70,11 +76,16 @@ def test_kmeans_more_clusters_than_points(line_cloud):
 def test_partition_property(rng):
     cloud = PointCloud(rng.standard_normal((40, 3)))
     members = sorted(rng.choice(40, size=25, replace=False).tolist())
+    # shuffled, repeated and 2-D member inputs mean the same set
+    shuffled = rng.permutation(members + members[::3])
     for cl in (KMeansClusterer(4, seed=1), SingleLinkageClusterer(0.8)):
         parts = cluster(cl, cloud, members)
         flat = sorted(int(i) for p in parts for i in p)
         assert flat == members
         assert sum(len(p) for p in parts) == len(set(flat))
+        assert all(np.all(p[1:] > p[:-1]) for p in parts)
+        for same in (shuffled, np.reshape(members, (5, 5)), np.reshape(shuffled, (2, 17))):
+            assert [p.tolist() for p in cluster(cl, cloud, same)] == [p.tolist() for p in parts]
 
 
 def test_kmeans_deterministic(rng):
@@ -100,6 +111,8 @@ def test_threshold_from_hausdorff():
     assert cl1.threshold == 10.0
     cl2 = threshold_from_hausdorff(cloud, 0.5, 2.0, seed=0)
     assert cl2.threshold == 2 * cl1.threshold
+    with pytest.raises(ValueError, match="threshold must be finite and > 0, got inf"):
+        threshold_from_hausdorff(cloud, 0.5, float("inf"), seed=0)
 
 
 def test_threshold_fraction_one_degenerate(rng):

@@ -22,7 +22,7 @@ from softmapper.clustering import (
     SingleLinkageClusterer,
     _grid_labels,
     _kmeans_labels,
-    _linkage_labels,
+    _linkage_parts,
     cluster,
     range_pairs,
 )
@@ -82,11 +82,14 @@ def same_partition(a, b):
 
 def assert_both_branches_match_cdist(pts, threshold):
     """The grid and the all-pairs check each partition pts as the oracle
-    does; _linkage_labels takes the all-pairs check below 129 points."""
+    does; _linkage_parts takes the all-pairs check below 129 points, and
+    then its parts must come in the oracle's order too."""
     want = oracle_linkage_labels(pts, threshold)
     assert same_partition(_grid_labels(pts, threshold), want)
     if len(pts) <= 128:
-        assert same_partition(_linkage_labels(pts, threshold), want)
+        cl, cloud, every = SingleLinkageClusterer(threshold), PointCloud(pts), np.arange(len(pts))
+        got = _linkage_parts(every, pts, threshold)
+        assert [p.tolist() for p in got] == [p.tolist() for p in oracle_cluster(cl, cloud, every)]
 
 
 def assert_same_graph(got, want):
@@ -290,6 +293,25 @@ def test_linkage_on_either_side_of_the_pair_bound(n, monkeypatch):
             got = [p.tolist() for p in cluster(cl, cloud, keep)]
             assert got == [p.tolist() for p in oracle_cluster(cl, cloud, keep)]
     assert len(grid_calls) == (10 if n > 128 else 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128]), st.integers(1, 10),
+       st.integers(0, 2 ** 32 - 1), st.floats(0, 0.3), st.booleans(), st.booleans())
+def test_all_pairs_parts_match_cdist(n, d, seed, rank, lattice_points, below):
+    """Sets of up to 128 points, across every byte and word boundary of a
+    point's links held as bits, at a cdist value or the float just below it:
+    cluster's parts and their order are the oracle's."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 4, (n, d)).astype(float) if lattice_points else rng.random((n, d))
+    dist = np.unique(cdist(pts, pts))
+    dist = dist[dist > 0] if (dist > 0).any() else np.ones(1)
+    threshold = dist[int(rank * (dist.size - 1))]
+    if below:
+        threshold = np.nextafter(threshold, 0)
+    cl, cloud = SingleLinkageClusterer(threshold), PointCloud(pts)
+    got = [p.tolist() for p in cluster(cl, cloud, range(n))]
+    assert got == [p.tolist() for p in oracle_cluster(cl, cloud, range(n))]
 
 
 @st.composite
