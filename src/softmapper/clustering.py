@@ -201,9 +201,17 @@ class Grid:
         """Cell pairs whose centres lie within the threshold plus the pad
         plus twice the largest radius; where every cell holds one point, as
         in sparse or high-dimensional clouds, that is the padded threshold.
-        ``owner`` gives the set of each ordered entry."""
-        reach = self.threshold + self._pad + 2 * self._radius.max()
+        ``owner`` gives the set of each ordered entry.
+
+        No two centres lie farther apart than the diagonal of their bounding
+        box, so a reach past twice that adds no pair. It is capped there, but
+        at no less than 1: the tree squares the reach and the set offsets,
+        and a square overflows from about 1e154 on and underflows below
+        about 1e-154.
+        """
         centre = self._centre
+        reach = min(self.threshold + self._pad + 2 * self._radius.max(),
+                    max(2 * float(np.hypot.reduce(np.ptp(centre, axis=0))), 1.0))
         if owner[0] != owner[-1]:
             # the set index as one more coordinate puts sets out of each other's reach
             centre = np.column_stack([centre, owner[first] * (2 * reach)])

@@ -34,10 +34,10 @@ def export_dot(graph: MapperGraph, colors) -> str:
     lo, hi = colors.min(), colors.max()
     span = hi - lo
     out = ["graph mapper {", "  node [style=filled];"]
-    for nd in graph.nodes:
-        t = (colors[nd.id] - lo) / span if span > 0 else 0.5
+    for k, size in enumerate(np.diff(graph.indptr).tolist()):
+        t = (colors[k] - lo) / span if span > 0 else 0.5
         out.append(
-            f'  n{nd.id} [label="{nd.id}", tooltip="{len(nd.members)}",'
+            f'  n{k} [label="{k}", tooltip="{size}",'
             f' fillcolor="{_ramp_color(t)}"];'
         )
     for (u, v) in sorted(graph.edges):
@@ -50,17 +50,17 @@ def graph_to_json(graph: MapperGraph, values=None) -> str:
     """The graph as one line of JSON; each node's "value" and "color" are its
     entry of ``values`` (zeros when left out)."""
     values = np.zeros(graph.n_nodes) if values is None else np.asarray(values, dtype=float)
-    values = values.tolist()
+    values, members, bounds = values.tolist(), graph.members.tolist(), graph.indptr.tolist()
     doc = {
         "nodes": [
             {
-                "id": nd.id,
-                "cover_index": nd.cover_index,
-                "members": nd.members,
-                "value": values[nd.id],
-                "color": values[nd.id],
+                "id": k,
+                "cover_index": j,
+                "members": members[bounds[k]:bounds[k + 1]],
+                "value": values[k],
+                "color": values[k],
             }
-            for nd in graph.nodes
+            for k, j in enumerate(graph.cover.tolist())
         ],
         "edges": [
             {"source": u, "target": v, "weight": w}
@@ -70,17 +70,34 @@ def graph_to_json(graph: MapperGraph, values=None) -> str:
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
+def _is_index(x) -> bool:
+    return type(x) is int and x >= 0
+
+
 def graph_from_json(text: str) -> MapperGraph:
+    """The graph of a document written by ``graph_to_json``.
+
+    Raises ValueError unless the node ids are 0, 1, ..., K - 1, each node's
+    cover index a non-negative int and its members a nonempty list of them,
+    and each edge joins two distinct nodes with an int weight of at least 1.
+    """
     doc = json.loads(text)
     try:
-        nodes = tuple(
-            MapperNode(nd["id"], nd["cover_index"], tuple(nd["members"]))
-            for nd in sorted(doc["nodes"], key=lambda nd: nd["id"])
-        )
-        edges = {
-            (min(e["source"], e["target"]), max(e["source"], e["target"])): e["weight"]
-            for e in doc["edges"]
-        }
+        nodes = sorted(doc["nodes"], key=lambda nd: nd["id"])
+        if not all(_is_index(nd["cover_index"]) and isinstance(nd["members"], list)
+                   and all(map(_is_index, nd["members"])) for nd in nodes):
+            raise ValueError("node cover indices must be non-negative ints, and members"
+                             " lists of them")
+        edges = {}
+        for e in doc["edges"]:
+            u, v, w = e["source"], e["target"], e["weight"]
+            if not (_is_index(u) and _is_index(v) and max(u, v) < len(nodes)):
+                raise ValueError(f"edge {u}-{v} has an endpoint that is not a node id")
+            if u == v or not (_is_index(w) and w >= 1):
+                raise ValueError(f"edge {u}-{v} must join two nodes with an int weight >= 1")
+            edges[min(u, v), max(u, v)] = w
+        nodes = tuple(MapperNode(nd["id"], nd["cover_index"], tuple(nd["members"]))
+                      for nd in nodes)
     except KeyError as exc:
         raise ValueError(f"graph document lacks the key {exc}") from None
     except TypeError:

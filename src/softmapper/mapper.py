@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -29,43 +30,81 @@ class MapperNode:
             raise ValueError("node members must be nonempty")
 
 
-@dataclass(frozen=True)
 class MapperGraph:
     """Dimension <= 1 nerve: nodes are clusters, edges mark shared points.
 
-    Edges are unordered id pairs (u, v) with u < v; each weight is the size
-    of the member intersection (always >= 1).
+    Node k has cover index cover[k] and the members
+    members[indptr[k]:indptr[k + 1]], sorted point indices. Edges are
+    unordered id pairs (u, v) with u < v; each weight is the size of the
+    member intersection (always >= 1). ``nodes`` lists the same nodes as
+    MapperNode objects, built on first read.
+
+    ``MapperGraph(nodes, edges)`` takes MapperNode objects with ids 0, 1, ...
+    in order.
     """
 
-    nodes: tuple[MapperNode, ...]
-    edges: dict[tuple[int, int], int] = field(default_factory=dict)
+    def __init__(self, nodes: tuple[MapperNode, ...], edges: dict | None = None):
+        if [nd.id for nd in nodes] != list(range(len(nodes))):
+            raise ValueError("node ids must run 0, 1, ..., K - 1 in order")
+        self.indptr = np.zeros(len(nodes) + 1, dtype=np.intp)
+        np.cumsum([len(nd.members) for nd in nodes], out=self.indptr[1:])
+        self.members = np.fromiter(chain.from_iterable(nd.members for nd in nodes), np.intp,
+                                   int(self.indptr[-1]))
+        self.cover = np.fromiter((nd.cover_index for nd in nodes), np.intp, len(nodes))
+        self.edges = {} if edges is None else edges
+
+    @classmethod
+    def _from_arrays(cls, indptr, members, cover, edges) -> MapperGraph:
+        """The graph with these fields as they are."""
+        graph = cls.__new__(cls)
+        graph.indptr, graph.members, graph.cover, graph.edges = indptr, members, cover, edges
+        return graph
+
+    @cached_property
+    def nodes(self) -> tuple[MapperNode, ...]:
+        flat, bounds = self.members.tolist(), self.indptr.tolist()
+        return tuple(MapperNode(k, j, tuple(flat[bounds[k]:bounds[k + 1]]))
+                     for k, j in enumerate(self.cover.tolist()))
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return self.cover.size
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
 
+    def __eq__(self, other):
+        if not isinstance(other, MapperGraph):
+            return NotImplemented
+        return (np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.members, other.members)
+                and np.array_equal(self.cover, other.cover) and self.edges == other.edges)
 
-def _nerve(pts: np.ndarray, col: np.ndarray, nodes: tuple) -> MapperGraph:
-    """The graph on the nodes; membership k puts point pts[k] in node col[k].
+    def __repr__(self):
+        return f"MapperGraph({self.nodes!r}, {self.edges!r})"
 
-    Nodes u < v sharing points get an edge weighted by the shared count: with
-    the memberships sorted by (point, node), every two nodes of one point lie
-    at most (nodes per point - 1) places apart. The keys are inserted in
-    ascending (u, v) order.
+
+def _nerve(pts: np.ndarray, col: np.ndarray, k: int) -> dict[tuple[int, int], int]:
+    """The edges of k nodes; membership i puts point pts[i] in node col[i],
+    and the memberships come sorted by (node, point).
+
+    Nodes u < v sharing points get an edge weighted by the shared count: in
+    (point, node) order, every two nodes of one point lie at most (nodes per
+    point - 1) places apart. The keys are inserted in ascending (u, v) order.
     """
-    order = np.lexsort((col, pts))
+    order = np.argsort(pts, kind="stable")
     pts, col = pts[order], col[order]
     keys, gap = [], 1
-    while np.any(same := pts[gap:] == pts[:-gap]):
-        keys.append(col[:-gap][same] * len(nodes) + col[gap:][same])
+    while (same := pts[gap:] == pts[:-gap]).any():
+        keys.append(col[:-gap][same] * k + col[gap:][same])
         gap += 1
-    keys, counts = np.unique(_cat(keys), return_counts=True)
-    pairs = zip(*(x.tolist() for x in np.divmod(keys, len(nodes))))
-    return MapperGraph(nodes, dict(zip(pairs, counts.tolist())))
+    keys = np.sort(_cat(keys))
+    ends = np.ones(keys.size + 1, dtype=bool)  # where each run of equal keys starts, and the end
+    np.not_equal(keys[1:], keys[:-1], out=ends[1:-1])
+    ends = np.flatnonzero(ends)
+    u, v = np.divmod(keys[ends[:-1]], k)
+    return dict(zip(zip(u.tolist(), v.tolist()), (ends[1:] - ends[:-1]).tolist()))
 
 
 def _cat(parts: list) -> np.ndarray:
@@ -250,16 +289,14 @@ class LinkageEpoch:
         np.minimum.at(smallest, roots, pts)
         used = np.flatnonzero(smallest < self.cloud.n)
         # a component lies in one element; nodes run by (element, smallest member)
-        by_node = used[np.lexsort((smallest[used], self._unit_elem[used]))]
+        by_node = used[np.argsort(self._unit_elem[used] * self.cloud.n + smallest[used])]
         node = np.empty(present.size, dtype=np.intp)
         node[by_node] = np.arange(by_node.size)
-        col = node[roots]
-        by_col = np.lexsort((pts, col))
-        flat = pts[by_col].tolist()
-        bounds = np.searchsorted(col[by_col], np.arange(by_node.size + 1)).tolist()
-        nodes = tuple(MapperNode(k, j + 1, tuple(flat[bounds[k]:bounds[k + 1]]))
-                      for k, j in enumerate(self._unit_elem[by_node].tolist()))
-        return _nerve(pts, col, nodes)
+        # memberships by (node, point); a point is in a node at most once
+        col, pts = np.divmod(np.sort(node[roots] * self.cloud.n + pts), self.cloud.n)
+        indptr = np.searchsorted(col, np.arange(by_node.size + 1))
+        return MapperGraph._from_arrays(indptr, pts, self._unit_elem[by_node] + 1,
+                                        _nerve(pts, col, by_node.size))
 
 
 def map_comp(
@@ -291,14 +328,12 @@ def connected_components(graph: MapperGraph) -> dict[int, int]:
     """Map each node id to its component representative (smallest id)."""
     edges = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2)
     label = merge_components(np.arange(graph.n_nodes), edges[:, 0], edges[:, 1])
-    return dict(zip((nd.id for nd in graph.nodes), label.tolist()))
+    return dict(enumerate(label.tolist()))
 
 
 def node_means(graph: MapperGraph, values) -> np.ndarray:
     """Each node's mean of ``values`` (one value or row per point) over its
     members, one row per node in id order, summed in member order."""
-    sizes = np.fromiter((len(nd.members) for nd in graph.nodes), np.intp, graph.n_nodes)
-    flat = np.fromiter(chain.from_iterable(nd.members for nd in graph.nodes), np.intp,
-                       int(sizes.sum()))
-    sums = np.add.reduceat(np.asarray(values, dtype=float)[flat], np.cumsum(sizes) - sizes, axis=0)
-    return (sums.T / sizes).T
+    sums = np.add.reduceat(np.asarray(values, dtype=float)[graph.members], graph.indptr[:-1],
+                           axis=0)
+    return (sums.T / (graph.indptr[1:] - graph.indptr[:-1])).T

@@ -226,13 +226,38 @@ def test_export_missing_graph(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("doc", ["{}", "[1]", '{"nodes": [1], "edges": []}'])
+def _graph_doc(nodes, edges=(), cover_index=1):
+    """A graph document of (id, members) nodes and (source, target, weight) edges."""
+    return json.dumps({
+        "nodes": [{"id": i, "cover_index": cover_index, "members": m} for i, m in nodes],
+        "edges": [{"source": u, "target": v, "weight": w} for u, v, w in edges]})
+
+
+@pytest.mark.parametrize("doc", [
+    "{}", "[1]", '{"nodes": [1], "edges": []}',
+    _graph_doc([(0, [0, 1]), (5, [2, 3, 4])]),  # ids are not 0..K-1
+    _graph_doc([(0, [0, 1]), (0, [1, 2])]),  # a repeated id
+    _graph_doc([(0, "ab")]),
+    _graph_doc([(0, [0, -1])]),
+    _graph_doc([(0, [0, 1.5])]),
+    _graph_doc([(0, [0, 1])], cover_index=1.5),
+    _graph_doc([(0, [0, 1]), (1, [1, 2])], [(0, 0, 1)]),  # a loop
+    _graph_doc([(0, [0, 1]), (1, [1, 2])], [(0, 2, 1)]),  # an unknown endpoint
+    _graph_doc([(0, [0, 1]), (1, [1, 2])], [(0, 1, 0)]),  # a weight below 1
+    _graph_doc([(0, [0, 1]), (1, [1, 2])], [(0, 1, 1.5)]),
+])
 def test_export_rejects_a_document_that_is_not_a_graph(tmp_path, capsys, doc):
     graph = tmp_path / "g.json"
     graph.write_text(doc)
     assert main(["export", "--graph", str(graph), "--out", str(tmp_path / "g.dot")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "g.dot").exists()
+
+
+def test_threshold_past_the_extent(tmp_path):
+    """1e200 links every pair; the margin grid must not overflow on it."""
+    assert main(["optimize", "--shape", "y_shape", "--n", "200", "--threshold", "1e200",
+                 "--epochs", "1", "--mc-samples", "1", "--out-dir", str(tmp_path)]) == 0
 
 
 def test_kmeans_clusterer_path(tmp_path):

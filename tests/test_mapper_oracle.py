@@ -29,7 +29,8 @@ from softmapper.clustering import (
 from softmapper.cover import sample_assignment, smooth_scheme, uniform_cover
 from softmapper.data import PointCloud
 from softmapper.filters import LinearFilter
-from softmapper.mapper import LinkageEpoch, MapperGraph, MapperNode, map_comp
+from softmapper.mapper import LinkageEpoch, MapperGraph, MapperNode, map_comp, node_means
+from softmapper.persistence import loss_and_subgradient
 from softmapper.synthetic import generate_synthetic
 
 
@@ -137,6 +138,17 @@ def test_epoch_matches_oracle_on_every_sample(case):
         assert_same_graph(map_comp(cloud, e, cl), want)
         if m < 2:
             assert_same_graph(map_comp(cloud, e, km), oracle_map_comp(cloud, e, km))
+
+
+def test_threshold_past_the_extent_matches_oracle():
+    """A threshold of 1e200 links every pair; the margin grid's kd-tree
+    squares its reach, which must stay finite."""
+    cloud, scheme, _ = smooth_case(1)
+    cl = SingleLinkageClusterer(1e200)
+    epoch = LinkageEpoch(cloud, scheme.probs, cl)
+    for m in range(4):
+        e = sample_assignment(scheme, m)
+        assert_same_graph(epoch.graph(e), oracle_map_comp(cloud, e, cl))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -373,3 +385,39 @@ def test_edge_weights_are_member_intersections(case):
 def test_both_linkage_branches_match_cdist(case):
     pts, _, threshold = case
     assert_both_branches_match_cdist(pts, threshold)
+
+
+@settings(max_examples=60, deadline=None)
+@given(assignments(), st.integers(0, 2 ** 32 - 1))
+def test_array_form_matches_nodes(case, seed):
+    """indptr, members and cover hold what the MapperNode objects list, the
+    nodes rebuild the same graph, and node_means sums each node's values in
+    its member order."""
+    pts, e, threshold = case
+    g = map_comp(PointCloud(pts), e, SingleLinkageClusterer(threshold))
+    assert [nd.id for nd in g.nodes] == list(range(g.n_nodes))
+    assert g.indptr.tolist() == [0, *np.cumsum([len(nd.members) for nd in g.nodes]).tolist()]
+    assert g.members.tolist() == [i for nd in g.nodes for i in nd.members]
+    assert g.cover.tolist() == [nd.cover_index for nd in g.nodes]
+    assert MapperGraph(g.nodes, g.edges) == g
+    rng = np.random.default_rng(seed)
+    for values in (rng.standard_normal(len(pts)), rng.standard_normal((len(pts), 3))):
+        want = [np.add.reduceat(values[list(nd.members)], [0], axis=0)[0] / len(nd.members)
+                for nd in g.nodes]
+        assert np.array_equal(node_means(g, values),
+                              np.reshape(want, (g.n_nodes, *values.shape[1:])))
+
+
+def test_loss_and_subgradient_builds_no_node_objects(monkeypatch):
+    """The per-draw path reads the graph's arrays; MapperNode objects are
+    built only when a caller reads ``nodes``."""
+    built = []
+    monkeypatch.setattr(MapperNode, "__post_init__", lambda self: built.append(self))
+    cloud, scheme, threshold = smooth_case(1)
+    cl = SingleLinkageClusterer(threshold)
+    epoch = LinkageEpoch(cloud, scheme.probs, cl)
+    e = sample_assignment(scheme, 0)
+    theta = np.array([0.6, 0.8, 0.0])
+    loss_and_subgradient(cloud, e, LinearFilter(), theta, cl, "extended", epoch)
+    assert built == []
+    assert len(map_comp(cloud, e, cl, epoch).nodes) == len(built) > 0
