@@ -323,7 +323,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # argparse printed the help, the version or a usage error
             return 0 if exc.code in (0, None) else 1
         return _COMMANDS[args.command](args)
-    except (ConfigError, FormatError, ValueError) as exc:
+    except (ConfigError, FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (FloatingPointError, ArithmeticError) as exc:

@@ -127,10 +127,10 @@ class Grid:
     coordinates, and the cells across the points' extent must number below
     2**50: the rounding then moves a point by under a quarter cell, so two
     points of one cell lie within 3/4 of the threshold and a cell's entries
-    are linked outright. ``order`` lists the entries cell by cell, by
-    ``rank`` inside a cell; cell c holds positions start[c]:start[c + 1] of
-    that order, ``cell`` maps each position to its cell and ``cols`` holds the
-    ordered points as coordinate rows.
+    are linked outright. ``order`` lists the entries cell by cell, each
+    cell's in their order in ``pts`` (the sort is stable); cell c holds
+    positions start[c]:start[c + 1] of that order, ``cell`` maps each position
+    to its cell and ``cols`` holds the ordered points as coordinate rows.
 
     A cell is bounded by the centre and the half diagonal of its points'
     bounding box, so a one-point cell is bounded by its point. The candidate
@@ -139,7 +139,7 @@ class Grid:
     most a few ulps of the extent, and widened by that much and by the slack.
     """
 
-    def __init__(self, pts: np.ndarray, owner: np.ndarray, threshold: float, rank=None):
+    def __init__(self, pts: np.ndarray, owner: np.ndarray, threshold: float):
         n, d = pts.shape
         self.threshold = threshold
         shifted = pts - pts.min(axis=0)
@@ -147,7 +147,7 @@ class Grid:
         key = np.empty((d + 1, n))  # per entry: set, then cell coordinates
         key[0] = owner
         np.floor(shifted.T / side, out=key[1:])
-        self.order = np.lexsort(key[::-1] if rank is None else np.vstack([[rank], key[::-1]]))
+        self.order = np.lexsort(key[::-1])
         key = key[:, self.order]
         new = np.ones(n + 1, dtype=bool)
         np.logical_or.reduce(key[:, 1:] != key[:, :-1], axis=0, out=new[1:n])

@@ -192,16 +192,19 @@ class LinkageEpoch:
         every draw, from one grid over the supports of the elements with a
         margin.
 
-        Margin entries come first in each cell, so a cell's core entries,
-        which lie within threshold / 2 of each other and hence in one core
-        cluster, follow them as one range. Entries sharing a cell or a sure
-        cell pair are linked unchecked; the other cell pairs are
-        point-checked nearest first. Every (core cluster, margin point) link
-        is kept, and once one is known it is not checked again. Core clusters
-        are in every draw, so two margin points linked to one core cluster
-        are joined through it and need no edge of their own: each margin
-        point gets one linked core cluster as its anchor, and a margin pair
-        sharing an anchor is neither checked nor kept.
+        Margin entries are passed first, so the grid's stable sort puts them
+        first in each cell, and a cell's core entries, which lie within 3/4
+        of the threshold of each other and hence in one core cluster, follow
+        them as one range. Entries sharing a cell or a sure cell pair are
+        linked unchecked; the other cell pairs are point-checked nearest
+        first. Every (core cluster, margin point) link is kept, and once one
+        is known it is not checked again. Core clusters are in every draw, so
+        two margin points linked to one core cluster are joined through it
+        and need no edge of their own: each margin point gets one linked core
+        cluster as its anchor, and a margin pair sharing an anchor is neither
+        checked nor kept. Every margin point of a cell links to the cell's
+        core cluster, so a cell pair whose cells both hold core entries of
+        one cluster adds nothing and is not searched.
         """
         n_margin = self._margin_pt.size
         if n_margin == 0:
@@ -212,15 +215,18 @@ class LinkageEpoch:
         pt = np.concatenate([self._margin_pt, self._core_pt[core]])
         is_core = np.arange(pt.size) >= n_margin
         g = Grid(self.cloud.points[pt], np.concatenate([self._margin_elem, self._core_elem[core]]),
-                 self.clusterer.threshold, rank=is_core)
+                 self.clusterer.threshold)
         unit = np.concatenate([self._margin_unit, self._core_unit[core]])[g.order]
         s = g.start[:-1]
         m = np.add.reduceat((~is_core[g.order]).astype(np.intp), s)
         c = np.diff(g.start) - m
         rep, has_core = s + m, (c > 0).astype(np.intp)  # each cell's first core entry
         n_units = self._unit_elem.size
+        cl = np.full(s.size, -1)
+        cl[c > 0] = unit[rep[c > 0]]  # each cell's core cluster
 
-        sure, near = g.split(lambda a, b: (m[a] > 0) | (m[b] > 0))
+        sure, near = g.split(lambda a, b: ((m[a] > 0) | (m[b] > 0))
+                             & ((cl[a] != cl[b]) | (cl[a] < 0)))
         # (core cluster, margin point) links: core units come first, so each
         # key is core * n_units + margin
         a, b = sure

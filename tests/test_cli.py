@@ -188,6 +188,20 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert main(optimize + [flag, "inf", "--out-dir", str(out)]) == 1
         assert not (out / "trace.csv").exists()
     capsys.readouterr()
+    # operating-system errors end in one error line, not a traceback
+    a_file = tmp_path / "a file"
+    a_file.write_text("")
+    build = ["build", "--shape", "circle", "--n", "200", "--filter", "coord",
+             "--threshold", "0.5"]
+    for argv in [build + ["--out-dir", str(a_file)],
+                 ["synth", "--shape", "circle", "--out", str(tmp_path / "missing" / "x.csv")],
+                 ["export", "--graph", str(tmp_path), "--out", str(tmp_path / "g.dot")],
+                 ["build", "--input", str(tmp_path), "--threshold", "0.5",
+                  "--out-dir", str(tmp_path / "out")]]:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_missing_input_file(tmp_path, capsys):

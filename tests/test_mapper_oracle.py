@@ -193,6 +193,23 @@ def test_margin_linked_to_its_core_inside_one_cell():
         assert_same_graph(epoch.graph(e), oracle_map_comp(cloud, e, cl))
 
 
+def test_margin_links_a_core_cluster_beside_its_own_cell():
+    """Element 0's core has the clusters {0, 0.01} and {0.12, 0.13}, in
+    cells 0 and 2. The margin point 0.04 shares cell 0 with the first and
+    lies within the threshold of the second, so keeping it joins the two:
+    a cell pair holding core entries of two clusters still needs its check."""
+    cloud = PointCloud(np.array([0.0, 0.01, 0.04, 0.12, 0.13])[:, None])
+    probs = np.array([[1.0], [1.0], [0.5], [1.0], [1.0]])
+    cl = SingleLinkageClusterer(0.1)
+    epoch = LinkageEpoch(cloud, probs, cl)
+    for keep, n_nodes in [(1, 1), (0, 2)]:
+        e = (probs == 1).astype(np.uint8)
+        e[2, 0] = keep
+        g = epoch.graph(e)
+        assert g.n_nodes == n_nodes
+        assert_same_graph(g, oracle_map_comp(cloud, e, cl))
+
+
 def test_epoch_rejects_foreign_draws():
     cloud = PointCloud(np.arange(6.0)[:, None])
     probs = np.array([[1, 0], [1, 0], [0.5, 0.5], [0, 1], [0, 1], [0, 1]])
