@@ -20,10 +20,9 @@ _LOG_CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class IntervalCover:
-    """r equal-length closed intervals with fixed fractional overlap g."""
+    """r closed intervals, each overlapping the next."""
 
     intervals: np.ndarray  # r x 2, (a_j, b_j) rows in increasing order
-    gain: float
 
     def __post_init__(self):
         iv = np.asarray(self.intervals, dtype=float)
@@ -72,7 +71,7 @@ def uniform_cover(values, r: int, g: float) -> IntervalCover:
     if r == 1:
         if hi <= lo:
             hi = lo + 1.0  # degenerate constant data: any covering interval works
-        return IntervalCover(np.array([[lo, hi]]), g)
+        return IntervalCover(np.array([[lo, hi]]))
     if hi <= lo:
         raise ValueError("constant values cannot be covered with r > 1 intervals")
     length = (hi - lo) / (r - (r - 1) * g)
@@ -81,7 +80,7 @@ def uniform_cover(values, r: int, g: float) -> IntervalCover:
     iv = np.column_stack([a, a + length])
     iv[0, 0] = lo
     iv[-1, 1] = hi  # exact in real arithmetic; pin down rounding
-    return IntervalCover(iv, g)
+    return IntervalCover(iv)
 
 
 def _as_values(values) -> np.ndarray:
@@ -94,12 +93,12 @@ def smoothing_width(values, resolution: int, delta_rel: float) -> float:
     """The smooth scheme's margin width: ``delta_rel`` times the range of the
     values, or ``delta_rel`` itself when they are constant.
 
-    Raises ValueError unless ``delta_rel`` > 0, and FloatingPointError for
-    constant values and ``resolution`` > 1, since no cover of more than one
-    interval fits a single value.
+    Raises ValueError unless ``delta_rel`` is finite and > 0, and
+    FloatingPointError for constant values and ``resolution`` > 1, since no
+    cover of more than one interval fits a single value.
     """
-    if not delta_rel > 0:
-        raise ValueError(f"delta_rel must be positive, got {delta_rel}")
+    if not 0 < delta_rel < np.inf:
+        raise ValueError(f"delta_rel must be finite and > 0, got {delta_rel}")
     v = _as_values(values)
     span = float(v.max() - v.min())
     if span == 0 and resolution > 1:
@@ -149,8 +148,8 @@ def smooth_scheme(values, cover: IntervalCover, delta: float) -> AssignmentSchem
     p_{i,j} is 1 on [a_j, b_j], falls off as a smooth bump over a margin of
     width delta on each side, and is 0 beyond the margin.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     v = _as_values(values)
     a = cover.intervals[:, 0]
     b = cover.intervals[:, 1]

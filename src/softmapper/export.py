@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 
-from .mapper import MapperGraph, MapperNode
+from .mapper import MapperGraph
 from .optimize import Trace
 from .persistence import Diagram
 
@@ -17,6 +17,8 @@ _RAMP = [
     "#440154", "#46327e", "#365c8d", "#277f8e",
     "#1fa187", "#4ac16d", "#a0da39", "#fde725",
 ]
+
+_MAX_INDEX = np.iinfo(np.intp).max
 
 
 def _ramp_color(t: float) -> str:
@@ -71,23 +73,26 @@ def graph_to_json(graph: MapperGraph, values=None) -> str:
 
 
 def _is_index(x) -> bool:
-    return type(x) is int and x >= 0
+    return type(x) is int and 0 <= x <= _MAX_INDEX
 
 
 def graph_from_json(text: str) -> MapperGraph:
     """The graph of a document written by ``graph_to_json``.
 
     Raises ValueError unless the node ids are 0, 1, ..., K - 1, each node's
-    cover index a non-negative int and its members a nonempty list of them,
-    and each edge joins two distinct nodes with an int weight of at least 1.
+    cover index an int from 0 up to the largest np.intp and its members a
+    nonempty list of them, and each edge joins two distinct nodes with an int
+    weight of at least 1.
     """
     doc = json.loads(text)
     try:
         nodes = sorted(doc["nodes"], key=lambda nd: nd["id"])
+        if [nd["id"] for nd in nodes] != list(range(len(nodes))):
+            raise ValueError("node ids must be 0, 1, ..., K - 1")
         if not all(_is_index(nd["cover_index"]) and isinstance(nd["members"], list)
-                   and all(map(_is_index, nd["members"])) for nd in nodes):
-            raise ValueError("node cover indices must be non-negative ints, and members"
-                             " lists of them")
+                   and nd["members"] and all(map(_is_index, nd["members"])) for nd in nodes):
+            raise ValueError(f"node cover indices must be ints in [0, {_MAX_INDEX}], and"
+                             " members nonempty lists of them")
         edges = {}
         for e in doc["edges"]:
             u, v, w = e["source"], e["target"], e["weight"]
@@ -96,14 +101,16 @@ def graph_from_json(text: str) -> MapperGraph:
             if u == v or not (_is_index(w) and w >= 1):
                 raise ValueError(f"edge {u}-{v} must join two nodes with an int weight >= 1")
             edges[min(u, v), max(u, v)] = w
-        nodes = tuple(MapperNode(nd["id"], nd["cover_index"], tuple(nd["members"]))
-                      for nd in nodes)
     except KeyError as exc:
         raise ValueError(f"graph document lacks the key {exc}") from None
     except TypeError:
         raise ValueError("a graph document is an object with 'nodes' and 'edges' lists"
                          " of objects") from None
-    return MapperGraph(nodes, edges)
+    indptr = np.zeros(len(nodes) + 1, dtype=np.intp)
+    np.cumsum([len(nd["members"]) for nd in nodes], out=indptr[1:])
+    members = np.array([i for nd in nodes for i in nd["members"]], dtype=np.intp)
+    cover = np.array([nd["cover_index"] for nd in nodes], dtype=np.intp)
+    return MapperGraph(indptr, members, cover, edges)
 
 
 def diagram_to_csv(diagram: Diagram) -> str:

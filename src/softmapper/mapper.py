@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,46 +19,25 @@ from .clustering import (
 from .data import PointCloud
 
 
-@dataclass(frozen=True)
-class MapperNode:
+class MapperNode(NamedTuple):
     id: int
     cover_index: int
-    members: tuple[int, ...]  # sorted point indices, nonempty
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("node members must be nonempty")
+    members: tuple[int, ...]  # sorted point indices
 
 
 class MapperGraph:
     """Dimension <= 1 nerve: nodes are clusters, edges mark shared points.
 
-    Node k has cover index cover[k] and the members
-    members[indptr[k]:indptr[k + 1]], sorted point indices. Edges are
-    unordered id pairs (u, v) with u < v; each weight is the size of the
-    member intersection (always >= 1). ``nodes`` lists the same nodes as
-    MapperNode objects, built on first read.
-
-    ``MapperGraph(nodes, edges)`` takes MapperNode objects with ids 0, 1, ...
-    in order.
+    ``MapperGraph(indptr, members, cover, edges)`` stores these fields as
+    given. Node k has cover index cover[k] and the members
+    members[indptr[k]:indptr[k + 1]], sorted point indices, at least one.
+    Edges are unordered id pairs (u, v) with u < v; each weight is the size
+    of the member intersection (always >= 1). ``nodes`` lists the same nodes
+    as MapperNode records, built on first read.
     """
 
-    def __init__(self, nodes: tuple[MapperNode, ...], edges: dict | None = None):
-        if [nd.id for nd in nodes] != list(range(len(nodes))):
-            raise ValueError("node ids must run 0, 1, ..., K - 1 in order")
-        self.indptr = np.zeros(len(nodes) + 1, dtype=np.intp)
-        np.cumsum([len(nd.members) for nd in nodes], out=self.indptr[1:])
-        self.members = np.fromiter(chain.from_iterable(nd.members for nd in nodes), np.intp,
-                                   int(self.indptr[-1]))
-        self.cover = np.fromiter((nd.cover_index for nd in nodes), np.intp, len(nodes))
-        self.edges = {} if edges is None else edges
-
-    @classmethod
-    def _from_arrays(cls, indptr, members, cover, edges) -> MapperGraph:
-        """The graph with these fields as they are."""
-        graph = cls.__new__(cls)
-        graph.indptr, graph.members, graph.cover, graph.edges = indptr, members, cover, edges
-        return graph
+    def __init__(self, indptr: np.ndarray, members: np.ndarray, cover: np.ndarray, edges: dict):
+        self.indptr, self.members, self.cover, self.edges = indptr, members, cover, edges
 
     @cached_property
     def nodes(self) -> tuple[MapperNode, ...]:
@@ -82,7 +61,7 @@ class MapperGraph:
                 and np.array_equal(self.cover, other.cover) and self.edges == other.edges)
 
     def __repr__(self):
-        return f"MapperGraph({self.nodes!r}, {self.edges!r})"
+        return f"MapperGraph({self.indptr!r}, {self.members!r}, {self.cover!r}, {self.edges!r})"
 
 
 def _nerve(pts: np.ndarray, col: np.ndarray, k: int) -> dict[tuple[int, int], int]:
@@ -301,8 +280,8 @@ class LinkageEpoch:
         # memberships by (node, point); a point is in a node at most once
         col, pts = np.divmod(np.sort(node[roots] * self.cloud.n + pts), self.cloud.n)
         indptr = np.searchsorted(col, np.arange(by_node.size + 1))
-        return MapperGraph._from_arrays(indptr, pts, self._unit_elem[by_node] + 1,
-                                        _nerve(pts, col, by_node.size))
+        return MapperGraph(indptr, pts, self._unit_elem[by_node] + 1,
+                           _nerve(pts, col, by_node.size))
 
 
 def map_comp(
@@ -321,8 +300,6 @@ def map_comp(
     column once.
     """
     e = np.asarray(e)
-    if e.ndim != 2 or e.shape[0] != cloud.n:
-        raise ValueError(f"assignment matrix must have {cloud.n} rows, got {e.shape}")
     if epoch is None:
         epoch = LinkageEpoch(cloud, e != 0, clusterer)
     elif epoch.cloud is not cloud or epoch.clusterer != clusterer:

@@ -40,18 +40,18 @@ class OptimConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.mc_samples < 1:
             raise ValueError("epochs and mc_samples must be >= 1")
-        if not self.step_size >= 0:
-            raise ValueError("step_size must be >= 0")
+        if not 0 <= self.step_size < np.inf:
+            raise ValueError("step_size must be finite and >= 0")
         if self.schedule not in ("constant", "robbins_monro"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if not self.noise_std >= 0:
-            raise ValueError("noise_std must be >= 0")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError("noise_std must be finite and >= 0")
         if self.mode not in ("regular", "extended"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.scheme not in ("smooth", "standard"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not self.delta_rel > 0:
-            raise ValueError("delta_rel must be > 0")
+        if not 0 < self.delta_rel < np.inf:
+            raise ValueError("delta_rel must be finite and > 0")
         if self.resolution < 1:
             raise ValueError("resolution must be >= 1")
         if not 0.0 < self.gain < 1.0:

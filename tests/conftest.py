@@ -4,15 +4,25 @@ import numpy as np
 import pytest
 
 from softmapper.filters import FilterValues
-from softmapper.mapper import MapperGraph, MapperNode
+from softmapper.mapper import MapperGraph
 from softmapper.persistence import map_pers_filtration
+
+
+def graph_of(members, cover=None, edges=None):
+    """The graph whose node k has the members members[k], the cover index
+    cover[k] (1 when left out) and the given edges (none when left out)."""
+    indptr = np.zeros(len(members) + 1, dtype=np.intp)
+    np.cumsum([len(m) for m in members], out=indptr[1:])
+    flat = np.array([i for m in members for i in m], dtype=np.intp)
+    cover = np.ones(len(members), dtype=np.intp) if cover is None else np.asarray(cover, np.intp)
+    return MapperGraph(indptr, flat, cover, {} if edges is None else edges)
 
 
 def make_filtered_graph(values, edges):
     """Filtered graph with one singleton node per value and the given edges."""
     values = np.asarray(values, dtype=float)
-    nodes = tuple(MapperNode(i, 1, (i,)) for i in range(values.size))
-    graph = MapperGraph(nodes, {(min(u, v), max(u, v)): 1 for u, v in edges})
+    graph = graph_of([(i,) for i in range(values.size)],
+                     edges={(min(u, v), max(u, v)): 1 for u, v in edges})
     fv = FilterValues(values, np.zeros((values.size, 0)))
     return map_pers_filtration(graph, fv)
 

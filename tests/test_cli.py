@@ -162,11 +162,12 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["frobnicate"]) == 1
     assert main(["build", "--shape", "circle", "--clusterer", "linkage",
                  "--out-dir", str(tmp_path)]) == 1  # linkage without threshold
-    # NaN passes a "<= 0" or "< 0" check
-    assert main(["build", "--shape", "circle", "--n", "200", "--filter", "coord",
-                 "--threshold", "0.5", "--sample", "--delta-rel", "nan",
-                 "--out-dir", str(tmp_path)]) == 1
-    for delta_rel in ["nan", "0", "-1"]:  # the standard scheme checks it too
+    # NaN passes a "<= 0" or "< 0" check, inf a "> 0" or ">= 0" one
+    for delta_rel in ["nan", "inf"]:
+        assert main(["build", "--shape", "circle", "--n", "200", "--filter", "coord",
+                     "--threshold", "0.5", "--sample", "--delta-rel", delta_rel,
+                     "--out-dir", str(tmp_path)]) == 1
+    for delta_rel in ["nan", "inf", "0", "-1"]:  # the standard scheme checks it too
         assert main(["build", "--shape", "circle", "--n", "200", "--filter", "coord",
                      "--threshold", "0.5", "--delta-rel", delta_rel,
                      "--out-dir", str(tmp_path)]) == 1
@@ -174,7 +175,11 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path / "cloud.csv")]) == 1
     optimize = ["optimize", "--shape", "circle", "--n", "60", "--theta", "0.6,0.8",
                 "--epochs", "1", "--mc-samples", "1", "--threshold", "0.8"]
-    assert main(optimize + ["--noise-std", "nan", "--out-dir", str(tmp_path)]) == 1
+    for flag, value in [("--noise-std", "nan"), ("--noise-std", "inf"), ("--step-size", "inf"),
+                        ("--delta-rel", "inf")]:
+        out = tmp_path / f"optimize {flag} {value}"
+        assert main(optimize + [flag, value, "--out-dir", str(out)]) == 1
+        assert not out.exists()
     for ref in ["1,2,3", "0,0", "nan,1"]:  # checked before the first epoch
         out = tmp_path / f"ref {ref}"
         assert main(optimize + ["--reference-direction", ref, "--out-dir", str(out)]) == 1
@@ -259,12 +264,16 @@ def _graph_doc(nodes, edges=(), cover_index=1):
     _graph_doc([(0, [0, 1]), (1, [1, 2])], [(0, 2, 1)]),  # an unknown endpoint
     _graph_doc([(0, [0, 1]), (1, [1, 2])], [(0, 1, 0)]),  # a weight below 1
     _graph_doc([(0, [0, 1]), (1, [1, 2])], [(0, 1, 1.5)]),
+    _graph_doc([(0, [0, 2 ** 63])]),  # past the largest index
+    _graph_doc([(0, [0, 1])], cover_index=2 ** 63),
+    _graph_doc([(0, [])]),  # a node with no members
 ])
 def test_export_rejects_a_document_that_is_not_a_graph(tmp_path, capsys, doc):
     graph = tmp_path / "g.json"
     graph.write_text(doc)
     assert main(["export", "--graph", str(graph), "--out", str(tmp_path / "g.dot")]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "g.dot").exists()
 
 

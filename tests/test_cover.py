@@ -239,10 +239,10 @@ def test_standard_scheme_reports_first_value_outside():
 
 def test_interval_cover_rejects_endpoints_out_of_order():
     with pytest.raises(ValueError, match="non-decreasing"):
-        IntervalCover([[0, 3], [-1, 1]], 0.3)
+        IntervalCover([[0, 3], [-1, 1]])
     with pytest.raises(ValueError, match="non-decreasing"):
-        IntervalCover([[0, 3], [1, 2]], 0.3)
-    tied = IntervalCover([[0, 1], [0, 2], [1.5, 2]], 0.3)
+        IntervalCover([[0, 3], [1, 2]])
+    tied = IntervalCover([[0, 1], [0, 2], [1.5, 2]])
     assert np.array_equal(standard_scheme(np.array([0.0, 1.0, 2.0]), tied).probs,
                           [[1, 1, 0], [1, 1, 0], [0, 1, 1]])
 

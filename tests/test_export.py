@@ -3,7 +3,7 @@ import io
 
 import numpy as np
 
-from conftest import make_filtered_graph
+from conftest import graph_of, make_filtered_graph
 from softmapper.export import (
     diagram_to_csv,
     export_dot,
@@ -12,18 +12,16 @@ from softmapper.export import (
     learning_curve_svg,
     trace_to_csv,
 )
-from softmapper.mapper import MapperGraph, MapperNode
 from softmapper.optimize import Trace
 from softmapper.persistence import extended_persistence
 
 
 def _two_node_graph():
-    nodes = (MapperNode(0, 1, (0, 1)), MapperNode(1, 2, (1, 2)))
-    return MapperGraph(nodes, {(0, 1): 1})
+    return graph_of([(0, 1), (1, 2)], [1, 2], {(0, 1): 1})
 
 
 def test_dot_empty():
-    assert export_dot(MapperGraph((), {}), []) == "graph mapper { }\n"
+    assert export_dot(graph_of([]), []) == "graph mapper { }\n"
 
 
 def test_dot_two_nodes_one_edge():
@@ -51,7 +49,7 @@ def test_json_round_trip():
 
 
 def test_json_round_trip_empty():
-    assert graph_from_json(graph_to_json(MapperGraph((), {}))) == MapperGraph((), {})
+    assert graph_from_json(graph_to_json(graph_of([]))) == graph_of([])
 
 
 def test_diagram_csv():

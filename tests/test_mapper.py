@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.cluster.hierarchy import fcluster, linkage
 
+from conftest import graph_of
 from softmapper.clustering import SingleLinkageClusterer
 from softmapper.cover import standard_scheme, uniform_cover
 from softmapper.data import PointCloud
-from softmapper.mapper import MapperGraph, MapperNode, connected_components, map_comp, node_means
+from softmapper.mapper import connected_components, map_comp, node_means
 
 
 def trivial_clusterer():
@@ -31,7 +32,7 @@ def test_node_means():
     n = 500
     # sizes on both sides of numpy's 8-way unrolled pairwise summation
     members = [np.sort(rng.choice(n, size=k, replace=False)) for k in (1, 2, 7, 8, 9, 130, n)]
-    graph = MapperGraph(tuple(MapperNode(i, 1, tuple(m.tolist())) for i, m in enumerate(members)))
+    graph = graph_of(members)
     values = rng.uniform(1.0, 2.0, n)
     jacobian = rng.uniform(-2.0, -1.0, (n, 3))
     for v in (values, jacobian):
@@ -39,7 +40,7 @@ def test_node_means():
         got = node_means(graph, v)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
-    empty = MapperGraph(())
+    empty = graph_of([])
     assert node_means(empty, values).shape == (0,)
     assert node_means(empty, jacobian).shape == (0, 3)
 
@@ -124,9 +125,8 @@ def test_every_assigned_point_appears(rng):
 
 
 def test_connected_components_cases():
-    assert connected_components(MapperGraph((), {})) == {}
-    nodes = tuple(MapperNode(i, 1, (i,)) for i in range(4))
-    g = MapperGraph(nodes[:2], {(0, 1): 1})
+    assert connected_components(graph_of([])) == {}
+    g = graph_of([(0,), (1,)], edges={(0, 1): 1})
     assert set(connected_components(g).values()) == {0}
-    g = MapperGraph(nodes, {(0, 1): 1, (2, 3): 1})
+    g = graph_of([(0,), (1,), (2,), (3,)], edges={(0, 1): 1, (2, 3): 1})
     assert set(connected_components(g).values()) == {0, 2}

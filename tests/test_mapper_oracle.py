@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.spatial.distance import cdist
 
+from conftest import graph_of
 from softmapper import clustering
 from softmapper.clustering import (
     Grid,
@@ -29,7 +30,8 @@ from softmapper.clustering import (
 from softmapper.cover import sample_assignment, smooth_scheme, uniform_cover
 from softmapper.data import PointCloud
 from softmapper.filters import LinearFilter
-from softmapper.mapper import LinkageEpoch, MapperGraph, MapperNode, map_comp, node_means
+from softmapper.export import graph_from_json, graph_to_json
+from softmapper.mapper import LinkageEpoch, MapperGraph, map_comp, node_means
 from softmapper.persistence import loss_and_subgradient
 from softmapper.synthetic import generate_synthetic
 
@@ -56,21 +58,22 @@ def oracle_cluster(clusterer, cloud, member_indices):
 
 
 def oracle_map_comp(cloud, e, clusterer):
-    nodes = []
+    members, cover = [], []
     for j in range(e.shape[1]):
         support = np.nonzero(e[:, j])[0]
         if support.size == 0:
             continue
         for part in oracle_cluster(clusterer, cloud, support):
-            nodes.append(MapperNode(len(nodes), j + 1, tuple(int(i) for i in part)))
+            members.append([int(i) for i in part])
+            cover.append(j + 1)
     edges = {}
-    member_sets = [set(nd.members) for nd in nodes]
-    for u in range(len(nodes)):
-        for v in range(u + 1, len(nodes)):
+    member_sets = [set(m) for m in members]
+    for u in range(len(members)):
+        for v in range(u + 1, len(members)):
             w = len(member_sets[u] & member_sets[v])
             if w:
                 edges[(u, v)] = w
-    return MapperGraph(tuple(nodes), edges)
+    return graph_of(members, cover, edges)
 
 
 def same_partition(a, b):
@@ -407,16 +410,18 @@ def test_both_linkage_branches_match_cdist(case):
 @settings(max_examples=60, deadline=None)
 @given(assignments(), st.integers(0, 2 ** 32 - 1))
 def test_array_form_matches_nodes(case, seed):
-    """indptr, members and cover hold what the MapperNode objects list, the
-    nodes rebuild the same graph, and node_means sums each node's values in
-    its member order."""
+    """indptr, members and cover hold what the MapperNode records list, the
+    nodes and the graph's JSON document rebuild the same graph, and
+    node_means sums each node's values in its member order."""
     pts, e, threshold = case
     g = map_comp(PointCloud(pts), e, SingleLinkageClusterer(threshold))
     assert [nd.id for nd in g.nodes] == list(range(g.n_nodes))
     assert g.indptr.tolist() == [0, *np.cumsum([len(nd.members) for nd in g.nodes]).tolist()]
     assert g.members.tolist() == [i for nd in g.nodes for i in nd.members]
     assert g.cover.tolist() == [nd.cover_index for nd in g.nodes]
-    assert MapperGraph(g.nodes, g.edges) == g
+    assert graph_of([nd.members for nd in g.nodes], [nd.cover_index for nd in g.nodes],
+                    g.edges) == g
+    assert graph_from_json(graph_to_json(g)) == g
     rng = np.random.default_rng(seed)
     for values in (rng.standard_normal(len(pts)), rng.standard_normal((len(pts), 3))):
         want = [np.add.reduceat(values[list(nd.members)], [0], axis=0)[0] / len(nd.members)
@@ -426,15 +431,15 @@ def test_array_form_matches_nodes(case, seed):
 
 
 def test_loss_and_subgradient_builds_no_node_objects(monkeypatch):
-    """The per-draw path reads the graph's arrays; MapperNode objects are
+    """The per-draw path reads the graph's arrays; MapperNode records are
     built only when a caller reads ``nodes``."""
-    built = []
-    monkeypatch.setattr(MapperNode, "__post_init__", lambda self: built.append(self))
+    reads, nodes = [], MapperGraph.nodes.func
+    monkeypatch.setattr(MapperGraph, "nodes", property(lambda g: reads.append(g) or nodes(g)))
     cloud, scheme, threshold = smooth_case(1)
     cl = SingleLinkageClusterer(threshold)
     epoch = LinkageEpoch(cloud, scheme.probs, cl)
     e = sample_assignment(scheme, 0)
     theta = np.array([0.6, 0.8, 0.0])
     loss_and_subgradient(cloud, e, LinearFilter(), theta, cl, "extended", epoch)
-    assert built == []
-    assert len(map_comp(cloud, e, cl, epoch).nodes) == len(built) > 0
+    assert reads == []
+    assert len(map_comp(cloud, e, cl, epoch).nodes) > 0 and len(reads) == 1

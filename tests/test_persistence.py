@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 import coned_reduction
-from conftest import make_filtered_graph, random_filtered_graph
+from conftest import graph_of, make_filtered_graph, random_filtered_graph
 from softmapper.clustering import SingleLinkageClusterer
 from softmapper.data import PointCloud
 from softmapper.filters import FilterValues, FixedFilter, LinearFilter
-from softmapper.mapper import MapperGraph, MapperNode
 from softmapper.persistence import (
     extended_persistence,
     loss_and_subgradient,
@@ -20,8 +19,7 @@ from softmapper.persistence import (
 
 
 def test_filtration_values():
-    nodes = (MapperNode(0, 1, (1, 2)), MapperNode(1, 2, (2, 3)))
-    graph = MapperGraph(nodes, {(0, 1): 1})
+    graph = graph_of([(1, 2), (2, 3)], [1, 2], {(0, 1): 1})
     fv = FilterValues(np.array([9.0, 0.0, 1.0, 3.0]), np.zeros((4, 0)))
     fg = map_pers_filtration(graph, fv)
     assert fg.node_values[0] == 0.5
