@@ -219,10 +219,11 @@ def _write_build_outputs(out_dir: Path, cloud, fam, theta, clusterer, args, samp
     delta = smoothing_width(fv, args.resolution, args.delta_rel)
     cover = uniform_cover(fv.values, args.resolution, args.gain)
     if sampled_seed is not None:
-        e = sample_assignment(smooth_scheme(fv, cover, delta), sampled_seed)
+        graph = map_comp(cloud, sample_assignment(smooth_scheme(fv, cover, delta), sampled_seed),
+                         clusterer)
     else:
-        e = standard_scheme(fv, cover).probs.astype(np.uint8)
-    graph = map_comp(cloud, e, clusterer)
+        # unnamed, so the float scheme is freed once map_comp has read it into a mask
+        graph = map_comp(cloud, standard_scheme(fv, cover).probs, clusterer)
     fg = map_pers_filtration(graph, fv)
     diagram = extended_persistence(fg) if args.mode == "extended" else regular_persistence(fg)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -166,36 +166,21 @@ class Grid:
         self._pad = threshold * (_SLACK + 2 * _EPS * (cells + 1))
         self.a, self.b = self._candidates(key[0], first)
 
-    def split(self, live, join=None):
-        """The candidate cell pairs that ``live(a, b)`` keeps, as the cell
-        pairs (a, b) whose upper bound is within the threshold less the pad,
-        so every point pair between them is linked, and those whose lower
-        bound is within it plus the pad, nearest first.
-
-        Candidates are bounded _CHUNK at a time, and ``join(a, b)`` gets each
-        chunk's sure pairs before ``live`` sees the next chunk, so a caller
-        can skip the pairs that earlier links settled.
+    def split(self, keep=None):
+        """The candidate cell pairs, or those the boolean mask ``keep`` picks,
+        as the cell pairs (a, b) whose upper bound is within the threshold
+        less the pad, so every point pair between them is linked, and those
+        whose lower bound is within it plus the pad, nearest first.
         """
-        chunks = []
-        for s in range(0, self.a.size, _CHUNK):
-            a, b = self.a[s:s + _CHUNK], self.b[s:s + _CHUNK]
-            keep = live(a, b)
-            a, b = a[keep], b[keep]
-            diff = self._centre[a] - self._centre[b]
-            gap = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            spread = self._radius[a] + self._radius[b]
-            ok = gap + spread <= self.threshold - self._pad
-            lower = gap - spread
-            near = ~ok & (lower <= self.threshold + self._pad)
-            if join is not None:
-                join(a[ok], b[ok])
-            chunks.append((a[ok], b[ok], a[near], b[near], lower[near]))
-        if len(chunks) != 1:
-            none = np.empty(0, dtype=np.intp)
-            chunks = [[np.concatenate(c) for c in zip((none,) * 4 + (np.empty(0),), *chunks)]]
-        sa, sb, ma, mb, lower = chunks[0]
-        first = np.argsort(lower, kind="stable")
-        return (sa, sb), (ma[first], mb[first])
+        a, b = (self.a, self.b) if keep is None else (self.a[keep], self.b[keep])
+        diff = self._centre[a] - self._centre[b]
+        gap = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        spread = self._radius[a] + self._radius[b]
+        ok = gap + spread <= self.threshold - self._pad
+        lower = gap - spread
+        near = np.flatnonzero(~ok & (lower <= self.threshold + self._pad))
+        near = near[np.argsort(lower[near], kind="stable")]
+        return (a[ok], b[ok]), (a[near], b[near])
 
     def _candidates(self, owner, first):
         """Cell pairs whose centres lie within the threshold plus the pad
@@ -307,25 +292,16 @@ def _grid_labels(pts: np.ndarray, threshold: float) -> np.ndarray:
     """Component labels of the graph linking points at distance <=
     threshold, through the exact grid.
 
-    Cells are joined outright, then along sure cell pairs; the other cell
-    pairs are point-checked nearest first. Cell pairs already joined are
-    skipped at every step.
+    Cells are joined outright, then along all sure cell pairs at once; the
+    other cell pairs are point-checked nearest first, skipping those already
+    joined.
     """
     g = Grid(pts, np.zeros(pts.shape[0]), threshold)
-    label = np.arange(g.start.size - 1)
-
-    def apart(a, b):
-        return label[a] != label[b]
-
-    def join(a, b):
-        nonlocal label
-        label = merge_components(label, a, b)
-
-    if g.a.size:
-        _, (a, b) = g.split(apart, join)
-        s, size = g.start[:-1], np.diff(g.start)
-        for k, _, _ in g.linked(s[a], size[a], s[b], size[b], lambda ks: apart(a[ks], b[ks])):
-            join(a[k], b[k])
+    (a, b), (p, q) = g.split()
+    label = merge_components(np.arange(g.start.size - 1), a, b)
+    s, size = g.start[:-1], np.diff(g.start)
+    for k, _, _ in g.linked(s[p], size[p], s[q], size[q], lambda ks: label[p[ks]] != label[q[ks]]):
+        label = merge_components(label, p[k], q[k])
     out = np.empty(pts.shape[0], dtype=np.intp)
     out[g.order] = label[g.cell]
     return out

@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 
-from .mapper import MapperGraph
+from .mapper import MapperGraph, _nerve
 from .optimize import Trace
 from .persistence import Diagram
 
@@ -76,41 +76,48 @@ def _is_index(x) -> bool:
     return type(x) is int and 0 <= x <= _MAX_INDEX
 
 
+def _is_members(x) -> bool:
+    return (isinstance(x, list) and x != [] and all(map(_is_index, x))
+            and all(a < b for a, b in zip(x, x[1:])))
+
+
 def graph_from_json(text: str) -> MapperGraph:
     """The graph of a document written by ``graph_to_json``.
 
-    Raises ValueError unless the node ids are 0, 1, ..., K - 1, each node's
-    cover index an int from 0 up to the largest np.intp and its members a
-    nonempty list of them, and each edge joins two distinct nodes with an int
-    weight of at least 1.
+    Raises ValueError unless the node ids are the ints 0, 1, ..., K - 1, each
+    node's cover index is an int from 0 up to the largest np.intp and its
+    members a nonempty, strictly increasing list of them, and the edges, with
+    int endpoints and weights, are the nerve of the members: one per node
+    pair sharing points, weighted by the shared count.
     """
     doc = json.loads(text)
     try:
         nodes = sorted(doc["nodes"], key=lambda nd: nd["id"])
-        if [nd["id"] for nd in nodes] != list(range(len(nodes))):
-            raise ValueError("node ids must be 0, 1, ..., K - 1")
-        if not all(_is_index(nd["cover_index"]) and isinstance(nd["members"], list)
-                   and nd["members"] and all(map(_is_index, nd["members"])) for nd in nodes):
+        if ([nd["id"] for nd in nodes] != list(range(len(nodes)))
+                or not all(type(nd["id"]) is int for nd in nodes)):
+            raise ValueError("node ids must be the ints 0, 1, ..., K - 1")
+        if not all(_is_index(nd["cover_index"]) and _is_members(nd["members"]) for nd in nodes):
             raise ValueError(f"node cover indices must be ints in [0, {_MAX_INDEX}], and"
-                             " members nonempty lists of them")
-        edges = {}
-        for e in doc["edges"]:
-            u, v, w = e["source"], e["target"], e["weight"]
-            if not (_is_index(u) and _is_index(v) and max(u, v) < len(nodes)):
-                raise ValueError(f"edge {u}-{v} has an endpoint that is not a node id")
-            if u == v or not (_is_index(w) and w >= 1):
-                raise ValueError(f"edge {u}-{v} must join two nodes with an int weight >= 1")
-            edges[min(u, v), max(u, v)] = w
+                             " members nonempty, strictly increasing lists of them")
+        edges = [(e["source"], e["target"], e["weight"]) for e in doc["edges"]]
     except KeyError as exc:
         raise ValueError(f"graph document lacks the key {exc}") from None
     except TypeError:
         raise ValueError("a graph document is an object with 'nodes' and 'edges' lists"
                          " of objects") from None
+    if not all(type(x) is int for edge in edges for x in edge):
+        raise ValueError("edge endpoints and weights must be ints")
+    sizes = [len(nd["members"]) for nd in nodes]
     indptr = np.zeros(len(nodes) + 1, dtype=np.intp)
-    np.cumsum([len(nd["members"]) for nd in nodes], out=indptr[1:])
+    np.cumsum(sizes, out=indptr[1:])
     members = np.array([i for nd in nodes for i in nd["members"]], dtype=np.intp)
     cover = np.array([nd["cover_index"] for nd in nodes], dtype=np.intp)
-    return MapperGraph(indptr, members, cover, edges)
+    nerve = _nerve(members, np.repeat(np.arange(len(nodes)), sizes), len(nodes))
+    if (sorted((min(u, v), max(u, v), w) for u, v, w in edges)
+            != sorted((u, v, w) for (u, v), w in nerve.items())):
+        raise ValueError("edges must join exactly the node pairs that share points, once"
+                         " each, weighted by the shared count")
+    return MapperGraph(indptr, members, cover, nerve)
 
 
 def diagram_to_csv(diagram: Diagram) -> str:
@@ -118,8 +125,7 @@ def diagram_to_csv(diagram: Diagram) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["class", "birth", "death", "birth_node", "death_node"])
     for pt in diagram:
-        w.writerow([pt.cls, repr(pt.birth), repr(pt.death), pt.birth_node,
-                    "" if pt.death_node is None else pt.death_node])
+        w.writerow([pt.cls, repr(pt.birth), repr(pt.death), pt.birth_node, pt.death_node])
     return buf.getvalue()
 
 

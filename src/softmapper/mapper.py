@@ -98,18 +98,6 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[new]
 
 
-def _distinct_stream(chunks) -> np.ndarray:
-    """_distinct of the concatenated key chunks, merged as they come, so
-    memory stays within about twice the distinct keys plus a chunk."""
-    kept, pending, size = np.empty(0, dtype=np.intp), [], 0
-    for keys in chunks:
-        pending.append(keys)
-        size += keys.size
-        if size > kept.size:
-            kept, pending, size = _distinct(np.concatenate([kept, *pending])), [], 0
-    return _distinct(np.concatenate([kept, *pending]))
-
-
 def _spread(start: np.ndarray, size: np.ndarray):
     """(k, i): for each k, every i in [start[k], start[k] + size[k])."""
     k = np.repeat(np.arange(size.size), size)
@@ -204,16 +192,15 @@ class LinkageEpoch:
         cl = np.full(s.size, -1)
         cl[c > 0] = unit[rep[c > 0]]  # each cell's core cluster
 
-        sure, near = g.split(lambda a, b: ((m[a] > 0) | (m[b] > 0))
-                             & ((cl[a] != cl[b]) | (cl[a] < 0)))
+        sure, near = g.split(((m[g.a] > 0) | (m[g.b] > 0))
+                             & ((cl[g.a] != cl[g.b]) | (cl[g.a] < 0)))
         # (core cluster, margin point) links: core units come first, so each
         # key is core * n_units + margin
         a, b = sure
-        known = _distinct_stream(
-            unit[j] * n_units + unit[i] for _, i, j in range_pairs(
-                np.concatenate([s, s[a], s[b]]), np.concatenate([m, m[a], m[b]]),
-                np.concatenate([rep, rep[b], rep[a]]),
-                np.concatenate([has_core, has_core[b], has_core[a]])))
+        known = _distinct(_cat([unit[j] * n_units + unit[i] for _, i, j in range_pairs(
+            np.concatenate([s, s[a], s[b]]), np.concatenate([m, m[a], m[b]]),
+            np.concatenate([rep, rep[b], rep[a]]),
+            np.concatenate([has_core, has_core[b], has_core[a]]))]))
         # undecided cell pairs, nearest first, one margin point at a time
         a, b = near
         k_ab, i_ab = _spread(s[a], m[a] * has_core[b])
@@ -237,16 +224,14 @@ class LinkageEpoch:
         lone = shared < 0
         a, b = (x[(shared[sure[0]] != shared[sure[1]]) | lone[sure[0]]] for x in sure)
         p, q = (x[(shared[near[0]] != shared[near[1]]) | lone[near[0]]] for x in near)
-        pairs = chain(range_pairs(s[lone], m[lone], s[lone], m[lone]),
-                      range_pairs(s[a], m[a], s[b], m[b]),
-                      g.linked(s[p], m[p], s[q], m[q], lambda ks: np.ones(ks.size, dtype=bool)))
-
-        def margin_keys():
-            for _, i, j in pairs:
-                lo, hi = np.minimum(unit[i], unit[j]), np.maximum(unit[i], unit[j])
-                yield (lo * n_units + hi)[(lo != hi) & ((own[i] != own[j]) | (own[i] < 0))]
-
-        keys = _distinct_stream(chain([known], margin_keys()))
+        keys = [known]
+        for _, i, j in chain(range_pairs(s[lone], m[lone], s[lone], m[lone]),
+                             range_pairs(s[a], m[a], s[b], m[b]),
+                             g.linked(s[p], m[p], s[q], m[q],
+                                      lambda ks: np.ones(ks.size, dtype=bool))):
+            lo, hi = np.minimum(unit[i], unit[j]), np.maximum(unit[i], unit[j])
+            keys.append((lo * n_units + hi)[(lo != hi) & ((own[i] != own[j]) | (own[i] < 0))])
+        keys = _distinct(np.concatenate(keys))
         return np.stack(np.divmod(keys, n_units)).astype(np.int32)
 
     def graph(self, e) -> MapperGraph:
@@ -301,7 +286,8 @@ def map_comp(
     """
     e = np.asarray(e)
     if epoch is None:
-        epoch = LinkageEpoch(cloud, e != 0, clusterer)
+        e = e != 0  # one pass over e; the epoch and the draw check read only this mask
+        epoch = LinkageEpoch(cloud, e, clusterer)
     elif epoch.cloud is not cloud or epoch.clusterer != clusterer:
         raise ValueError("epoch was built for another cloud or clusterer")
     return epoch.graph(e)

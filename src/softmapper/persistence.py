@@ -41,7 +41,7 @@ class DiagramPoint:
     death: float
     cls: str  # Ord0 | Ext0 | Ext1 | Rel1 | H0
     birth_node: int
-    death_node: int | None
+    death_node: int
 
 
 @dataclass(frozen=True)
@@ -224,8 +224,7 @@ def loss_and_subgradient(
         if sign == 0:
             continue
         grad += sign * node_grad[pt.birth_node]
-        if pt.death_node is not None:
-            grad -= sign * node_grad[pt.death_node]
+        grad -= sign * node_grad[pt.death_node]
     if not np.all(np.isfinite(grad)) or not np.isfinite(loss):
         raise FloatingPointError("non-finite loss or subgradient")
     return loss, grad

@@ -267,6 +267,12 @@ def _graph_doc(nodes, edges=(), cover_index=1):
     _graph_doc([(0, [0, 2 ** 63])]),  # past the largest index
     _graph_doc([(0, [0, 1])], cover_index=2 ** 63),
     _graph_doc([(0, [])]),  # a node with no members
+    _graph_doc([(False, [3, 1, 1])]),  # a bool id and members out of order
+    _graph_doc([(0, [1, 0])]),
+    _graph_doc([(0, [0, 1]), (1, [5])], [(0, 1, 7)]),  # an edge between disjoint nodes
+    _graph_doc([(0, [0, 1]), (1, [1, 2])]),  # no edge between nodes sharing a point
+    _graph_doc([(0, [0, 1]), (1, [1, 2])], [(0, 1, 0), (1, 0, 1)]),  # a repeated edge
+    _graph_doc([(0, [0, 1]), (1, [1, 2])], [(0, 1, True)]),  # a bool weight
 ])
 def test_export_rejects_a_document_that_is_not_a_graph(tmp_path, capsys, doc):
     graph = tmp_path / "g.json"

@@ -8,6 +8,8 @@ across samples; the two must agree exactly, node order and edge insertion
 order included.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,7 +236,7 @@ def all_pairs(pts, threshold):
     pairs by point checks."""
     g = Grid(pts, np.zeros(len(pts), dtype=int), threshold)
     s, size = g.start[:-1], np.diff(g.start)
-    (a, b), near = g.split(lambda a, b: np.ones(a.size, dtype=bool))
+    (a, b), near = g.split()
     chunks = [c[1:] for c in range_pairs(s, size, s, size)]
     across = [c[1:] for c in range_pairs(s[a], size[a], s[b], size[b])]
     a, b = near
@@ -411,7 +413,8 @@ def test_both_linkage_branches_match_cdist(case):
 @given(assignments(), st.integers(0, 2 ** 32 - 1))
 def test_array_form_matches_nodes(case, seed):
     """indptr, members and cover hold what the MapperNode records list, the
-    nodes and the graph's JSON document rebuild the same graph, and
+    nodes and the graph's JSON document rebuild the same graph, the document
+    with an edge's weight raised or the edge dropped is rejected, and
     node_means sums each node's values in its member order."""
     pts, e, threshold = case
     g = map_comp(PointCloud(pts), e, SingleLinkageClusterer(threshold))
@@ -422,6 +425,12 @@ def test_array_form_matches_nodes(case, seed):
     assert graph_of([nd.members for nd in g.nodes], [nd.cover_index for nd in g.nodes],
                     g.edges) == g
     assert graph_from_json(graph_to_json(g)) == g
+    doc = json.loads(graph_to_json(g))
+    if doc["edges"]:
+        first, *rest = doc["edges"]
+        for edges in ([{**first, "weight": first["weight"] + 1}, *rest], rest):
+            with pytest.raises(ValueError):
+                graph_from_json(json.dumps({**doc, "edges": edges}))
     rng = np.random.default_rng(seed)
     for values in (rng.standard_normal(len(pts)), rng.standard_normal((len(pts), 3))):
         want = [np.add.reduceat(values[list(nd.members)], [0], axis=0)[0] / len(nd.members)
