@@ -12,15 +12,17 @@ from scipy.spatial.distance import cdist
 from .data import PointCloud, hausdorff_to_subsample
 
 
+_KMEANS_ITER = 100  # Lloyd iterations at most
+
+
 @dataclass(frozen=True)
 class KMeansClusterer:
     k: int
-    max_iter: int = 100
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1 or self.max_iter < 1:
-            raise ValueError("k and max_iter must be >= 1")
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ def _kmeans_labels(pts: np.ndarray, cfg: KMeansClusterer) -> np.ndarray:
     centers = _kmeans_pp_init(pts, k, rng)
     # argmin breaks ties toward the lowest centroid index
     labels = cdist(pts, centers).argmin(axis=1)
-    for _ in range(cfg.max_iter):
+    for _ in range(_KMEANS_ITER):
         for j in range(k):
             mask = labels == j
             if mask.any():
@@ -76,16 +78,16 @@ _EPS = np.finfo(float).eps
 _CHUNK = 1 << 13  # point pairs checked at a time, to bound memory
 
 
-def _within(a_cols, b_cols, i, j, threshold: float) -> np.ndarray:
+def _within(cols, i, j, threshold: float) -> np.ndarray:
     """Mask of the pairs (i[k], j[k]) at distance <= threshold, given the
-    points as coordinate rows (p x n).
+    points as coordinate rows (d x n).
 
     Squares are summed coordinate by coordinate, in cdist's order, so the
-    mask matches cdist(a, b)[i, j] <= threshold bit for bit.
+    mask matches cdist(pts, pts)[i, j] <= threshold bit for bit.
     """
     sq = np.zeros(i.size)
-    for a, b in zip(a_cols, b_cols):
-        d = a[i] - b[j]
+    for c in cols:
+        d = c[i] - c[j]
         sq += d * d
     return np.sqrt(sq) <= threshold
 
@@ -169,17 +171,15 @@ class Grid:
     def split(self, keep=None):
         """The candidate cell pairs, or those the boolean mask ``keep`` picks,
         as the cell pairs (a, b) whose upper bound is within the threshold
-        less the pad, so every point pair between them is linked, and those
-        whose lower bound is within it plus the pad, nearest first.
+        less the pad, so every point pair between them is linked, and the
+        undecided ones, whose lower bound is within it plus the pad.
         """
         a, b = (self.a, self.b) if keep is None else (self.a[keep], self.b[keep])
         diff = self._centre[a] - self._centre[b]
         gap = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         spread = self._radius[a] + self._radius[b]
         ok = gap + spread <= self.threshold - self._pad
-        lower = gap - spread
-        near = np.flatnonzero(~ok & (lower <= self.threshold + self._pad))
-        near = near[np.argsort(lower[near], kind="stable")]
+        near = ~ok & (gap - spread <= self.threshold + self._pad)
         return (a[ok], b[ok]), (a[near], b[near])
 
     def _candidates(self, owner, first):
@@ -203,28 +203,18 @@ class Grid:
         pairs = cKDTree(centre).query_pairs(reach, output_type="ndarray")
         return pairs[:, 0], pairs[:, 1]
 
-    def linked(self, sa, na, sb, nb, live):
+    def linked(self, sa, na, sb, nb, keep=None):
         """Yield chunks (k, i, j) of the entry pairs of range pairs k within
         the threshold.
 
         Range pair k pairs positions sa[k]:sa[k] + na[k] with sb[k]:sb[k] +
-        nb[k]. ``live(ks)`` picks the range pairs among ks that still need
-        checking, so a caller can skip what earlier links settled: it is
-        asked once for all of them, then again for each block of at most
-        _CHUNK entry pairs, taken in order (a larger range pair is a block of
-        its own, checked in chunks).
+        nb[k]. Every range pair is checked, or those the boolean mask
+        ``keep`` picks, in one pass of chunks of at most _CHUNK entry pairs.
         """
-        ks = np.flatnonzero(live(np.arange(na.size)))
-        count = na[ks] * nb[ks]
-        ends = np.cumsum(count)
-        at = 0
-        while at < ks.size:
-            stop = max(at + 1, int(np.searchsorted(ends, ends[at] - count[at] + _CHUNK, "right")))
-            block, at = ks[at:stop], stop
-            block = block[live(block)]
-            for k, i, j in range_pairs(sa[block], na[block], sb[block], nb[block]):
-                ok = _within(self.cols, self.cols, i, j, self.threshold)
-                yield block[k[ok]], i[ok], j[ok]
+        ks = np.arange(na.size) if keep is None else np.flatnonzero(keep)
+        for k, i, j in range_pairs(sa[ks], na[ks], sb[ks], nb[ks]):
+            ok = _within(self.cols, i, j, self.threshold)
+            yield ks[k[ok]], i[ok], j[ok]
 
 
 def merge_components(label: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -293,14 +283,15 @@ def _grid_labels(pts: np.ndarray, threshold: float) -> np.ndarray:
     threshold, through the exact grid.
 
     Cells are joined outright, then along all sure cell pairs at once; the
-    other cell pairs are point-checked nearest first, skipping those already
-    joined.
+    undecided cell pairs are then point-checked in one pass. A pair whose
+    cells the sure pairs already joined is not checked; one joined only
+    within the pass may be.
     """
     g = Grid(pts, np.zeros(pts.shape[0]), threshold)
     (a, b), (p, q) = g.split()
     label = merge_components(np.arange(g.start.size - 1), a, b)
     s, size = g.start[:-1], np.diff(g.start)
-    for k, _, _ in g.linked(s[p], size[p], s[q], size[q], lambda ks: label[p[ks]] != label[q[ks]]):
+    for k, _, _ in g.linked(s[p], size[p], s[q], size[q], label[p] != label[q]):
         label = merge_components(label, p[k], q[k])
     out = np.empty(pts.shape[0], dtype=np.intp)
     out[g.order] = label[g.cell]

@@ -126,17 +126,23 @@ def normalize_counts(cloud: PointCloud, scale: float) -> PointCloud:
     return PointCloud(out, dict(cloud.attributes))
 
 
+_DISTANCE_BLOCK = 1 << 18  # distances held at a time, 2 MB
+
+
 def hausdorff_to_subsample(cloud: PointCloud, fraction: float, seed: int) -> float:
     """Symmetrized Hausdorff distance between the cloud and a random subsample.
 
     The subsample has size ceil(fraction * n), drawn uniformly without
-    replacement from the cloud with the given seed.
+    replacement from the cloud with the given seed. Every subsample point is
+    a cloud point, so the distance is the farthest any cloud point lies from
+    the subsample, taken over blocks of rows of the distance matrix.
     """
     if not (0 < fraction <= 1):
         raise ValueError(f"fraction must be in (0,1], got {fraction}")
     m = math.ceil(fraction * cloud.n)
     rng = np.random.default_rng(seed)
     idx = rng.choice(cloud.n, size=m, replace=False)
-    sub = cloud.points[idx]
-    d = cdist(cloud.points, sub)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    pts, sub = cloud.points, cloud.points[idx]
+    rows = max(1, _DISTANCE_BLOCK // m)
+    return float(max(cdist(pts[i:i + rows], sub).min(axis=1).max()
+                     for i in range(0, cloud.n, rows)))

@@ -143,9 +143,9 @@ def trace_to_csv(trace: Trace) -> str:
     return buf.getvalue()
 
 
-def learning_curve_svg(trace: Trace, width: int = 640, height: int = 360) -> str:
+def learning_curve_svg(trace: Trace) -> str:
     """Standalone SVG polyline of estimated risk per epoch, with axes."""
-    margin = 40
+    width, height, margin = 640, 360, 40
     xs = np.array(trace.epochs, dtype=float)
     ys = np.array(trace.risks, dtype=float)
     if xs.size == 0:

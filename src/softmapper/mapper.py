@@ -163,9 +163,10 @@ class LinkageEpoch:
         first in each cell, and a cell's core entries, which lie within 3/4
         of the threshold of each other and hence in one core cluster, follow
         them as one range. Entries sharing a cell or a sure cell pair are
-        linked unchecked; the other cell pairs are point-checked nearest
-        first. Every (core cluster, margin point) link is kept, and once one
-        is known it is not checked again. Core clusters are in every draw, so
+        linked unchecked; the other cell pairs are point-checked in one pass.
+        Every (core cluster, margin point) link is kept. One already known
+        from a shared cell or a sure cell pair is not checked again; one
+        found within the pass may be. Core clusters are in every draw, so
         two margin points linked to one core cluster are joined through it
         and need no edge of their own: each margin point gets one linked core
         cluster as its anchor, and a margin pair sharing an anchor is neither
@@ -201,18 +202,18 @@ class LinkageEpoch:
             np.concatenate([s, s[a], s[b]]), np.concatenate([m, m[a], m[b]]),
             np.concatenate([rep, rep[b], rep[a]]),
             np.concatenate([has_core, has_core[b], has_core[a]]))]))
-        # undecided cell pairs, nearest first, one margin point at a time
+        # undecided cell pairs, one margin point at a time, each against the
+        # other cell's core range unless that link is already known
         a, b = near
         k_ab, i_ab = _spread(s[a], m[a] * has_core[b])
         k_ba, i_ba = _spread(s[b], m[b] * has_core[a])
-        order = np.argsort(np.concatenate([k_ab, k_ba]), kind="stable")
-        sa = np.concatenate([i_ab, i_ba])[order]
-        sb = np.concatenate([rep[b[k_ab]], rep[a[k_ba]]])[order]
-        nb = np.concatenate([c[b[k_ab]], c[a[k_ba]]])[order]
+        sa = np.concatenate([i_ab, i_ba])
+        sb = np.concatenate([rep[b[k_ab]], rep[a[k_ba]]])
+        nb = np.concatenate([c[b[k_ab]], c[a[k_ba]]])
         key = unit[sb] * n_units + unit[sa]
-        for k, _, _ in g.linked(sa, np.ones_like(sa), sb, nb,
-                                lambda ks: ~_among(known, key[ks])):
-            known = _distinct(np.concatenate([known, key[k]]))
+        found = [key[k] for k, _, _ in g.linked(sa, np.ones_like(sa), sb, nb,
+                                                 ~_among(known, key))]
+        known = _distinct(np.concatenate([known, *found]))
 
         # margin with margin, except pairs sharing an anchor; a cell whose
         # margin points share one anchor skips a cell that shares it too
@@ -227,8 +228,7 @@ class LinkageEpoch:
         keys = [known]
         for _, i, j in chain(range_pairs(s[lone], m[lone], s[lone], m[lone]),
                              range_pairs(s[a], m[a], s[b], m[b]),
-                             g.linked(s[p], m[p], s[q], m[q],
-                                      lambda ks: np.ones(ks.size, dtype=bool))):
+                             g.linked(s[p], m[p], s[q], m[q])):
             lo, hi = np.minimum(unit[i], unit[j]), np.maximum(unit[i], unit[j])
             keys.append((lo * n_units + hi)[(lo != hi) & ((own[i] != own[j]) | (own[i] < 0))])
         keys = _distinct(np.concatenate(keys))

@@ -61,6 +61,11 @@ def test_resolution_rule_is_the_same_on_both_branches(n):
     assert len(cluster(SingleLinkageClusterer(1e6), cloud, range(n))) == 1
 
 
+def test_kmeans_needs_one_cluster():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        KMeansClusterer(0)
+
+
 @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), float("inf")])
 def test_threshold_must_be_finite_and_positive(threshold):
     with pytest.raises(ValueError, match="threshold must be finite and > 0"):

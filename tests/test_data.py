@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from softmapper.data import (
     FormatError,
@@ -177,6 +179,30 @@ def test_hausdorff_matches_bruteforce(rng):
         return best
 
     assert got == pytest.approx(max(directed(pts, sub), directed(sub, pts)), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("fraction", [0.01, 1 / 3, 0.5, 0.97])
+def test_hausdorff_blocks_match_the_dense_formula(seed, fraction):
+    """Bit for bit, over a cloud larger than one block of rows."""
+    cloud = PointCloud(np.random.default_rng(seed).standard_normal((1500, 3)))
+    m = math.ceil(fraction * cloud.n)
+    sub = cloud.points[np.random.default_rng(seed).choice(cloud.n, size=m, replace=False)]
+    d = cdist(cloud.points, sub)
+    dense = float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    assert hausdorff_to_subsample(cloud, fraction, seed) == dense
+
+
+def test_hausdorff_memory_is_bounded(rng):
+    """The dense n x ceil(n/3) block of 4000 points is 42.7 MB."""
+    cloud = PointCloud(rng.standard_normal((4000, 3)))
+    tracemalloc.start()
+    try:
+        hausdorff_to_subsample(cloud, 1 / 3, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_pointcloud_validation():

@@ -85,7 +85,7 @@ def test_learning_curve_svg():
     for i in range(5):
         tr.append(i, np.array([0.0]), 5.0 - i, 1.0, 0.0)
     svg = learning_curve_svg(tr)
-    assert svg.startswith("<svg")
+    assert svg.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="640" height="360">')
     assert "polyline" in svg
     assert "epoch" in svg
     empty = learning_curve_svg(Trace())

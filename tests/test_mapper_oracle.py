@@ -240,8 +240,7 @@ def all_pairs(pts, threshold):
     chunks = [c[1:] for c in range_pairs(s, size, s, size)]
     across = [c[1:] for c in range_pairs(s[a], size[a], s[b], size[b])]
     a, b = near
-    across += [c[1:] for c in g.linked(s[a], size[a], s[b], size[b],
-                                       lambda ks: np.ones(ks.size, dtype=bool))]
+    across += [c[1:] for c in g.linked(s[a], size[a], s[b], size[b])]
     chunks += across + [(j, i) for i, j in across]
     return g.order[np.concatenate([np.column_stack(c) for c in chunks])]
 
@@ -327,6 +326,36 @@ def test_linkage_on_either_side_of_the_pair_bound(n, monkeypatch):
             got = [p.tolist() for p in cluster(cl, cloud, keep)]
             assert got == [p.tolist() for p in oracle_cluster(cl, cloud, keep)]
     assert len(grid_calls) == (10 if n > 128 else 0)
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_undecided_cell_pair_checked_in_several_chunks(below):
+    """Two columns of 100 points, one cell each, make one
+    undecided cell pair of 10,000 point pairs, more than one chunk of
+    _CHUNK = 8192. Only the last point of each column lies at exactly the
+    threshold, in the second chunk; just below it the columns stay apart."""
+    k = np.arange(100)
+    pts = np.concatenate([np.column_stack([np.zeros(100), k / 512]),
+                          np.column_stack([1 + (99 - k) / 4096, k / 512])])
+    threshold = np.nextafter(1.0, 0) if below else 1.0
+    g = Grid(pts, np.zeros(len(pts), dtype=int), threshold)
+    size = np.diff(g.start)
+    _, (a, b) = g.split()
+    assert size.tolist() == [100, 100] and (size[a] * size[b]).sum() > clustering._CHUNK
+    dense = cdist(pts, pts) <= threshold
+    pairs = all_pairs(pts, threshold)
+    assert len(pairs) == dense.sum() and np.all(dense[pairs[:, 0], pairs[:, 1]])
+    cl, cloud = SingleLinkageClusterer(threshold), PointCloud(pts)
+    got = [p.tolist() for p in cluster(cl, cloud, range(len(pts)))]
+    assert got == [p.tolist() for p in oracle_cluster(cl, cloud, range(len(pts)))]
+    assert len(got) == (2 if below else 1)
+    # all margin: the margin pass checks the same cell pair, margin with margin
+    probs = np.full((len(pts), 1), 0.5)
+    epoch = LinkageEpoch(cloud, probs, cl)
+    rng = np.random.default_rng(5)
+    for e in [np.ones((len(pts), 1), dtype=np.uint8),
+              *((rng.random((len(pts), 1)) < 0.9).astype(np.uint8) for _ in range(5))]:
+        assert_same_graph(epoch.graph(e), oracle_map_comp(cloud, e, cl))
 
 
 @settings(max_examples=150, deadline=None)
