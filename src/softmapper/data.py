@@ -114,7 +114,10 @@ def load_off_vertices(path) -> PointCloud:
 
 
 def normalize_counts(cloud: PointCloud, scale: float) -> PointCloud:
-    """Row-normalize nonnegative count data and apply log(1 + scale * x / rowsum)."""
+    """Row-normalize nonnegative count data and apply log(1 + scale * x / rowsum);
+    ``scale`` must be finite and > 0."""
+    if not 0 < scale < np.inf:
+        raise ValueError(f"scale must be finite and > 0, got {scale}")
     pts = cloud.points
     if np.any(pts < 0):
         raise ValueError("normalize_counts requires nonnegative entries")

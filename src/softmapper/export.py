@@ -92,6 +92,8 @@ def graph_from_json(text: str) -> MapperGraph:
     """
     doc = json.loads(text)
     try:
+        if type(doc["nodes"]) is not list or type(doc["edges"]) is not list:
+            raise TypeError  # reported below
         nodes = sorted(doc["nodes"], key=lambda nd: nd["id"])
         if ([nd["id"] for nd in nodes] != list(range(len(nodes)))
                 or not all(type(nd["id"]) is int for nd in nodes)):

@@ -9,9 +9,11 @@ edge): its merges are the regular H0 points and the extended Ord0 points,
 and each component's min pairs with its first node in the descending order
 as an Ext0 point. The descending sweep adds nodes by (-value, id) and edges
 by (-min endpoint value, edge): its merges are the Rel1 points. Each edge
-that closes a cycle in the descending sweep is an Ext1 death; its cycle,
-written as ascending-edge ranks and reduced over Z/2 against the earlier
-Ext1 cycles, has as its latest edge the Ext1 birth. These are the pairs of
+that closes a cycle in the descending sweep is an Ext1 death. Its cycle
+comes out of that sweep's union-find, which labels each edge with the bit
+of its ascending rank and keeps each node's xor of labels up to its root,
+as an int bit set; reduced over Z/2 against the earlier Ext1 cycles, its
+highest bit is the latest edge, the Ext1 birth. These are the pairs of
 the coned complex's matrix reduction, so every diagram coordinate is
 realized by a specific node, which is what the subgradient chain traverses.
 """
@@ -70,32 +72,50 @@ def _ends(phi: list, e: tuple[int, int]) -> tuple[int, int]:
     return (v, u) if phi[v] > phi[u] else (u, v) if phi[v] < phi[u] else (u, u)
 
 
-def _kruskal(key: list, edges: list) -> tuple[list, Callable[[int], int]]:
+def _kruskal(key: list, edges: list, labels: list) -> tuple[list, list, Callable[[int], int]]:
     """Add ``edges`` in order to a union-find over the nodes of ``key``; at
     each merge the root with the smaller key survives (the elder rule).
 
+    Each node also holds the xor of the int ``labels`` of the forest edges
+    between it and its parent, which ``find`` keeps as it compresses paths,
+    so an edge that closes a cycle gives the xor of the labels around the
+    cycle: with one bit per label, the cycle's edge set.
+
     Returns the younger root each edge retires (None for an edge that closes
-    a cycle) and the final ``find``.
+    a cycle), the closed cycles in order, and the final ``find``.
     """
     parent = list(range(len(key)))
+    path = [0] * len(key)
 
     def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+        # afterwards a hangs from its root, and path[a] is the xor up to it
+        if parent[p := parent[a]] == p:
+            return p
+        chain = [a]
+        while parent[p] != p:
+            chain.append(p)
+            p = parent[p]
+        acc = 0
+        for b in reversed(chain):
+            acc ^= path[b]
+            path[b], parent[b] = acc, p
+        return p
 
-    retired = []
-    for u, v in edges:
+    retired, cycles = [], []
+    for (u, v), label in zip(edges, labels):
         elder, younger = find(u), find(v)
+        # the xor from one root down to u, across the edge and up from v to the
+        # other: the cycle if the roots are one, else the label of their link
+        x = label ^ path[u] ^ path[v]
         if elder == younger:
             retired.append(None)
+            cycles.append(x)
             continue
         if key[younger] < key[elder]:
             elder, younger = younger, elder
-        parent[younger] = elder
+        parent[younger], path[younger] = elder, x
         retired.append(younger)
-    return retired, find
+    return retired, cycles, find
 
 
 def _ascending(fg: FilteredGraph, cls: str) -> tuple[list, list, Callable[[int], int]]:
@@ -104,31 +124,10 @@ def _ascending(fg: FilteredGraph, cls: str) -> tuple[list, list, Callable[[int],
     components' minima."""
     phi = fg.node_values.tolist()
     edges = sorted(fg.graph.edges, key=lambda e: (phi[_ends(phi, e)[0]], e))
-    retired, find = _kruskal([(x, v) for v, x in enumerate(phi)], edges)
+    retired, _, find = _kruskal([(x, v) for v, x in enumerate(phi)], edges, [0] * len(edges))
     pts = [DiagramPoint(phi[r], phi[top], cls, r, top) for e, r in zip(edges, retired)
            if r is not None and phi[r] != phi[top := _ends(phi, e)[0]]]
     return pts, edges, find
-
-
-def _forest(n: int, links: list) -> tuple[list, list, list]:
-    """Root every tree of the forest given as ((u, v), label) links; returns
-    each node's parent (a root is its own), the label of the link to it and
-    its depth."""
-    adj = [[] for _ in range(n)]
-    for (u, v), label in links:
-        adj[u].append((v, label))
-        adj[v].append((u, label))
-    parent, label_up, depth = [None] * n, [None] * n, [0] * n
-    for root in range(n):
-        if parent[root] is None:
-            parent[root], stack = root, [root]
-            while stack:
-                a = stack.pop()
-                for b, label in adj[a]:
-                    if parent[b] is None:
-                        parent[b], label_up[b], depth[b] = a, label, depth[a] + 1
-                        stack.append(b)
-    return parent, label_up, depth
 
 
 def extended_persistence(fg: FilteredGraph) -> Diagram:
@@ -141,28 +140,19 @@ def extended_persistence(fg: FilteredGraph) -> Diagram:
     pts += [DiagramPoint(phi[r], phi[v], "Ext0", r, v) for r, v in roots.items()]
 
     down = sorted(up, key=lambda e: (-phi[_ends(phi, e)[1]], e))
-    retired, _ = _kruskal([(-x, v) for v, x in enumerate(phi)], down)
     rank = {e: i for i, e in enumerate(up)}
-    parent, rank_up, depth = _forest(
-        len(phi), [(e, rank[e]) for e, r in zip(down, retired) if r is not None])
-    cycles: dict[int, set[int]] = {}  # Ext1 cycles, reduced, by their latest ascending edge
-    for e, r in zip(down, retired):
-        bottom = _ends(phi, e)[1]
-        if r is not None:
-            if phi[r] != phi[bottom]:
-                pts.append(DiagramPoint(phi[r], phi[bottom], "Rel1", r, bottom))
-            continue
-        # the cycle e closes in the descending forest, as ascending-edge ranks
-        cycle, (u, v) = {rank[e]}, e
-        while u != v:
-            if depth[u] < depth[v]:
-                u, v = v, u
-            cycle.add(rank_up[u])
-            u = parent[u]
-        while (low := max(cycle)) in cycles:
-            cycle ^= cycles[low]
-        cycles[low] = cycle
-        top = _ends(phi, up[low])[0]
+    retired, cycles, _ = _kruskal([(-x, v) for v, x in enumerate(phi)], down,
+                                  [1 << rank[e] for e in down])
+    pts += [DiagramPoint(phi[r], phi[bottom], "Rel1", r, bottom) for e, r in zip(down, retired)
+            if r is not None and phi[r] != phi[bottom := _ends(phi, e)[1]]]
+    # Ext1: each closed cycle, a bit set of ascending ranks, reduced over Z/2
+    # against the earlier ones; its latest edge is the birth
+    reduced = {}
+    for e, cycle in zip([e for e, r in zip(down, retired) if r is None], cycles):
+        while (low := cycle.bit_length() - 1) in reduced:
+            cycle ^= reduced[low]
+        reduced[low] = cycle
+        top, bottom = _ends(phi, up[low])[0], _ends(phi, e)[1]
         pts.append(DiagramPoint(phi[top], phi[bottom], "Ext1", top, bottom))
     pts.sort(key=lambda p: (p.cls, p.birth, p.death, p.birth_node))
     return Diagram(tuple(pts))

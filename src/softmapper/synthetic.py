@@ -48,6 +48,9 @@ def _y_shape(n, rng):
 
 
 def _plane_with_leg(n, rng):
+    if n < 17:
+        raise ValueError("plane_with_leg needs n >= 17 points (four 4-point legs and a"
+                         f" plane), got {n}")
     n_leg = max(4, round(_LEG_FRACTION * n / 4))
     n_plane = n - 4 * n_leg
     plane = np.zeros((n_plane, 3))

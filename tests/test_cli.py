@@ -173,6 +173,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                      "--out-dir", str(tmp_path)]) == 1
     assert main(["synth", "--shape", "circle", "--noise", "nan",
                  "--out", str(tmp_path / "cloud.csv")]) == 1
+    assert main(["synth", "--shape", "plane_with_leg", "--n", "12",
+                 "--out", str(tmp_path / "cloud.csv")]) == 1
     optimize = ["optimize", "--shape", "circle", "--n", "60", "--theta", "0.6,0.8",
                 "--epochs", "1", "--mc-samples", "1", "--threshold", "0.8"]
     for flag, value in [("--noise-std", "nan"), ("--noise-std", "inf"), ("--step-size", "inf"),
@@ -273,6 +275,9 @@ def _graph_doc(nodes, edges=(), cover_index=1):
     _graph_doc([(0, [0, 1]), (1, [1, 2])]),  # no edge between nodes sharing a point
     _graph_doc([(0, [0, 1]), (1, [1, 2])], [(0, 1, 0), (1, 0, 1)]),  # a repeated edge
     _graph_doc([(0, [0, 1]), (1, [1, 2])], [(0, 1, True)]),  # a bool weight
+    # nodes and edges that are empty but not lists
+    '{"nodes": [], "edges": ""}', '{"nodes": [], "edges": {}}', '{"nodes": "", "edges": []}',
+    _graph_doc([(0, [0, 1])]).replace('"edges": []', '"edges": {}'),
 ])
 def test_export_rejects_a_document_that_is_not_a_graph(tmp_path, capsys, doc):
     graph = tmp_path / "g.json"

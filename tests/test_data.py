@@ -141,6 +141,9 @@ def test_normalize_counts_errors():
         normalize_counts(PointCloud([[1, 1], [0, 0]]), 1)
     with pytest.raises(ValueError, match="nonnegative"):
         normalize_counts(PointCloud([[1, -1]]), 1)
+    for scale in (-2, -1, 0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="scale must be finite and > 0"):
+            normalize_counts(PointCloud([[1, 1]]), scale)
 
 
 def test_normalize_counts_row_local(rng):

@@ -102,11 +102,31 @@ def _tie_heavy_graph(rng, integer):
     return make_filtered_graph(values, edges)
 
 
+def _long_cycle_graph(rng, integer):
+    """200-800 nodes on one cycle, in random id order, plus 1-20 random
+    chords. The values follow one sine period along the cycle, as a
+    coordinate filter does on a circle, so the sweeps grow long arcs and
+    close cycles of hundreds of edges, with ascending ranks far past 64;
+    integer values round it to {0,...,8}, in long tied runs."""
+    n = int(rng.integers(200, 801))
+    order = rng.permutation(n).tolist()
+    wave = np.sin(2 * np.pi * (np.arange(n) / n + rng.random()))
+    values = np.empty(n)
+    values[order] = np.round(4 * wave + 4) if integer else wave + 0.01 * rng.standard_normal(n)
+    edges = {(min(u, v), max(u, v)) for u, v in zip(order, order[1:] + order[:1])}
+    chords = int(rng.integers(1, 21))
+    while len(edges) < n + chords:
+        u, v = rng.choice(n, 2, replace=False).tolist()
+        edges.add((min(u, v), max(u, v)))
+    return make_filtered_graph(values, sorted(edges))
+
+
 @pytest.mark.parametrize("chunk", range(8))
 def test_sweeps_match_coned_reduction_exactly(chunk):
     rng = np.random.default_rng(61000 + chunk)
-    for trial in range(250):
-        fg = _tie_heavy_graph(rng, integer=trial % 2 == 1)
+    graphs = [_tie_heavy_graph(rng, integer=trial % 2 == 1) for trial in range(250)]
+    graphs += [_long_cycle_graph(rng, integer=trial % 2 == 1) for trial in range(4)]
+    for trial, fg in enumerate(graphs):
         assert (extended_persistence(fg).points
                 == coned_reduction.extended_persistence(fg).points), trial
         assert (regular_persistence(fg).points

@@ -11,13 +11,17 @@ def test_unknown_shape_and_bad_args():
         generate_synthetic("circle", n=5)
     with pytest.raises(ValueError):
         generate_synthetic("circle", n=100, noise=-0.1)
+    for n in (10, 12, 15, 16):  # four 4-point legs leave no plane point
+        with pytest.raises(ValueError, match="n >= 17"):
+            generate_synthetic("plane_with_leg", n=n)
 
 
 def test_shapes_have_declared_dimensions():
     for name, dim in [("circle", 2), ("cylinder", 3), ("y_shape", 3), ("plane_with_leg", 3)]:
-        cloud = generate_synthetic(name, n=50, noise=0.0, seed=0)
-        assert cloud.points.shape == (50, dim)
-        assert np.all(np.isfinite(cloud.points))
+        for n in (17, 50):
+            cloud = generate_synthetic(name, n=n, noise=0.0, seed=0)
+            assert cloud.points.shape == (n, dim)
+            assert np.all(np.isfinite(cloud.points))
 
 
 def test_circle_radius_one_without_noise():
