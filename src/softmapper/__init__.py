@@ -23,7 +23,7 @@ from .persistence import (
     total_persistence,
     loss_and_subgradient,
 )
-from .optimize import OptimConfig, Trace, direction_correlation, estimate_risk, optimize
+from .optimize import OptimConfig, Trace, direction_correlation, optimize
 from .synthetic import generate_synthetic
 
 __version__ = "0.1.0"

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime/numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -184,7 +185,7 @@ def _parse_vector(text, p):
 
 def _make_filter(args, cloud):
     if args.filter == "coord":
-        idx = args.coord if args.coord >= 0 else cloud.dim - 1
+        idx = cloud.dim - 1 if args.coord == -1 else args.coord
         if not 0 <= idx < cloud.dim:
             raise ConfigError(f"coordinate index {idx} out of range for p={cloud.dim}")
         return FixedFilter(cloud.points[:, idx]), np.zeros(0)
@@ -214,18 +215,18 @@ def _config_hash(args) -> str:
 
 
 def _write_build_outputs(out_dir: Path, cloud, fam, theta, clusterer, args, sampled_seed=None):
-    with np.errstate(over="raise", invalid="raise"):  # a huge theta overflows the filter
+    with np.errstate(over="raise", invalid="raise"):  # a huge theta overflows the filter or graph
         fv = fam.evaluate(cloud, theta)
-    delta = smoothing_width(fv, args.resolution, args.delta_rel)
-    cover = uniform_cover(fv.values, args.resolution, args.gain)
-    if sampled_seed is not None:
-        graph = map_comp(cloud, sample_assignment(smooth_scheme(fv, cover, delta), sampled_seed),
-                         clusterer)
-    else:
-        # unnamed, so the float scheme is freed once map_comp has read it into a mask
-        graph = map_comp(cloud, standard_scheme(fv, cover).probs, clusterer)
-    fg = map_pers_filtration(graph, fv)
-    diagram = extended_persistence(fg) if args.mode == "extended" else regular_persistence(fg)
+        delta = smoothing_width(fv, args.resolution, args.delta_rel)
+        cover = uniform_cover(fv.values, args.resolution, args.gain)
+        if sampled_seed is not None:
+            e = sample_assignment(smooth_scheme(fv, cover, delta), sampled_seed)
+            graph = map_comp(cloud, e, clusterer)
+        else:
+            # unnamed, so the float scheme is freed once map_comp has read it into a mask
+            graph = map_comp(cloud, standard_scheme(fv, cover).probs, clusterer)
+        fg = map_pers_filtration(graph, fv)
+        diagram = extended_persistence(fg) if args.mode == "extended" else regular_persistence(fg)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "mapper.json").write_text(graph_to_json(graph, fg.node_values))
     (out_dir / "mapper.dot").write_text(export_dot(graph, fg.node_values))
@@ -256,20 +257,8 @@ def cmd_optimize(args) -> int:
         if not 0 < np.linalg.norm(ref) < np.inf:
             raise ConfigError("--reference-direction must be finite and nonzero")
     clusterer = _make_clusterer(args, cloud)
-    config = OptimConfig(
-        epochs=args.epochs,
-        mc_samples=args.mc_samples,
-        step_size=args.step_size,
-        schedule=args.schedule,
-        noise_std=args.noise_std,
-        seed=args.seed,
-        mode=args.mode,
-        delta_rel=args.delta_rel,
-        resolution=args.resolution,
-        gain=args.gain,
-        maximize=args.maximize,
-        scheme=args.scheme,
-    )
+    # every OptimConfig field has a flag of the same dest
+    config = OptimConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(OptimConfig)})
     theta_n, trace = optimize(cloud, fam, theta0, clusterer, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

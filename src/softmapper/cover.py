@@ -95,7 +95,8 @@ def smoothing_width(values, resolution: int, delta_rel: float) -> float:
 
     Raises ValueError unless ``delta_rel`` is finite and > 0, and
     FloatingPointError for constant values and ``resolution`` > 1, since no
-    cover of more than one interval fits a single value.
+    cover of more than one interval fits a single value, and when the width
+    overflows.
     """
     if not 0 < delta_rel < np.inf:
         raise ValueError(f"delta_rel must be finite and > 0, got {delta_rel}")
@@ -104,7 +105,10 @@ def smoothing_width(values, resolution: int, delta_rel: float) -> float:
     if span == 0 and resolution > 1:
         raise FloatingPointError(f"the filter is constant, so {resolution} intervals"
                                  " cannot cover its range")
-    return delta_rel * span if span > 0 else delta_rel
+    delta = delta_rel * span if span > 0 else delta_rel
+    if delta == np.inf:
+        raise FloatingPointError(f"the smoothing width {delta_rel} * {span} overflows")
+    return delta
 
 
 def _runs(v: np.ndarray, lo: np.ndarray, hi: np.ndarray):

@@ -135,10 +135,11 @@ def trace_to_csv(trace: Trace) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     s = len(trace.thetas[0]) if len(trace) else 0
-    w.writerow(["epoch", "risk", "grad_norm"] + [f"theta_{k}" for k in range(s)] + ["seconds"])
+    w.writerow(["epoch", "risk", "risk_se", "grad_norm"] + [f"theta_{k}" for k in range(s)]
+               + ["seconds"])
     for i in range(len(trace)):
         w.writerow(
-            [trace.epochs[i], repr(trace.risks[i]), repr(trace.grad_norms[i])]
+            [i, repr(trace.risks[i]), repr(trace.risk_ses[i]), repr(trace.grad_norms[i])]
             + [repr(float(x)) for x in trace.thetas[i]]
             + [f"{trace.seconds[i]:.6f}"]
         )
@@ -148,7 +149,7 @@ def trace_to_csv(trace: Trace) -> str:
 def learning_curve_svg(trace: Trace) -> str:
     """Standalone SVG polyline of estimated risk per epoch, with axes."""
     width, height, margin = 640, 360, 40
-    xs = np.array(trace.epochs, dtype=float)
+    xs = np.arange(len(trace), dtype=float)
     ys = np.array(trace.risks, dtype=float)
     if xs.size == 0:
         return f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"/>\n'
@@ -157,7 +158,8 @@ def learning_curve_svg(trace: Trace) -> str:
     if y1 == y0:
         y1 = y0 + 1
     px = margin + (xs - x0) / (x1 - x0) * (width - 2 * margin)
-    py = height - margin - (ys - y0) / (y1 - y0) * (height - 2 * margin)
+    # y1 - y0 is still 0 when |y0| >= 2**53
+    py = height - margin - (ys - y0) / ((y1 - y0) or 1.0) * (height - 2 * margin)
     pts = " ".join(f"{x:.1f},{y:.1f}" for x, y in zip(px, py))
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'

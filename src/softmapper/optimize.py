@@ -1,11 +1,12 @@
-"""Monte-Carlo risk estimation and stochastic subgradient descent over the
-filter parameters.
+"""Stochastic subgradient descent over the filter parameters on a
+Monte-Carlo estimate of the soft-Mapper risk.
 
 Each epoch rebuilds the interval cover and the smoothing width from the
 current filter values (their range moves with theta), draws M independent
-assignment matrices, averages the per-sample subgradients and takes one
-descent step. Cover endpoints are treated as constants inside an epoch:
-they enter through sampling only, not through the per-sample chain rule.
+assignment matrices, records the mean loss and its standard error, and takes
+one step along the mean subgradient. Cover endpoints are treated as constants
+inside an epoch: they enter through sampling only, not through the
+per-sample chain rule.
 """
 
 from __future__ import annotations
@@ -65,21 +66,23 @@ class OptimConfig:
 
 @dataclass
 class Trace:
-    epochs: list[int] = field(default_factory=list)
+    """Per epoch: theta after the step; the risk, its SE and the gradient norm before it."""
+
     thetas: list[np.ndarray] = field(default_factory=list)
     risks: list[float] = field(default_factory=list)
+    risk_ses: list[float] = field(default_factory=list)
     grad_norms: list[float] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
 
-    def append(self, epoch, theta, risk, grad_norm, secs):
-        self.epochs.append(epoch)
+    def append(self, theta, risk, risk_se, grad_norm, secs):
         self.thetas.append(np.array(theta))
         self.risks.append(float(risk))
+        self.risk_ses.append(float(risk_se))
         self.grad_norms.append(float(grad_norm))
         self.seconds.append(float(secs))
 
     def __len__(self):
-        return len(self.epochs)
+        return len(self.risks)
 
 
 def _build_scheme(fv, config: OptimConfig):
@@ -90,9 +93,9 @@ def _build_scheme(fv, config: OptimConfig):
     return smooth_scheme(fv, cover, delta)
 
 
+@np.errstate(over="raise", invalid="raise")  # too long a step overflows the filter or the graph
 def _sample_losses(cloud, filter_family, theta, clusterer, config, base_seed):
-    with np.errstate(over="raise", invalid="raise"):  # too long a step overflows the filter
-        fv = filter_family.evaluate(cloud, theta)
+    fv = filter_family.evaluate(cloud, theta)
     scheme = _build_scheme(fv, config)
     # every sample shares the linkage clustering of the scheme's deterministic core
     epoch = (LinkageEpoch(cloud, scheme.probs, clusterer)
@@ -108,21 +111,14 @@ def _sample_losses(cloud, filter_family, theta, clusterer, config, base_seed):
     return losses, grads
 
 
-def estimate_risk(
-    cloud: PointCloud, filter_family, theta, clusterer: Clusterer, config: OptimConfig
-) -> tuple[float, float]:
-    """Monte-Carlo estimate of the conditional risk at theta.
-
-    Returns the M-sample mean and its standard error (0 when M == 1 or
-    all samples coincide).
-    """
-    losses, _ = _sample_losses(
-        cloud, filter_family, np.asarray(theta, dtype=float), clusterer, config, config.seed + 1
-    )
-    mean = float(np.mean(losses))
-    if len(losses) < 2:
-        return mean, 0.0
-    return mean, float(np.std(losses, ddof=1) / np.sqrt(len(losses)))
+def _standard_error(losses) -> float:
+    """The M-sample standard error of the mean loss, exactly 0 when the losses
+    coincide; an exact power-of-two scale keeps their squares from overflowing."""
+    x = np.asarray(losses)
+    if np.ptp(x) == 0:  # where np.std can round to 1e-16
+        return 0.0
+    exp = np.frexp(np.abs(x).max())[1]
+    return float(np.ldexp(np.std(np.ldexp(x, -exp), ddof=1) / np.sqrt(x.size), exp))
 
 
 def optimize(
@@ -132,12 +128,13 @@ def optimize(
     clusterer: Clusterer,
     config: OptimConfig,
 ) -> tuple[np.ndarray, Trace]:
-    """Run N epochs of M-sample stochastic subgradient descent from theta0."""
+    """Run N epochs of M-sample stochastic subgradient descent from theta0.
+
+    Epoch k draws its samples with seeds ``config.seed + 1 + k * M`` onwards.
+    """
     theta = np.asarray(theta0, dtype=float).copy()
-    if theta.ndim != 1 or theta.size < 1:
-        raise ValueError("theta0 must be a nonempty vector")
-    if filter_family.param_dim(cloud) != theta.size:
-        raise ValueError("filter family parameter dimension does not match theta0")
+    if theta.ndim != 1 or theta.size != filter_family.param_dim(cloud):
+        raise ValueError("theta0 must be a vector of the filter family's parameter dimension")
     noise_rng = np.random.default_rng(config.seed)
     trace = Trace()
     for epoch in range(config.epochs):
@@ -157,7 +154,8 @@ def optimize(
         theta = theta - config.learning_rate(epoch) * (y + xi)
         if not np.all(np.isfinite(theta)):
             raise FloatingPointError(f"epoch {epoch}: the step made the parameters non-finite")
-        trace.append(epoch, theta, risk, float(np.linalg.norm(y)), time.perf_counter() - t0)
+        trace.append(theta, risk, _standard_error(losses), np.linalg.norm(y),
+                     time.perf_counter() - t0)
     return theta, trace
 
 

@@ -27,12 +27,7 @@ from softmapper.cover import (
 from softmapper.data import PointCloud, normalize_counts
 from softmapper.filters import FixedFilter, LinearFilter, diagonal_init
 from softmapper.mapper import connected_components, map_comp
-from softmapper.optimize import (
-    OptimConfig,
-    direction_correlation,
-    estimate_risk,
-    optimize,
-)
+from softmapper.optimize import OptimConfig, direction_correlation, optimize
 from softmapper.persistence import (
     extended_persistence,
     loss_and_subgradient,
@@ -181,10 +176,10 @@ def test_criterion_4_monte_carlo_unbiasedness():
             passes += losses.mean() == exact
         else:
             passes += abs(losses.mean() - exact) <= 3 * se
-    # cross-check that estimate_risk uses the same seed stream
-    cfg = OptimConfig(mc_samples=64, seed=0, scheme="smooth", delta_rel=0.6,
+    # cross-check that optimize's first epoch uses the same seed stream
+    cfg = OptimConfig(epochs=1, mc_samples=64, seed=0, scheme="smooth", delta_rel=0.6,
                       resolution=2, gain=0.3)
-    risk, _ = estimate_risk(cloud, fam, theta, cl, cfg)
+    risk = optimize(cloud, fam, theta, cl, cfg)[1].risks[0]
     manual = np.mean(
         [cache[sample_assignment(scheme, 0 + 1 + m).tobytes()] for m in range(64)]
     )

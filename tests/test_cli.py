@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from softmapper.cli import main
+from softmapper.cli import build_parser, main
 from softmapper.export import graph_from_json
+from softmapper.optimize import OptimConfig
 
 
 def _components(graph):
@@ -73,6 +75,36 @@ def test_build_from_csv_and_coord_filter(tmp_path):
     ])
     assert rc == 0
     assert (tmp_path / "out" / "diagram.csv").read_text().count("Ext") == 0
+
+
+def test_optimize_is_reproducible(tmp_path):
+    argv = ["optimize", "--shape", "y_shape", "--n", "200", "--noise", "0.02", "--seed", "3",
+            "--threshold", "0.2", "--maximize", "--epochs", "3", "--mc-samples", "3",
+            "--delta-rel", "0.1", "--noise-std", "0.01"]
+    assert main(argv + ["--out-dir", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--out-dir", str(tmp_path / "b")]) == 0
+    files = {out: sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+             for out in (tmp_path / "a", tmp_path / "b")}
+    names = files[tmp_path / "a"]
+    assert names == files[tmp_path / "b"] and len(names) == 10  # 4 files, initial/ and final/
+    for name in names:
+        a, b = (tmp_path / "a" / name).read_bytes(), (tmp_path / "b" / name).read_bytes()
+        if name.name == "trace.csv":  # all but the wall-clock seconds, its last column
+            a, b = ([line.rsplit(b",", 1)[0] for line in t.splitlines()] for t in (a, b))
+        assert a == b, name
+
+
+def test_optimize_at_a_huge_theta_writes_finite_outputs(tmp_path, capsys):
+    # losses near -2e200: their squares overflow, and risk + 1 == risk
+    rc = main(["optimize", "--maximize", "--epochs", "1", "--theta", "1e200,1e200,1e200",
+               "--shape", "y_shape", "--n", "200", "--threshold", "0.2",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert "nan" not in (tmp_path / "curve.svg").read_text()
+    row = (tmp_path / "trace.csv").read_text().splitlines()[1].split(",")
+    risk, risk_se = float(row[1]), float(row[2])
+    assert risk < -1e200 and 0 < risk_se < -risk
 
 
 def test_optimize_zero_step_keeps_theta(tmp_path):
@@ -145,14 +177,21 @@ _OPTIMIZE = ["optimize", "--maximize", "--epochs", "3"]
     _OPTIMIZE + ["--theta", "0,0,0"],  # a constant filter: its range cannot be covered
     ["build", "--theta", "0,0,0"],
     ["build", "--theta", "1e308,1e308,1e308"],  # the filter values overflow
+    ["build", "--theta", "1.5e308,0,0"],  # the filter's range overflows
+    _OPTIMIZE + ["--theta", "1.5e308,0,0"],
+    ["build", "--sample", "--delta-rel", "1.7e308"],  # the smoothing width overflows
+    _OPTIMIZE + ["--delta-rel", "1.7e308"],
+    ["build", "--theta", "0,0,1e308"],  # the node means overflow, the filter's range does not
 ])
 def test_numeric_failures_exit_two(tmp_path, capsys, flags):
     rc = main(flags + ["--shape", "y_shape", "--n", "200", "--threshold", "0.2",
                        "--out-dir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("numeric failure: ")
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
     assert ("epoch " in err) == (flags[0] == "optimize")
+    for name in ("mapper.json", "diagram.csv", "trace.csv"):
+        assert not (tmp_path / name).exists()
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):
@@ -162,6 +201,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["frobnicate"]) == 1
     assert main(["build", "--shape", "circle", "--clusterer", "linkage",
                  "--out-dir", str(tmp_path)]) == 1  # linkage without threshold
+    assert main(["build", "--shape", "circle", "--n", "100", "--filter", "coord", "--coord", "-7",
+                 "--threshold", "0.5", "--out-dir", str(tmp_path)]) == 1  # only -1 means the last
     # NaN passes a "<= 0" or "< 0" check, inf a "> 0" or ">= 0" one
     for delta_rel in ["nan", "inf"]:
         assert main(["build", "--shape", "circle", "--n", "200", "--filter", "coord",
@@ -216,6 +257,12 @@ def test_missing_input_file(tmp_path, capsys):
                "--clusterer", "linkage", "--threshold", "1.0"])
     assert rc == 1
     assert "not found" in capsys.readouterr().err
+
+
+def test_every_optim_config_field_is_an_optimize_flag():
+    _, commands = build_parser()
+    dests = {action.dest for action in commands["optimize"]._actions}
+    assert {f.name for f in dataclasses.fields(OptimConfig)} <= dests
 
 
 def test_optimize_rejects_fixed_filter(capsys):

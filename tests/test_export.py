@@ -64,29 +64,37 @@ def test_diagram_csv():
 
 def test_trace_csv_round_trip_exact_floats():
     tr = Trace()
-    tr.append(0, np.array([0.1, 1 / 3]), 2.5, 0.7, 0.01)
-    tr.append(1, np.array([0.2, 2 / 3]), 2.25, 0.6, 0.01)
+    tr.append(np.array([0.1, 1 / 3]), 2.5, 0.125, 0.7, 0.01)
+    tr.append(np.array([0.2, 2 / 3]), 2.25, 0.1, 0.6, 0.01)
     rows = list(csv.reader(io.StringIO(trace_to_csv(tr))))
-    assert rows[0] == ["epoch", "risk", "grad_norm", "theta_0", "theta_1", "seconds"]
+    assert rows[0] == ["epoch", "risk", "risk_se", "grad_norm", "theta_0", "theta_1", "seconds"]
     assert len(rows) == 3
+    assert [r[0] for r in rows[1:]] == ["0", "1"]
     # repr round-trips doubles exactly
-    assert float(rows[1][3]) == 0.1
-    assert float(rows[1][4]) == 1 / 3
+    assert float(rows[1][4]) == 0.1
+    assert float(rows[1][5]) == 1 / 3
     assert float(rows[2][1]) == 2.25
+    assert float(rows[2][2]) == 0.1
 
 
 def test_trace_csv_empty():
     rows = list(csv.reader(io.StringIO(trace_to_csv(Trace()))))
-    assert rows == [["epoch", "risk", "grad_norm", "seconds"]]
+    assert rows == [["epoch", "risk", "risk_se", "grad_norm", "seconds"]]
 
 
 def test_learning_curve_svg():
     tr = Trace()
     for i in range(5):
-        tr.append(i, np.array([0.0]), 5.0 - i, 1.0, 0.0)
+        tr.append(np.array([0.0]), 5.0 - i, 0.0, 1.0, 0.0)
     svg = learning_curve_svg(tr)
     assert svg.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="640" height="360">')
     assert "polyline" in svg
     assert "epoch" in svg
+    # at |risk| >= 2**53, risk + 1 == risk: a flat curve still gets finite points
+    flat = Trace()
+    flat.append(np.array([0.0]), 1e200, 0.0, 1.0, 0.0)
+    svg = learning_curve_svg(flat)
+    assert "nan" not in svg
+    assert 'points="40.0,320.0"' in svg
     empty = learning_curve_svg(Trace())
     assert empty.startswith("<svg") and empty.rstrip().endswith("/>")

@@ -3,13 +3,10 @@ import pytest
 
 from softmapper.clustering import SingleLinkageClusterer
 from softmapper.data import PointCloud
-from softmapper.filters import LinearFilter
-from softmapper.optimize import (
-    OptimConfig,
-    direction_correlation,
-    estimate_risk,
-    optimize,
-)
+from softmapper.filters import FixedFilter, LinearFilter
+from softmapper.optimize import OptimConfig, direction_correlation, optimize
+from softmapper.cover import sample_assignment, smooth_scheme, smoothing_width, uniform_cover
+from softmapper.persistence import loss_and_subgradient
 from softmapper.synthetic import generate_synthetic
 
 
@@ -57,26 +54,79 @@ def test_robbins_monro_divergent_sum_convergent_squares():
     assert np.sum(alpha**2) < np.pi**2 / 6 + 1e-9  # bounded by zeta(2)
 
 
-def test_estimate_risk_standard_scheme_is_deterministic():
+def _first_epoch(cloud, fam, theta, cl, cfg):
+    """The risk and its standard error at theta, from one epoch of optimize."""
+    _, trace = optimize(cloud, fam, theta, cl, cfg)
+    return trace.risks[0], trace.risk_ses[0]
+
+
+def test_standard_scheme_risk_is_deterministic():
     cloud, fam, cl = _setup()
-    cfg = OptimConfig(mc_samples=8, scheme="standard", seed=5, mode="extended")
+    cfg = OptimConfig(epochs=1, mc_samples=8, scheme="standard", seed=5, mode="extended")
     theta = np.array([1.0, 0.3])
-    r1, s1 = estimate_risk(cloud, fam, theta, cl, cfg)
-    r2, s2 = estimate_risk(cloud, fam, theta, cl, cfg)
+    r1, s1 = _first_epoch(cloud, fam, theta, cl, cfg)
+    r2, s2 = _first_epoch(cloud, fam, theta, cl, cfg)
     assert r1 == r2
     # standard scheme assignments are 0/1 probabilities: every sample is the
     # same assignment, so the Monte-Carlo spread collapses
     assert s1 == 0.0
 
 
-def test_estimate_risk_seed_sensitivity():
+def test_risk_seed_sensitivity():
     cloud, fam, cl = _setup()
     theta = np.array([1.0, 0.3])
-    cfg_a = OptimConfig(mc_samples=6, scheme="smooth", delta_rel=0.2, seed=5)
-    cfg_b = OptimConfig(mc_samples=6, scheme="smooth", delta_rel=0.2, seed=6)
-    ra, _ = estimate_risk(cloud, fam, theta, cl, cfg_a)
-    rb, _ = estimate_risk(cloud, fam, theta, cl, cfg_b)
+    cfg_a = OptimConfig(epochs=1, mc_samples=6, scheme="smooth", delta_rel=0.2, seed=5)
+    cfg_b = OptimConfig(epochs=1, mc_samples=6, scheme="smooth", delta_rel=0.2, seed=6)
+    ra, _ = _first_epoch(cloud, fam, theta, cl, cfg_a)
+    rb, _ = _first_epoch(cloud, fam, theta, cl, cfg_b)
     assert ra != rb
+
+
+def test_risk_se_is_zero_when_the_losses_coincide():
+    # np.std of these five equal losses is 1.1e-16, not 0
+    cloud = generate_synthetic("y_shape", n=200, noise=0.02, seed=4)
+    cfg = OptimConfig(epochs=1, mc_samples=5, scheme="standard")
+    theta = np.array([0.3, -0.2, 0.9])
+    _, se = _first_epoch(cloud, LinearFilter(), theta, SingleLinkageClusterer(0.2), cfg)
+    assert se == 0.0
+
+
+def test_risk_se_is_zero_for_one_sample():
+    cloud, fam, cl = _setup()
+    cfg = OptimConfig(epochs=3, mc_samples=1, delta_rel=0.2, seed=5)
+    _, trace = optimize(cloud, fam, np.array([1.0, 0.3]), cl, cfg)
+    assert trace.risk_ses == [0.0, 0.0, 0.0]
+
+
+def test_risk_se_is_the_sample_standard_error():
+    cloud, fam, cl = _setup()
+    cfg = OptimConfig(epochs=1, mc_samples=6, delta_rel=0.2, seed=5)
+    theta = np.array([1.0, 0.3])
+    risk, se = _first_epoch(cloud, fam, theta, cl, cfg)
+    # the losses of epoch 0, drawn with the seeds that optimize uses
+    fv = fam.evaluate(cloud, theta)
+    delta = smoothing_width(fv, cfg.resolution, cfg.delta_rel)
+    scheme = smooth_scheme(fv, uniform_cover(fv.values, cfg.resolution, cfg.gain), delta)
+    losses = [loss_and_subgradient(cloud, sample_assignment(scheme, cfg.seed + 1 + m), fam,
+                                   theta, cl, cfg.mode)[0] for m in range(cfg.mc_samples)]
+    assert np.ptp(losses) > 0
+    assert risk == np.mean(losses)
+    assert se == pytest.approx(np.std(losses, ddof=1) / np.sqrt(6), rel=1e-12, abs=0)
+
+
+def test_fixed_filter_keeps_its_risk():
+    # a filter with no parameters: theta has size 0, and the epoch still
+    # reports the risk and standard error that the fixed filter gives
+    cloud = generate_synthetic("circle", n=60, noise=0.0, seed=0)
+    fam = FixedFilter(cloud.points[:, 1])
+    cfg = OptimConfig(epochs=2, delta_rel=0.2)
+    theta, trace = optimize(cloud, fam, np.zeros(0), SingleLinkageClusterer(0.5), cfg)
+    assert theta.shape == (0,)
+    assert trace.risks[0] == 21.306585386418607
+    assert trace.risk_ses[0] == 0.6113934896480924
+    assert trace.grad_norms == [0.0, 0.0]
+    with pytest.raises(ValueError, match="parameter dimension"):
+        optimize(cloud, fam, np.zeros(1), SingleLinkageClusterer(0.5), cfg)
 
 
 def test_zero_step_size_keeps_theta():
@@ -107,7 +157,7 @@ def test_optimize_moves_theta():
     cfg = OptimConfig(epochs=5, mc_samples=2, step_size=0.1, seed=2)
     theta, trace = optimize(cloud, fam, np.array([1.0, 0.2]), cl, cfg)
     assert not np.array_equal(theta, [1.0, 0.2])
-    assert trace.epochs == list(range(5))
+    assert len(trace) == 5
     assert all(s >= 0 for s in trace.seconds)
 
 
