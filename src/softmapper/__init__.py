@@ -12,7 +12,7 @@ from .cover import (
     log_prob,
 )
 from .clustering import KMeansClusterer, SingleLinkageClusterer, cluster, threshold_from_hausdorff
-from .mapper import MapperNode, MapperGraph, LinkageEpoch, map_comp, connected_components
+from .mapper import MapperNode, MapperGraph, LinkageEpoch, map_comp
 from .persistence import (
     FilteredGraph,
     DiagramPoint,

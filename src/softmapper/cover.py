@@ -8,14 +8,11 @@ element. All shipped schemes have conditionally independent coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .filters import FilterValues
-
-# Probabilities strictly inside (0,1) are clamped this far from the endpoints
-# inside log_prob only; structural 0/1 entries stay hard (mismatch -> -inf).
-_LOG_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,8 +60,8 @@ def uniform_cover(values, r: int, g: float) -> IntervalCover:
     uniform solution; consecutive intervals share a segment of length g*L.
     """
     values = np.asarray(values, dtype=float)
-    if r < 1:
-        raise ValueError("resolution r must be >= 1")
+    if not isinstance(r, Integral) or r < 1:
+        raise ValueError(f"resolution r must be an integer >= 1, got {r!r}")
     if not (0 < g < 1):
         raise ValueError(f"gain must lie in (0,1), got {g}")
     lo, hi = float(values.min()), float(values.max())
@@ -111,6 +108,12 @@ def smoothing_width(values, resolution: int, delta_rel: float) -> float:
     return delta
 
 
+def _spread(start: np.ndarray, size: np.ndarray):
+    """(k, i): for each k, every i in [start[k], start[k] + size[k])."""
+    k = np.repeat(np.arange(size.size), size)
+    return k, start[k] + np.arange(k.size) - np.repeat(np.cumsum(size) - size, size)
+
+
 def _runs(v: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """The (point, element) entries with lo_j <= v_i <= hi_j, and each point's count.
 
@@ -120,21 +123,8 @@ def _runs(v: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """
     first = np.searchsorted(hi, v, side="left")
     count = np.searchsorted(lo, v, side="right") - first
-    rows = np.repeat(np.arange(v.size), count)
-    cols = np.arange(rows.size) - np.repeat(np.cumsum(count) - count - first, count)
+    rows, cols = _spread(first, count)
     return rows, cols, count
-
-
-def standard_scheme(values, cover: IntervalCover) -> AssignmentScheme:
-    """Degenerate scheme: p_{i,j} = 1 iff the value lies in the closed interval j."""
-    v = _as_values(values)
-    rows, cols, count = _runs(v, cover.intervals[:, 0], cover.intervals[:, 1])
-    if not count.all():
-        bad = int(np.flatnonzero(count == 0)[0])
-        raise ValueError(f"value {v[bad]} at index {bad} lies outside the cover")
-    probs = np.zeros((v.size, cover.resolution))
-    probs[rows, cols] = 1.0
-    return AssignmentScheme(probs)
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
@@ -146,18 +136,13 @@ def _bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def smooth_scheme(values, cover: IntervalCover, delta: float) -> AssignmentScheme:
-    """Smooth relaxation of the standard scheme.
-
-    p_{i,j} is 1 on [a_j, b_j], falls off as a smooth bump over a margin of
-    width delta on each side, and is 0 beyond the margin.
+def _bump_scheme(v: np.ndarray, cover: IntervalCover, delta: float):
+    """The probabilities of ``smooth_scheme`` at width delta >= 0, and how
+    many widened intervals hold each value. At delta = 0 every entry lies in
+    its interval, so no bump is evaluated: these are the standard scheme's.
     """
-    if not 0 < delta < np.inf:
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
-    v = _as_values(values)
-    a = cover.intervals[:, 0]
-    b = cover.intervals[:, 1]
-    rows, cols, _ = _runs(v, a - delta, b + delta)
+    a, b = cover.intervals.T
+    rows, cols, count = _runs(v, a - delta, b + delta)
     vi, aj, bj = v[rows], a[cols], b[cols]
     q = np.ones(rows.size)
     left = vi < aj
@@ -166,7 +151,28 @@ def smooth_scheme(values, cover: IntervalCover, delta: float) -> AssignmentSchem
     q[right] = _bump((vi[right] - bj[right]) / delta)
     probs = np.zeros((v.size, cover.resolution))
     probs[rows, cols] = q
+    return probs, count
+
+
+def standard_scheme(values, cover: IntervalCover) -> AssignmentScheme:
+    """Degenerate scheme: p_{i,j} = 1 iff the value lies in the closed interval j."""
+    v = _as_values(values)
+    probs, count = _bump_scheme(v, cover, 0.0)
+    if not count.all():
+        bad = int(np.flatnonzero(count == 0)[0])
+        raise ValueError(f"value {v[bad]} at index {bad} lies outside the cover")
     return AssignmentScheme(probs)
+
+
+def smooth_scheme(values, cover: IntervalCover, delta: float) -> AssignmentScheme:
+    """Smooth relaxation of the standard scheme.
+
+    p_{i,j} is 1 on [a_j, b_j], falls off as a smooth bump over a margin of
+    width delta on each side, and is 0 beyond the margin.
+    """
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
+    return AssignmentScheme(_bump_scheme(_as_values(values), cover, delta)[0])
 
 
 def sample_assignment(scheme: AssignmentScheme, seed: int) -> np.ndarray:
@@ -179,9 +185,9 @@ def sample_assignment(scheme: AssignmentScheme, seed: int) -> np.ndarray:
 def log_prob(scheme: AssignmentScheme, e: np.ndarray) -> float:
     """Log-probability of the binary matrix e under the scheme (may be -inf).
 
-    Entries with probability exactly 0 or 1 are treated as hard constraints;
-    interior probabilities are clamped away from the endpoints so Monte-Carlo
-    diagnostics stay finite.
+    Entries with probability exactly 0 or 1 are hard constraints: a mismatch
+    gives -inf. Every interior probability 0 < p < 1 contributes log(p) or
+    log1p(-p) exactly, which is finite for every such double.
     """
     p = scheme.probs
     e = np.asarray(e)
@@ -191,6 +197,5 @@ def log_prob(scheme: AssignmentScheme, e: np.ndarray) -> float:
     if np.any(eb & (p == 0)) or np.any(~eb & (p == 1)):
         return float("-inf")
     interior = (p > 0) & (p < 1)
-    pc = np.clip(p[interior], _LOG_CLAMP, 1 - _LOG_CLAMP)
-    ei = eb[interior]
-    return float(np.sum(np.where(ei, np.log(pc), np.log1p(-pc))))
+    pi = p[interior]
+    return float(np.sum(np.where(eb[interior], np.log(pi), np.log1p(-pi))))

@@ -16,6 +16,7 @@ from .clustering import (
     merge_components,
     range_pairs,
 )
+from .cover import _spread
 from .data import PointCloud
 
 
@@ -96,12 +97,6 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     new = np.ones(keys.size, dtype=bool)
     new[1:] = keys[1:] != keys[:-1]
     return keys[new]
-
-
-def _spread(start: np.ndarray, size: np.ndarray):
-    """(k, i): for each k, every i in [start[k], start[k] + size[k])."""
-    k = np.repeat(np.arange(size.size), size)
-    return k, start[k] + np.arange(k.size) - np.repeat(np.cumsum(size) - size, size)
 
 
 def _among(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -291,13 +286,6 @@ def map_comp(
     elif epoch.cloud is not cloud or epoch.clusterer != clusterer:
         raise ValueError("epoch was built for another cloud or clusterer")
     return epoch.graph(e)
-
-
-def connected_components(graph: MapperGraph) -> dict[int, int]:
-    """Map each node id to its component representative (smallest id)."""
-    edges = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2)
-    label = merge_components(np.arange(graph.n_nodes), edges[:, 0], edges[:, 1])
-    return dict(enumerate(label.tolist()))
 
 
 def node_means(graph: MapperGraph, values) -> np.ndarray:

@@ -6,9 +6,10 @@ the elder root survives each merge (Cohen-Steiner, Edelsbrunner & Harer,
 "Extending persistence using Poincare and Lefschetz duality", 2009). The
 ascending sweep adds nodes by (value, id) and edges by (max endpoint value,
 edge): its merges are the regular H0 points and the extended Ord0 points,
-and each component's min pairs with its first node in the descending order
-as an Ext0 point. The descending sweep adds nodes by (-value, id) and edges
-by (-min endpoint value, edge): its merges are the Rel1 points. Each edge
+and its roots are the components' minima. The descending sweep adds nodes
+by (-value, id) and edges by (-min endpoint value, edge): its merges are
+the Rel1 points, and its roots are the components' maxima (ties to the
+smaller id). Each component's two roots form its Ext0 point. Each edge
 that closes a cycle in the descending sweep is an Ext1 death. Its cycle
 comes out of that sweep's union-find, which labels each edge with the bit
 of its ascending rank and keeps each node's xor of labels up to its root,
@@ -133,16 +134,13 @@ def _ascending(fg: FilteredGraph, cls: str) -> tuple[list, list, Callable[[int],
 def extended_persistence(fg: FilteredGraph) -> Diagram:
     phi = fg.node_values.tolist()
     pts, up, find = _ascending(fg, "Ord0")
-    # Ext0: each component's min against its first node in the descending order
-    roots = {}
-    for v in sorted(range(len(phi)), key=lambda v: (-phi[v], v)):
-        roots.setdefault(find(v), v)
-    pts += [DiagramPoint(phi[r], phi[v], "Ext0", r, v) for r, v in roots.items()]
-
     down = sorted(up, key=lambda e: (-phi[_ends(phi, e)[1]], e))
     rank = {e: i for i, e in enumerate(up)}
-    retired, cycles, _ = _kruskal([(-x, v) for v, x in enumerate(phi)], down,
-                                  [1 << rank[e] for e in down])
+    retired, cycles, find_down = _kruskal([(-x, v) for v, x in enumerate(phi)], down,
+                                          [1 << rank[e] for e in down])
+    # Ext0: each component's min, its ascending root, against its max, its descending root
+    pts += [DiagramPoint(phi[r], phi[top := find_down(r)], "Ext0", r, top)
+            for r in range(len(phi)) if find(r) == r]
     pts += [DiagramPoint(phi[r], phi[bottom], "Rel1", r, bottom) for e, r in zip(down, retired)
             if r is not None and phi[r] != phi[bottom := _ends(phi, e)[1]]]
     # Ext1: each closed cycle, a bit set of ascending ranks, reduced over Z/2
@@ -151,6 +149,8 @@ def extended_persistence(fg: FilteredGraph) -> Diagram:
     for e, cycle in zip([e for e, r in zip(down, retired) if r is None], cycles):
         while (low := cycle.bit_length() - 1) in reduced:
             cycle ^= reduced[low]
+        if low < 0:  # a graph's closed cycles are independent: only a broken sweep gets here
+            raise RuntimeError(f"the Ext1 cycle closed by edge {e} reduced to zero")
         reduced[low] = cycle
         top, bottom = _ends(phi, up[low])[0], _ends(phi, e)[1]
         pts.append(DiagramPoint(phi[top], phi[bottom], "Ext1", top, bottom))

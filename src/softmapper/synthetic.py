@@ -3,6 +3,8 @@ filter directions, used as stand-ins for mesh datasets."""
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from .data import PointCloud
@@ -78,8 +80,8 @@ def generate_synthetic(name: str, n: int, noise: float = 0.0, seed: int = 0) -> 
     """Generate one of the named shapes with optional Gaussian jitter."""
     if name not in _GENERATORS:
         raise ValueError(f"unknown shape {name!r}; choose from {sorted(_GENERATORS)}")
-    if n < 10:
-        raise ValueError("need n >= 10 points")
+    if not isinstance(n, Integral) or n < 10:
+        raise ValueError(f"need an integer n >= 10 points, got {n!r}")
     if not noise >= 0:
         raise ValueError("noise must be >= 0")
     rng = np.random.default_rng(seed)

@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from softmapper.filters import FilterValues
 from softmapper.mapper import MapperGraph
@@ -16,6 +17,13 @@ def graph_of(members, cover=None, edges=None):
     flat = np.array([i for m in members for i in m], dtype=np.intp)
     cover = np.ones(len(members), dtype=np.intp) if cover is None else np.asarray(cover, np.intp)
     return MapperGraph(indptr, flat, cover, {} if edges is None else edges)
+
+
+def n_components(graph) -> int:
+    """The number of connected components of the graph, counted by scipy."""
+    u, v = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2).T
+    adj = sparse.coo_matrix((np.ones(u.size), (u, v)), shape=(graph.n_nodes, graph.n_nodes))
+    return sparse.csgraph.connected_components(adj, directed=False)[0]
 
 
 def make_filtered_graph(values, edges):

@@ -15,7 +15,7 @@ import pytest
 
 from test_persistence import _ext1_values_match, _oracle_extended
 
-from conftest import random_filtered_graph
+from conftest import n_components, random_filtered_graph
 from softmapper.clustering import SingleLinkageClusterer, cluster
 from softmapper.cover import (
     log_prob,
@@ -26,7 +26,7 @@ from softmapper.cover import (
 )
 from softmapper.data import PointCloud, normalize_counts
 from softmapper.filters import FixedFilter, LinearFilter, diagonal_init
-from softmapper.mapper import connected_components, map_comp
+from softmapper.mapper import map_comp
 from softmapper.optimize import OptimConfig, direction_correlation, optimize
 from softmapper.persistence import (
     extended_persistence,
@@ -131,7 +131,7 @@ def test_criterion_3_betti_counting_1000_graphs():
         d = extended_persistence(fg)
         n = fg.node_values.shape[0]
         m = len(fg.graph.edges)
-        comps = len(set(connected_components(fg.graph).values()))
+        comps = n_components(fg.graph)
         ok = (
             len(d.by_class("Ext0")) == comps
             and len(d.by_class("Ext1")) == m - n + comps
@@ -210,8 +210,7 @@ def test_criterion_6_circle_loop_recovery():
     cover = uniform_cover(fv.values, 10, 0.3)
     e = standard_scheme(fv, cover).probs.astype(np.uint8)
     graph = map_comp(cloud, e, SingleLinkageClusterer(0.5))
-    comps = len(set(connected_components(graph).values()))
-    beta1 = len(graph.edges) - graph.n_nodes + comps
+    beta1 = len(graph.edges) - graph.n_nodes + n_components(graph)
     d = extended_persistence(map_pers_filtration(graph, fv))
     ext1 = d.by_class("Ext1")
     ok = (

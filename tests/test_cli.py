@@ -4,32 +4,16 @@ import json
 import numpy as np
 import pytest
 
+from conftest import n_components
+from softmapper import cli
 from softmapper.cli import build_parser, main
 from softmapper.export import graph_from_json
 from softmapper.optimize import OptimConfig
 
 
-def _components(graph):
-    ids = [nd.id for nd in graph.nodes]
-    parent = {i: i for i in ids}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in graph.edges:
-        parent[find(u)] = find(v)
-    groups = {}
-    for i in ids:
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
 def _betti1(path):
     graph = graph_from_json(path.read_text())
-    return len(graph.edges) - graph.n_nodes + len(_components(graph))
+    return len(graph.edges) - graph.n_nodes + n_components(graph)
 
 
 def test_build_circle_recovers_loop(tmp_path):
@@ -259,10 +243,29 @@ def test_missing_input_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-def test_every_optim_config_field_is_an_optimize_flag():
+def test_every_optim_config_field_is_an_optimize_flag(monkeypatch):
     _, commands = build_parser()
     dests = {action.dest for action in commands["optimize"]._actions}
     assert {f.name for f in dataclasses.fields(OptimConfig)} <= dests
+
+    # the flags' defaults are the library's: optimize given only its inputs
+    # runs OptimConfig(), and build shares the cover, mode and seed defaults
+    class Stop(Exception):
+        pass
+
+    configs = []
+
+    def record(cloud, fam, theta0, clusterer, config):
+        configs.append(config)
+        raise Stop
+
+    monkeypatch.setattr(cli, "optimize", record)
+    with pytest.raises(Stop):
+        main(["optimize", "--shape", "circle", "--threshold", "0.5"])
+    assert configs == [OptimConfig()]
+    build = commands["build"].parse_args([])
+    for name in ("resolution", "gain", "delta_rel", "mode", "seed"):
+        assert getattr(build, name) == getattr(OptimConfig(), name), name
 
 
 def test_optimize_rejects_fixed_filter(capsys):

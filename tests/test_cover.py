@@ -75,6 +75,14 @@ def test_uniform_cover_errors():
         uniform_cover([1, 1], 2, 0.3)
 
 
+def test_uniform_cover_needs_an_integer_resolution():
+    with pytest.raises(ValueError, match="integer"):
+        uniform_cover([0.0, 1.0], 2.5, 0.3)
+    with pytest.raises(ValueError, match="integer"):
+        uniform_cover([0.0, 1.0], 3.0, 0.3)
+    assert uniform_cover([0.0, 1.0], np.int64(3), 0.3).resolution == 3
+
+
 def test_standard_scheme_overlap_membership():
     cover = uniform_cover([0.0, 1.0], 2, 0.3)
     probs = standard_scheme(np.array([0.5, 0.0]), cover).probs
@@ -177,6 +185,15 @@ def test_log_prob_bernoulli():
     scheme = AssignmentScheme(np.array([[0.25]]))
     assert log_prob(scheme, np.array([[1]])) == pytest.approx(math.log(0.25), rel=1e-12)
     assert log_prob(scheme, np.array([[0]])) == pytest.approx(math.log(0.75), rel=1e-12)
+
+
+def test_log_prob_is_exact_near_the_endpoints():
+    assert log_prob(AssignmentScheme([[1e-20]]), np.array([[1]])) == math.log(1e-20)
+    assert log_prob(AssignmentScheme([[1e-20]]), np.array([[0]])) == math.log1p(-1e-20)
+    tiny = np.nextafter(0, 1)
+    with np.errstate(all="raise"):
+        assert log_prob(AssignmentScheme([[tiny]]), np.array([[1]])) == math.log(tiny)
+        assert math.isfinite(log_prob(AssignmentScheme([[np.nextafter(1, 0)]]), np.array([[0]])))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 3)])

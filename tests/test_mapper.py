@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy.cluster.hierarchy import fcluster, linkage
 
-from conftest import graph_of
+from conftest import graph_of, n_components
 from softmapper.clustering import SingleLinkageClusterer
 from softmapper.cover import standard_scheme, uniform_cover
 from softmapper.data import PointCloud
-from softmapper.mapper import connected_components, map_comp, node_means
+from softmapper.mapper import map_comp, node_means
 
 
 def trivial_clusterer():
@@ -52,8 +52,7 @@ def test_circle_loop():
     cover = uniform_cover(height, 10, 0.3)
     e = standard_scheme(height, cover).probs.astype(np.uint8)
     g = map_comp(cloud, e, SingleLinkageClusterer(0.5))
-    comps = len(set(connected_components(g).values()))
-    beta1 = g.n_edges - g.n_nodes + comps
+    beta1 = g.n_edges - g.n_nodes + n_components(g)
     assert beta1 == 1
 
 
@@ -122,11 +121,3 @@ def test_every_assigned_point_appears(rng):
     covered = {i for nd in g.nodes for i in nd.members}
     assert covered == set(np.nonzero(e.sum(axis=1))[0].tolist())
     assert all(w >= 1 for w in g.edges.values())
-
-
-def test_connected_components_cases():
-    assert connected_components(graph_of([])) == {}
-    g = graph_of([(0,), (1,)], edges={(0, 1): 1})
-    assert set(connected_components(g).values()) == {0}
-    g = graph_of([(0,), (1,), (2,), (3,)], edges={(0, 1): 1, (2, 3): 1})
-    assert set(connected_components(g).values()) == {0, 2}

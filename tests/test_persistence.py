@@ -6,6 +6,7 @@ import pytest
 
 import coned_reduction
 from conftest import graph_of, make_filtered_graph, random_filtered_graph
+from softmapper import persistence
 from softmapper.clustering import SingleLinkageClusterer
 from softmapper.data import PointCloud
 from softmapper.filters import FilterValues, FixedFilter, LinearFilter
@@ -50,6 +51,18 @@ def test_extended_four_cycle():
     )
     assert [(p.cls, p.birth, p.death) for p in d] == [("Ext0", 0.0, 2.0), ("Ext1", 2.0, 0.0)]
     assert total_persistence(d) == 4.0
+
+
+def test_ext1_reduction_raises_on_a_zero_cycle(monkeypatch):
+    kruskal = persistence._kruskal
+
+    def broken(key, edges, labels):  # every closed cycle comes out empty
+        retired, cycles, find = kruskal(key, edges, labels)
+        return retired, [0] * len(cycles), find
+
+    monkeypatch.setattr(persistence, "_kruskal", broken)
+    with pytest.raises(RuntimeError, match="reduced to zero"):
+        extended_persistence(make_filtered_graph([0, 1, 2, 1], [(0, 1), (1, 2), (2, 3), (0, 3)]))
 
 
 def test_extended_isolated_nodes():

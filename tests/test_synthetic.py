@@ -16,6 +16,13 @@ def test_unknown_shape_and_bad_args():
             generate_synthetic("plane_with_leg", n=n)
 
 
+@pytest.mark.parametrize("name", ["circle", "cylinder", "y_shape", "plane_with_leg"])
+def test_point_count_must_be_an_integer(name):
+    with pytest.raises(ValueError, match="integer"):
+        generate_synthetic(name, n=20.5)
+    assert generate_synthetic(name, n=np.int64(20)).n == 20
+
+
 def test_shapes_have_declared_dimensions():
     for name, dim in [("circle", 2), ("cylinder", 3), ("y_shape", 3), ("plane_with_leg", 3)]:
         for n in (17, 50):
