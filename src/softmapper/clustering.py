@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
+from .cover import _spread
 from .data import PointCloud, hausdorff_to_subsample
 
 
@@ -21,8 +23,8 @@ class KMeansClusterer:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        if not isinstance(self.k, Integral) or self.k < 1:
+            raise ValueError(f"k must be >= 1 and an integer, got {self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -92,17 +94,18 @@ def _within(cols, i, j, threshold: float) -> np.ndarray:
     return np.sqrt(sq) <= threshold
 
 
-def _cells_across(shifted: np.ndarray, threshold: float) -> tuple[float, float]:
+def _cells_across(extent: np.ndarray, threshold: float) -> tuple[float, float]:
     """The side threshold / (2 sqrt(d)) of the exact grid's cells, and the
-    number of whole cells across the widest coordinate of ``shifted`` (the
-    points less their least coordinates).
+    number of whole cells across the widest coordinate of ``extent`` (a
+    cloud's largest less least coordinates, one per dimension).
 
     Raises ValueError from 2**50 cells on, where a cell could no longer be
-    told apart in floating point. Every single-linkage call applies this
-    rule, whichever way it links, so the outcome never depends on set size.
+    told apart in floating point. ``CellIndex`` applies this rule once per
+    cloud and threshold, whichever way its sets are linked, so the outcome
+    never depends on set size.
     """
-    side = threshold / (2 * math.sqrt(shifted.shape[1]))
-    cells = np.floor(shifted.max() / side)
+    side = threshold / (2 * math.sqrt(extent.size))
+    cells = np.floor(extent.max() / side)
     if cells >= 2.0 ** 50:
         raise ValueError(f"threshold {threshold} is too small for the extent of the points")
     return side, cells
@@ -120,88 +123,134 @@ def range_pairs(sa, na, sb, nb):
         yield k, sa[k] + off // nb[k], sb[k] + off % nb[k]
 
 
-class Grid:
-    """Entries binned into cells of side threshold / (2 sqrt(d)), the exact
-    grid of single linkage (DBSCAN with minPts = 1, Gan & Tao 2015).
+class CellIndex:
+    """A cloud binned into cells of side threshold / (2 sqrt(d)), the exact
+    grid of single linkage (DBSCAN with minPts = 1, Gan & Tao 2015), shared
+    by every ``Grid`` over the cloud's point sets; ``cell_index`` keeps one
+    per cloud and threshold.
 
-    Entry k is the point pts[k] of set owner[k], and a cell holds entries of
-    one set only. Cells are binned from the points less their least
-    coordinates, and the cells across the points' extent must number below
-    2**50: the rounding then moves a point by under a quarter cell, so two
-    points of one cell lie within 3/4 of the threshold and a cell's entries
-    are linked outright. ``order`` lists the entries cell by cell, each
-    cell's in their order in ``pts`` (the sort is stable); cell c holds
-    positions start[c]:start[c + 1] of that order, ``cell`` maps each position
-    to its cell and ``cols`` holds the ordered points as coordinate rows.
+    Construction only applies the extent rule (``_cells_across``) to the
+    cloud's extent. ``bin``, which a ``Grid`` calls on first use, bins the
+    points less the cloud's least coordinates: ``id`` maps each point to its
+    cell, numbered in lexicographic order of the cells' coordinates, of
+    which there are ``count``. The cells across the extent number below
+    2**50, so the rounding moves a point by under a quarter cell, and two
+    points of one cell lie within 3/4 of the threshold.
 
     A cell is bounded by the centre and the half diagonal of its points'
-    bounding box, so a one-point cell is bounded by its point. The candidate
-    cell pairs (a, b) come from a kd-tree on the centres; ``split`` bounds
-    them. Bounds are taken on the shifted points, where rounding costs at
-    most a few ulps of the extent, and widened by that much and by the slack.
+    bounding box, so a one-point cell is bounded by its point. The cell
+    pairs (c, e), c < e, whose lower bound is within the threshold plus the
+    pad come from a kd-tree on the centres: cell c's partners are
+    ``pair_cell[pair_start[c]:pair_start[c + 1]]``, and ``pair_sure`` marks
+    those whose upper bound is within the threshold less the pad, so every
+    point pair between them is linked. Bounds are taken on the shifted
+    points, where rounding costs at most a few ulps of the extent, and
+    widened by that much and by the slack. A set's points in a cell lie in
+    the cloud's bounding box of that cell, so these classes hold for every
+    set of the cloud: a sure pair is sure for the set, and a pair left out
+    is too far apart for it.
     """
 
-    def __init__(self, pts: np.ndarray, owner: np.ndarray, threshold: float):
-        n, d = pts.shape
-        self.threshold = threshold
-        shifted = pts - pts.min(axis=0)
-        side, cells = _cells_across(shifted, threshold)
-        key = np.empty((d + 1, n))  # per entry: set, then cell coordinates
-        key[0] = owner
-        np.floor(shifted.T / side, out=key[1:])
-        self.order = np.lexsort(key[::-1])
-        key = key[:, self.order]
-        new = np.ones(n + 1, dtype=bool)
-        np.logical_or.reduce(key[:, 1:] != key[:, :-1], axis=0, out=new[1:n])
-        self.start = new.nonzero()[0]
-        first = self.start[:-1]
-        self.cell = new[:n].cumsum() - 1
-        self.cols = pts[self.order].T
-        p = shifted[self.order]
+    def __init__(self, points: np.ndarray, threshold: float):
+        self.points, self.threshold = points, threshold
+        self.low = points.min(axis=0)
+        self.side, self.across = _cells_across(points.max(axis=0) - self.low, threshold)
+        self.id = None
+
+    def bin(self) -> None:
+        n = self.points.shape[0]
+        shifted = self.points - self.low
+        key = np.floor(shifted.T / self.side)  # per point: cell coordinates
+        order = np.lexsort(key[::-1])
+        key = key[:, order]
+        new = np.ones(n, dtype=bool)
+        np.logical_or.reduce(key[:, 1:] != key[:, :-1], axis=0, out=new[1:])
+        first = new.nonzero()[0]
+        self.count = first.size
+        self.id = np.empty(n, dtype=np.intp)
+        self.id[order] = new.cumsum() - 1
+        p = shifted[order]
         low = np.minimum.reduceat(p, first)
         span = np.maximum.reduceat(p, first) - low
-        self._centre = low + span / 2
-        self._radius = np.hypot.reduce(span, axis=1) / 2
+        centre = low + span / 2
+        radius = np.hypot.reduce(span, axis=1) / 2
         # the shift and the centres each round by up to an ulp of the extent,
-        # (cells + 1) sides of threshold / (2 sqrt(d)), per coordinate, which
+        # (across + 1) sides of threshold / (2 sqrt(d)), per coordinate, which
         # is 4 sqrt(d) ulps in all; the distances round relative to themselves
-        self._pad = threshold * (_SLACK + 2 * _EPS * (cells + 1))
-        self.a, self.b = self._candidates(key[0], first)
+        pad = self.threshold * (_SLACK + 2 * _EPS * (self.across + 1))
+        # no two centres lie farther apart than the diagonal of their bounding
+        # box, so a reach past twice that adds no pair; it is capped there, but
+        # at no less than 1: the tree squares the reach, and a square
+        # overflows from about 1e154 on and underflows below about 1e-154
+        reach = min(self.threshold + pad + 2 * radius.max(),
+                    max(2 * float(np.hypot.reduce(np.ptp(centre, axis=0))), 1.0))
+        a, b = cKDTree(centre).query_pairs(reach, output_type="ndarray").T
+        diff = centre[a] - centre[b]
+        gap = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        spread = radius[a] + radius[b]
+        sure = gap + spread <= self.threshold - pad
+        keep = np.flatnonzero(sure | (gap - spread <= self.threshold + pad))
+        keep = keep[np.argsort(a[keep], kind="stable")]
+        self.pair_start = np.searchsorted(a[keep], np.arange(self.count + 1))
+        self.pair_cell, self.pair_sure = b[keep], sure[keep]
+
+
+def cell_index(cloud: PointCloud, threshold: float) -> CellIndex:
+    """The cloud's ``CellIndex`` at ``threshold``, made on first use and kept
+    in the cloud's memo."""
+    cells = cloud._grids.get(threshold)
+    if cells is None:
+        cells = cloud._grids[threshold] = CellIndex(cloud.points, threshold)
+    return cells
+
+
+class Grid:
+    """Entries of one or more point sets of a cloud, binned by the cloud's
+    ``CellIndex``.
+
+    Entry k is the point idx[k] of the cloud in set owner[k], and a grid
+    cell holds the entries of one set in one of the index's cells, so a
+    cell's entries are linked outright. ``order`` lists the entries cell by
+    cell, cells by (set, index cell), each cell's in their order in ``idx``
+    (the sort is stable); cell c holds positions start[c]:start[c + 1] of
+    that order, ``cell`` maps each position to its cell and ``cols`` holds
+    the ordered points as coordinate rows.
+
+    The candidate cell pairs (a, b), a < b, join two cells of one set whose
+    index cells the index pairs, and ``split`` classes them as the index
+    does. A pair the set's own bounds would call sure may come out
+    undecided and be point-checked, so every link found stays exact.
+    """
+
+    def __init__(self, cells: CellIndex, idx: np.ndarray, owner: np.ndarray):
+        if cells.id is None:
+            cells.bin()
+        n = idx.size
+        self.threshold = cells.threshold
+        key = np.asarray(owner, dtype=np.intp) * cells.count + cells.id[idx]
+        self.order = np.argsort(key, kind="stable")
+        key = key[self.order]
+        new = np.ones(n + 1, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new[1:n])
+        self.start = new.nonzero()[0]
+        self.cell = new[:n].cumsum() - 1
+        self.cols = cells.points[idx[self.order]].T
+        key = key[self.start[:-1]]  # each cell's (set, index cell)
+        home = key % cells.count
+        k, at = _spread(cells.pair_start[home], np.diff(cells.pair_start)[home])
+        want = key[k] - home[k] + cells.pair_cell[at]
+        b = np.minimum(np.searchsorted(key, want), key.size - 1)
+        hit = key[b] == want
+        self.a, self.b, self._sure = k[hit], b[hit], cells.pair_sure[at[hit]]
 
     def split(self, keep=None):
         """The candidate cell pairs, or those the boolean mask ``keep`` picks,
-        as the cell pairs (a, b) whose upper bound is within the threshold
-        less the pad, so every point pair between them is linked, and the
-        undecided ones, whose lower bound is within it plus the pad.
+        as the sure cell pairs (a, b), whose every point pair is linked, and
+        the undecided ones.
         """
-        a, b = (self.a, self.b) if keep is None else (self.a[keep], self.b[keep])
-        diff = self._centre[a] - self._centre[b]
-        gap = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        spread = self._radius[a] + self._radius[b]
-        ok = gap + spread <= self.threshold - self._pad
-        near = ~ok & (gap - spread <= self.threshold + self._pad)
-        return (a[ok], b[ok]), (a[near], b[near])
-
-    def _candidates(self, owner, first):
-        """Cell pairs whose centres lie within the threshold plus the pad
-        plus twice the largest radius; where every cell holds one point, as
-        in sparse or high-dimensional clouds, that is the padded threshold.
-        ``owner`` gives the set of each ordered entry.
-
-        No two centres lie farther apart than the diagonal of their bounding
-        box, so a reach past twice that adds no pair. It is capped there, but
-        at no less than 1: the tree squares the reach and the set offsets,
-        and a square overflows from about 1e154 on and underflows below
-        about 1e-154.
-        """
-        centre = self._centre
-        reach = min(self.threshold + self._pad + 2 * self._radius.max(),
-                    max(2 * float(np.hypot.reduce(np.ptp(centre, axis=0))), 1.0))
-        if owner[0] != owner[-1]:
-            # the set index as one more coordinate puts sets out of each other's reach
-            centre = np.column_stack([centre, owner[first] * (2 * reach)])
-        pairs = cKDTree(centre).query_pairs(reach, output_type="ndarray")
-        return pairs[:, 0], pairs[:, 1]
+        a, b, sure = ((self.a, self.b, self._sure) if keep is None
+                      else (self.a[keep], self.b[keep], self._sure[keep]))
+        return (a[sure], b[sure]), (a[~sure], b[~sure])
 
     def linked(self, sa, na, sb, nb, keep=None):
         """Yield chunks (k, i, j) of the entry pairs of range pairs k within
@@ -243,18 +292,15 @@ def merge_components(label: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndar
 def _linkage_parts(members: np.ndarray, pts: np.ndarray, threshold: float) -> list[np.ndarray]:
     """The sorted, unique ``members`` at points ``pts``, split into the
     connected components of the graph linking points at distance <=
-    threshold, ordered by smallest member.
+    threshold, ordered by smallest member, from a single cdist.
 
-    A set whose point pairs fit one check block, n(n - 1)/2 <= _CHUNK, is
-    linked from a single cdist; there the grid's set-up costs more than
+    ``cluster`` takes this path for a set whose point pairs fit one check
+    block, n(n - 1)/2 <= _CHUNK; there the grid's set-up costs more than
     checking every pair. Each point's links are then one int, bit k for
     point k, and every component is grown breadth-first from its lowest
-    unseen point, each point expanded once. Larger sets go through the grid.
+    unseen point, each point expanded once.
     """
     n = pts.shape[0]
-    if n * (n - 1) // 2 > _CHUNK:
-        return _split(members, _grid_labels(pts, threshold))
-    _cells_across(pts - pts.min(axis=0), threshold)
     w = (n + 7) // 8
     raw = np.packbits(cdist(pts, pts) <= threshold, axis=1, bitorder="little").tobytes()
     from_bytes = int.from_bytes
@@ -278,22 +324,22 @@ def _linkage_parts(members: np.ndarray, pts: np.ndarray, threshold: float) -> li
     return [members[row] for row in rows]
 
 
-def _grid_labels(pts: np.ndarray, threshold: float) -> np.ndarray:
-    """Component labels of the graph linking points at distance <=
-    threshold, through the exact grid.
+def _grid_labels(cells: CellIndex, idx: np.ndarray) -> np.ndarray:
+    """Component labels of the graph linking the cloud's points idx at
+    distance <= threshold, through a grid over the cloud's ``cells``.
 
     Cells are joined outright, then along all sure cell pairs at once; the
     undecided cell pairs are then point-checked in one pass. A pair whose
     cells the sure pairs already joined is not checked; one joined only
     within the pass may be.
     """
-    g = Grid(pts, np.zeros(pts.shape[0]), threshold)
+    g = Grid(cells, idx, np.zeros(idx.size, dtype=np.intp))
     (a, b), (p, q) = g.split()
     label = merge_components(np.arange(g.start.size - 1), a, b)
     s, size = g.start[:-1], np.diff(g.start)
     for k, _, _ in g.linked(s[p], size[p], s[q], size[q], label[p] != label[q]):
         label = merge_components(label, p[k], q[k])
-    out = np.empty(pts.shape[0], dtype=np.intp)
+    out = np.empty(idx.size, dtype=np.intp)
     out[g.order] = label[g.cell]
     return out
 
@@ -321,10 +367,12 @@ def cluster(clusterer: Clusterer, cloud: PointCloud, member_indices) -> list[np.
         raise ValueError("member index out of range")
     if members.size == 1:
         return [members.copy()]  # members may be the caller's own array
-    pts = cloud.points.take(members, axis=0)
     if isinstance(clusterer, KMeansClusterer):
-        return _split(members, _kmeans_labels(pts, clusterer))
-    return _linkage_parts(members, pts, clusterer.threshold)
+        return _split(members, _kmeans_labels(cloud.points.take(members, axis=0), clusterer))
+    cells = cell_index(cloud, clusterer.threshold)  # rejects a threshold too small for the cloud
+    if members.size * (members.size - 1) // 2 > _CHUNK:
+        return _split(members, _grid_labels(cells, members))
+    return _linkage_parts(members, cloud.points.take(members, axis=0), clusterer.threshold)
 
 
 def threshold_from_hausdorff(

@@ -20,13 +20,19 @@ class PointCloud:
 
     The metric is Euclidean. Attributes (e.g. a sampling timepoint) are
     carried along for coloring only; nothing downstream optimizes over them.
+
+    ``points`` is a read-only copy of the given coordinates, so the exact
+    grids that single linkage builds from it, one per threshold and kept in
+    a private memo (see ``clustering.cell_index``), never go stale.
     """
 
     points: np.ndarray
     attributes: dict[str, np.ndarray] = field(default_factory=dict)
+    _grids: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
+        pts.flags.writeable = False
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError(f"points must be a nonempty 2-d array, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):

@@ -12,6 +12,7 @@ from .clustering import (
     Clusterer,
     Grid,
     SingleLinkageClusterer,
+    cell_index,
     cluster,
     merge_components,
     range_pairs,
@@ -152,7 +153,7 @@ class LinkageEpoch:
     def _margin_edges(self) -> np.ndarray:
         """Unit pairs (2 x E) whose components match the radius graph's in
         every draw, from one grid over the supports of the elements with a
-        margin.
+        margin, binned by the cloud's cell index.
 
         Margin entries are passed first, so the grid's stable sort puts them
         first in each cell, and a cell's core entries, which lie within 3/4
@@ -177,8 +178,8 @@ class LinkageEpoch:
         core = np.flatnonzero(in_pass[self._core_elem])
         pt = np.concatenate([self._margin_pt, self._core_pt[core]])
         is_core = np.arange(pt.size) >= n_margin
-        g = Grid(self.cloud.points[pt], np.concatenate([self._margin_elem, self._core_elem[core]]),
-                 self.clusterer.threshold)
+        g = Grid(cell_index(self.cloud, self.clusterer.threshold), pt,
+                 np.concatenate([self._margin_elem, self._core_elem[core]]))
         unit = np.concatenate([self._margin_unit, self._core_unit[core]])[g.order]
         s = g.start[:-1]
         m = np.add.reduceat((~is_core[g.order]).astype(np.intp), s)

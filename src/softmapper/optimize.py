@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -39,8 +40,10 @@ class OptimConfig:
     scheme: str = "smooth"  # smooth | standard
 
     def __post_init__(self):
-        if self.epochs < 1 or self.mc_samples < 1:
-            raise ValueError("epochs and mc_samples must be >= 1")
+        for name in ("epochs", "mc_samples", "resolution"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
         if not 0 <= self.step_size < np.inf:
             raise ValueError("step_size must be finite and >= 0")
         if self.schedule not in ("constant", "robbins_monro"):
@@ -53,8 +56,6 @@ class OptimConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not 0 < self.delta_rel < np.inf:
             raise ValueError("delta_rel must be finite and > 0")
-        if self.resolution < 1:
-            raise ValueError("resolution must be >= 1")
         if not 0.0 < self.gain < 1.0:
             raise ValueError("gain must lie in (0, 1)")
 

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from softmapper import clustering
 from softmapper.clustering import (
     KMeansClusterer,
     SingleLinkageClusterer,
     _grid_labels,
+    cell_index,
     cluster,
     merge_components,
     threshold_from_hausdorff,
@@ -57,13 +59,38 @@ def test_resolution_rule_is_the_same_on_both_branches(n):
     with pytest.raises(ValueError, match="too small"):
         cluster(SingleLinkageClusterer(1e-300), cloud, range(n))
     with pytest.raises(ValueError, match="too small"):
-        _grid_labels(cloud.points, 1e-300)
+        _grid_labels(cell_index(cloud, 1e-300), np.arange(n))
     assert len(cluster(SingleLinkageClusterer(1e6), cloud, range(n))) == 1
+    # the rule reads the cloud's extent: a narrow set of a wide cloud is rejected
+    narrow = np.linspace(0, 1, n)[:, None]
+    assert len(cluster(SingleLinkageClusterer(1e-6), PointCloud(narrow), range(n))) == n
+    wide = PointCloud(np.concatenate([narrow, [[1e12]]]))
+    with pytest.raises(ValueError, match="too small"):
+        cluster(SingleLinkageClusterer(1e-6), wide, range(n))
+
+
+def test_extent_rule_runs_once_per_cloud_and_threshold(monkeypatch):
+    calls = []
+    real = clustering._cells_across
+    monkeypatch.setattr(clustering, "_cells_across", lambda *args: calls.append(1) or real(*args))
+    rng = np.random.default_rng(8)
+    cloud = PointCloud(rng.random((1000, 2)))
+    cl = SingleLinkageClusterer(0.05)
+    for _ in range(400):
+        cluster(cl, cloud, rng.choice(1000, size=14, replace=False))
+    assert len(calls) == 1
 
 
 def test_kmeans_needs_one_cluster():
     with pytest.raises(ValueError, match="k must be >= 1"):
         KMeansClusterer(0)
+
+
+@pytest.mark.parametrize("k", [2.5, np.float64(2.0), "2"])
+def test_kmeans_k_must_be_an_integer(k):
+    with pytest.raises(ValueError, match="k must be >= 1 and an integer"):
+        KMeansClusterer(k)
+    assert KMeansClusterer(np.int64(2)).k == 2
 
 
 @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), float("inf")])

@@ -15,6 +15,16 @@ from softmapper.data import (
 )
 
 
+def test_points_are_a_read_only_copy():
+    # the cloud's cached grids stay valid: no write reaches its points
+    raw = np.array([[0.0, 1.0], [2.0, 3.0]])
+    cloud = PointCloud(raw)
+    with pytest.raises(ValueError):
+        cloud.points[0, 0] = 1.0
+    raw[0, 0] = 9.0
+    assert cloud.points.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
+
 def test_load_csv_basic(tmp_path):
     f = tmp_path / "pts.csv"
     f.write_text("0,0\n1,0\n0,1\n")

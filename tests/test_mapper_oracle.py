@@ -26,6 +26,7 @@ from softmapper.clustering import (
     _grid_labels,
     _kmeans_labels,
     _linkage_parts,
+    cell_index,
     cluster,
     range_pairs,
 )
@@ -91,7 +92,8 @@ def assert_both_branches_match_cdist(pts, threshold):
     does; _linkage_parts takes the all-pairs check below 129 points, and
     then its parts must come in the oracle's order too."""
     want = oracle_linkage_labels(pts, threshold)
-    assert same_partition(_grid_labels(pts, threshold), want)
+    assert same_partition(_grid_labels(cell_index(PointCloud(pts), threshold),
+                                       np.arange(len(pts))), want)
     if len(pts) <= 128:
         cl, cloud, every = SingleLinkageClusterer(threshold), PointCloud(pts), np.arange(len(pts))
         got = _linkage_parts(every, pts, threshold)
@@ -234,7 +236,8 @@ def all_pairs(pts, threshold):
     """Every ordered pair (i, j), i == j included, within threshold, read off
     the grid: a cell's points and sure cell pairs unchecked, the other cell
     pairs by point checks."""
-    g = Grid(pts, np.zeros(len(pts), dtype=int), threshold)
+    g = Grid(cell_index(PointCloud(pts), threshold), np.arange(len(pts)),
+             np.zeros(len(pts), dtype=int))
     s, size = g.start[:-1], np.diff(g.start)
     (a, b), near = g.split()
     chunks = [c[1:] for c in range_pairs(s, size, s, size)]
@@ -338,7 +341,8 @@ def test_undecided_cell_pair_checked_in_several_chunks(below):
     pts = np.concatenate([np.column_stack([np.zeros(100), k / 512]),
                           np.column_stack([1 + (99 - k) / 4096, k / 512])])
     threshold = np.nextafter(1.0, 0) if below else 1.0
-    g = Grid(pts, np.zeros(len(pts), dtype=int), threshold)
+    g = Grid(cell_index(PointCloud(pts), threshold), np.arange(len(pts)),
+             np.zeros(len(pts), dtype=int))
     size = np.diff(g.start)
     _, (a, b) = g.split()
     assert size.tolist() == [100, 100] and (size[a] * size[b]).sum() > clustering._CHUNK
@@ -375,6 +379,45 @@ def test_all_pairs_parts_match_cdist(n, d, seed, rank, lattice_points, below):
     cl, cloud = SingleLinkageClusterer(threshold), PointCloud(pts)
     got = [p.tolist() for p in cluster(cl, cloud, range(n))]
     assert got == [p.tolist() for p in oracle_cluster(cl, cloud, range(n))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.floats(0, 0.02), st.booleans(),
+       st.booleans())
+def test_grid_parts_on_a_shared_cloud_match_cdist(d, seed, rank, lattice_points, below):
+    """Random sets of 129-600 points of one cloud, every one binned by the
+    cloud's one cell index, at a cdist value or the float just below it:
+    cluster's parts and their order are the oracle's."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 9, (700, d)).astype(float) if lattice_points else rng.random((700, d))
+    dist = np.unique(cdist(pts[:40], pts))
+    threshold = dist[dist > 0][int(rank * (np.count_nonzero(dist) - 1))]
+    if below:
+        threshold = np.nextafter(threshold, 0)
+    cl, cloud = SingleLinkageClusterer(threshold), PointCloud(pts)
+    for size in rng.integers(129, 601, 3):
+        keep = np.sort(rng.choice(len(pts), size, replace=False))
+        got = [p.tolist() for p in cluster(cl, cloud, keep)]
+        assert got == [p.tolist() for p in oracle_cluster(cl, cloud, keep)]
+
+
+@pytest.mark.parametrize("threshold", [0.1, np.nextafter(0.1, 0), 0.1 * np.sqrt(2)])
+def test_sets_far_from_the_cloud_origin_match_the_oracle(threshold):
+    """One far outlier puts the cloud's least coordinates, the cell index's
+    origin, 1e5 away from a tie-heavy lattice, so the lattice's shifted
+    coordinates round at 1e5; cluster and the margin pass still match."""
+    pts = np.concatenate([lattice(25) * 0.1, [[-1e5, -1e5]]])
+    cloud, cl = PointCloud(pts), SingleLinkageClusterer(threshold)
+    rng = np.random.default_rng(13)
+    for size in (40, 128, 129, 400, 625):
+        keep = np.sort(rng.choice(625, size, replace=False))
+        got = [p.tolist() for p in cluster(cl, cloud, keep)]
+        assert got == [p.tolist() for p in oracle_cluster(cl, cloud, keep)]
+    probs = rng.choice([0.0, 0.5, 1.0], size=(len(pts), 3), p=[0.3, 0.3, 0.4])
+    epoch = LinkageEpoch(cloud, probs, cl)
+    for m in range(3):
+        e = (rng.random(probs.shape) < probs).astype(np.uint8)
+        assert_same_graph(epoch.graph(e), oracle_map_comp(cloud, e, cl))
 
 
 @st.composite

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from softmapper.clustering import SingleLinkageClusterer
+from softmapper.clustering import CellIndex, KMeansClusterer, SingleLinkageClusterer
 from softmapper.data import PointCloud
 from softmapper.filters import FixedFilter, LinearFilter
 from softmapper.optimize import OptimConfig, direction_correlation, optimize
@@ -33,6 +33,28 @@ def test_config_validation():
         OptimConfig(gain=1.0)
     with pytest.raises(ValueError):
         OptimConfig(resolution=0)
+
+
+@pytest.mark.parametrize("name", ["epochs", "mc_samples", "resolution"])
+def test_config_counts_must_be_integers(name):
+    with pytest.raises(ValueError, match=f"{name} must be >= 1 and an integer"):
+        OptimConfig(**{name: 2.5})
+    assert getattr(OptimConfig(**{name: np.int64(2)}), name) == 2
+
+
+def test_one_binning_per_cloud_and_threshold(monkeypatch):
+    binned = []
+    real = CellIndex.bin
+    monkeypatch.setattr(CellIndex, "bin", lambda self: binned.append(self.threshold) or real(self))
+    cloud = generate_synthetic("y_shape", n=300, noise=0.02, seed=0)
+    smooth = OptimConfig(epochs=5, mc_samples=2, delta_rel=0.1, seed=1)
+    for threshold in (0.2, 0.2, 0.3):
+        optimize(cloud, LinearFilter(), np.ones(3), SingleLinkageClusterer(threshold), smooth)
+    assert binned == [0.2, 0.3]
+    standard = OptimConfig(epochs=2, mc_samples=2, scheme="standard")
+    optimize(generate_synthetic("y_shape", n=300, noise=0.02, seed=0), LinearFilter(),
+             np.ones(3), KMeansClusterer(3), standard)
+    assert binned == [0.2, 0.3]
 
 
 def test_learning_rate_schedules():
