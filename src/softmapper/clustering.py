@@ -77,7 +77,7 @@ def _kmeans_labels(pts: np.ndarray, cfg: KMeansClusterer) -> np.ndarray:
 # cdist formula do.
 _SLACK = 1e-6
 _EPS = np.finfo(float).eps
-_CHUNK = 1 << 13  # point pairs checked at a time, to bound memory
+_CHUNK = 1 << 13  # point or cell pairs handled at a time, to bound memory
 
 
 def _within(cols, i, j, threshold: float) -> np.ndarray:
@@ -185,8 +185,11 @@ class CellIndex:
         reach = min(self.threshold + pad + 2 * radius.max(),
                     max(2 * float(np.hypot.reduce(np.ptp(centre, axis=0))), 1.0))
         a, b = cKDTree(centre).query_pairs(reach, output_type="ndarray").T
-        diff = centre[a] - centre[b]
-        gap = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        gap = np.empty(a.size)  # by blocks of pairs, so the differences held stay bounded
+        for s in range(0, a.size, _CHUNK):
+            diff = centre[a[s:s + _CHUNK]] - centre[b[s:s + _CHUNK]]
+            gap[s:s + _CHUNK] = np.einsum("ij,ij->i", diff, diff)
+        np.sqrt(gap, out=gap)
         spread = radius[a] + radius[b]
         sure = gap + spread <= self.threshold - pad
         keep = np.flatnonzero(sure | (gap - spread <= self.threshold + pad))

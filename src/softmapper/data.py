@@ -21,14 +21,17 @@ class PointCloud:
     The metric is Euclidean. Attributes (e.g. a sampling timepoint) are
     carried along for coloring only; nothing downstream optimizes over them.
 
-    ``points`` is a read-only copy of the given coordinates, so the exact
-    grids that single linkage builds from it, one per threshold and kept in
-    a private memo (see ``clustering.cell_index``), never go stale.
+    ``points`` is a read-only copy of the given coordinates, so what two
+    private memos keep of it never goes stale: the exact grids that single
+    linkage builds from it, one per threshold (see ``clustering.cell_index``),
+    and, per clusterer, the last ``mapper.LinkageEpoch``'s per-element point
+    sets, core clusters and margin edges, which the next epoch reuses.
     """
 
     points: np.ndarray
     attributes: dict[str, np.ndarray] = field(default_factory=dict)
     _grids: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _epochs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)

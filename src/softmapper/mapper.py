@@ -106,6 +106,25 @@ def _among(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (keys[at] == q) if keys.size else np.zeros(q.size, dtype=bool)
 
 
+def _by_element(pt: np.ndarray, elem: np.ndarray, r: int):
+    """Entries (point pt[k] in element elem[k]), given in point order, sorted
+    by element and then point, with each element's bounds as a list."""
+    order = np.argsort(elem, kind="stable")
+    elem = elem[order]
+    return pt[order], elem, np.searchsorted(elem, np.arange(r + 1)).tolist()
+
+
+def _unchanged(pts: np.ndarray, bounds: list, old_pts: np.ndarray, old_bounds: list) -> list:
+    """Per element j: whether its points pts[bounds[j]:bounds[j + 1]] equal
+    element j's in the old arrays, sizes compared first."""
+    same = []
+    for j in range(len(bounds) - 1):
+        lo, hi = bounds[j], bounds[j + 1]
+        same.append(j + 1 < len(old_bounds) and hi - lo == old_bounds[j + 1] - old_bounds[j]
+                    and bool((pts[lo:hi] == old_pts[old_bounds[j]:old_bounds[j + 1]]).all()))
+    return same
+
+
 class LinkageEpoch:
     """Mapper graphs of every draw of one Bernoulli scheme.
 
@@ -116,6 +135,15 @@ class LinkageEpoch:
     units are the core clusters of j and its drawn margin points. Its edges,
     built once here, join units exactly when the radius graph does in every
     draw. ``graph(e)`` equals the Mapper graph of e clustered from scratch.
+    An entry outside [0, 1] (or NaN) raises ValueError.
+
+    Units run element by element: element j's core clusters, then its margin
+    points. An element's core clusters depend only on its core point set and
+    its edges only on its core and margin sets, so the cloud keeps them for
+    the last epoch built on it with the same clusterer, and the next such
+    epoch takes them over for every element whose sets are unchanged. It
+    clusters only the changed cores and searches one margin grid over the
+    changed elements; a cloud's first epoch builds every element.
 
     Any clusterer serves a scheme without margin entries (a single draw, as
     ``map_comp`` builds for k-means); a scheme with them needs single linkage,
@@ -128,32 +156,59 @@ class LinkageEpoch:
             raise ValueError(f"scheme must have {cloud.n} rows, got {p.shape}")
         self.cloud, self.clusterer = cloud, clusterer
         self._shape = p.shape
-        flat = np.flatnonzero(p > 0)
-        pt, elem = np.divmod(flat, p.shape[1])
-        core = p.ravel()[flat] == 1
-        margin = ~core & (p.ravel()[flat] < 1)
+        r = p.shape[1]
+        flat = np.flatnonzero(p.astype(bool, copy=False))  # NaN and negatives too
+        kept = p.ravel()[flat]
+        core, margin = kept == 1, (kept > 0) & (kept < 1)
+        if np.count_nonzero(core) + np.count_nonzero(margin) != flat.size:
+            raise ValueError("scheme entries must lie in [0, 1]")
         if margin.any() and not isinstance(clusterer, SingleLinkageClusterer):
             raise ValueError("a scheme with margin entries (0 < p < 1) needs single linkage")
-        by_elem = np.argsort(elem[core], kind="stable")
-        pt_core, elem_core = pt[core][by_elem], elem[core][by_elem]
-        bounds = np.searchsorted(elem_core, np.arange(p.shape[1] + 1)).tolist()
-        core_pt, unit_elem = [], []
-        for j in np.flatnonzero(np.diff(bounds)).tolist():
-            for part in cluster(clusterer, cloud, pt_core[bounds[j]:bounds[j + 1]]):
-                core_pt.append(part)
-                unit_elem.append(j)
-        self._core_pt = _cat(core_pt)
-        self._core_unit = np.repeat(np.arange(len(core_pt)), [part.size for part in core_pt])
-        self._margin_pt, self._margin_elem = pt[margin], elem[margin]
-        self._margin_unit = len(unit_elem) + np.arange(self._margin_pt.size)
-        self._unit_elem = np.concatenate([np.array(unit_elem, dtype=np.intp), self._margin_elem])
-        self._core_elem = self._unit_elem[self._core_unit]
-        self._edges = self._margin_edges()
+        pt, elem = np.divmod(flat, r)
+        core_pt, self._core_elem, cb = _by_element(pt[core], elem[core], r)
+        self._margin_pt, self._margin_elem, mb = _by_element(pt[margin], elem[margin], r)
+        last = cloud._epochs.get(clusterer)
+        if last is None:
+            same_core = same = [False] * r
+        else:
+            old_core, old_cb, old_margin, old_mb, old_parts, old_pb, old_edges, old_off = last
+            same_core = _unchanged(core_pt, cb, old_core, old_cb)
+            same = [c and m for c, m in zip(same_core, _unchanged(self._margin_pt, mb,
+                                                                  old_margin, old_mb))]
+        parts, pb = [], [0]  # element j's core clusters are parts[pb[j]:pb[j + 1]]
+        for j in range(r):
+            if same_core[j]:
+                parts += old_parts[old_pb[j]:old_pb[j + 1]]
+            elif cb[j + 1] > cb[j]:
+                parts += cluster(clusterer, cloud, core_pt[cb[j]:cb[j + 1]])
+            pb.append(len(parts))
+        n_parts, n_margin = np.diff(pb), np.diff(mb)
+        off = np.zeros(r + 1, dtype=np.intp)  # element j's units are off[j]:off[j + 1]
+        np.cumsum(n_parts + n_margin, out=off[1:])
+        self._core_pt = _cat(parts)
+        part_unit = np.arange(pb[-1]) + np.repeat(off[:-1] - pb[:-1], n_parts)
+        self._core_unit = np.repeat(part_unit, [part.size for part in parts])
+        self._margin_unit = (np.arange(self._margin_pt.size)
+                             + (off[:-1] + n_parts - mb[:-1])[self._margin_elem])
+        self._unit_elem = np.repeat(np.arange(r), n_parts + n_margin)
+        rebuild = (n_margin > 0) & ~np.array(same, dtype=bool)
+        edges = self._margin_edges(rebuild)
+        if last is not None:
+            # an epoch's edges run by element, ascending in their lower unit
+            new_at = np.searchsorted(edges[0], off).tolist()
+            old_at = np.searchsorted(old_edges[0], old_off).tolist()
+            pieces = [edges[:, new_at[j]:new_at[j + 1]] if rebuild[j]
+                      else old_edges[:, old_at[j]:old_at[j + 1]] + int(off[j] - old_off[j])
+                      for j in np.flatnonzero(n_margin).tolist()]
+            edges = np.concatenate(pieces, axis=1) if pieces else edges
+        self._edges = edges
+        cloud._epochs[clusterer] = (core_pt, cb, self._margin_pt, mb, parts, pb, edges, off)
 
-    def _margin_edges(self) -> np.ndarray:
-        """Unit pairs (2 x E) whose components match the radius graph's in
-        every draw, from one grid over the supports of the elements with a
-        margin, binned by the cloud's cell index.
+    def _margin_edges(self, rebuild: np.ndarray) -> np.ndarray:
+        """Unit pairs (2 x E) of the elements the mask ``rebuild`` picks,
+        whose components match the radius graph's in every draw, from one
+        grid over those elements' supports, binned by the cloud's cell index;
+        they come ascending in their lower unit.
 
         Margin entries are passed first, so the grid's stable sort puts them
         first in each cell, and a cell's core entries, which lie within 3/4
@@ -170,17 +225,16 @@ class LinkageEpoch:
         core cluster, so a cell pair whose cells both hold core entries of
         one cluster adds nothing and is not searched.
         """
-        n_margin = self._margin_pt.size
-        if n_margin == 0:
+        if not rebuild.any():
             return np.empty((2, 0), dtype=np.int32)
-        in_pass = np.zeros(self._shape[1], dtype=bool)
-        in_pass[self._margin_elem] = True
-        core = np.flatnonzero(in_pass[self._core_elem])
-        pt = np.concatenate([self._margin_pt, self._core_pt[core]])
+        margin = np.flatnonzero(rebuild[self._margin_elem])
+        core = np.flatnonzero(rebuild[self._core_elem])
+        n_margin = margin.size
+        pt = np.concatenate([self._margin_pt[margin], self._core_pt[core]])
         is_core = np.arange(pt.size) >= n_margin
         g = Grid(cell_index(self.cloud, self.clusterer.threshold), pt,
-                 np.concatenate([self._margin_elem, self._core_elem[core]]))
-        unit = np.concatenate([self._margin_unit, self._core_unit[core]])[g.order]
+                 np.concatenate([self._margin_elem[margin], self._core_elem[core]]))
+        unit = np.concatenate([self._margin_unit[margin], self._core_unit[core]])[g.order]
         s = g.start[:-1]
         m = np.add.reduceat((~is_core[g.order]).astype(np.intp), s)
         c = np.diff(g.start) - m
@@ -191,8 +245,8 @@ class LinkageEpoch:
 
         sure, near = g.split(((m[g.a] > 0) | (m[g.b] > 0))
                              & ((cl[g.a] != cl[g.b]) | (cl[g.a] < 0)))
-        # (core cluster, margin point) links: core units come first, so each
-        # key is core * n_units + margin
+        # (core cluster, margin point) links: an element's core units come
+        # before its margin units, so each key is core * n_units + margin
         a, b = sure
         known = _distinct(_cat([unit[j] * n_units + unit[i] for _, i, j in range_pairs(
             np.concatenate([s, s[a], s[b]]), np.concatenate([m, m[a], m[b]]),

@@ -6,7 +6,10 @@ current filter values (their range moves with theta), draws M independent
 assignment matrices, records the mean loss and its standard error, and takes
 one step along the mean subgradient. Cover endpoints are treated as constants
 inside an epoch: they enter through sampling only, not through the
-per-sample chain rule.
+per-sample chain rule. The epoch's ``LinkageEpoch`` clusters again only the
+cover elements whose point sets differ from the previous epoch's; the cloud
+keeps the rest (see ``mapper.LinkageEpoch``), so the results are those of a
+rebuild from scratch.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from softmapper import clustering
 from softmapper.clustering import (
+    CellIndex,
     KMeansClusterer,
     SingleLinkageClusterer,
     _grid_labels,
@@ -79,6 +82,21 @@ def test_extent_rule_runs_once_per_cloud_and_threshold(monkeypatch):
     for _ in range(400):
         cluster(cl, cloud, rng.choice(1000, size=14, replace=False))
     assert len(calls) == 1
+
+
+def test_binning_memory_is_bounded(rng):
+    """At t = 2.3, about the 1% quantile of the pair distances, the 3000
+    one-point cells of a 10-D Gaussian cloud give 46k cell pairs, whose
+    centre differences held at once are 3.7 MB per copy."""
+    cells = CellIndex(rng.standard_normal((3000, 10)), 2.3)
+    tracemalloc.start()
+    try:
+        cells.bin()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cells.pair_cell.size > 40_000
+    assert peak < 5e6
 
 
 def test_kmeans_needs_one_cluster():

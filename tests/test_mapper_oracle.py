@@ -18,7 +18,7 @@ from scipy import sparse
 from scipy.spatial.distance import cdist
 
 from conftest import graph_of
-from softmapper import clustering
+from softmapper import clustering, mapper
 from softmapper.clustering import (
     Grid,
     KMeansClusterer,
@@ -30,11 +30,18 @@ from softmapper.clustering import (
     cluster,
     range_pairs,
 )
-from softmapper.cover import sample_assignment, smooth_scheme, uniform_cover
+from softmapper.cover import (
+    AssignmentScheme,
+    sample_assignment,
+    smooth_scheme,
+    smoothing_width,
+    uniform_cover,
+)
 from softmapper.data import PointCloud
 from softmapper.filters import LinearFilter
 from softmapper.export import graph_from_json, graph_to_json
 from softmapper.mapper import LinkageEpoch, MapperGraph, map_comp, node_means
+from softmapper.optimize import OptimConfig, optimize
 from softmapper.persistence import loss_and_subgradient
 from softmapper.synthetic import generate_synthetic
 
@@ -178,6 +185,20 @@ def test_margin_needs_single_linkage():
     with pytest.raises(ValueError, match="single linkage"):
         LinkageEpoch(cloud, probs, KMeansClusterer(2))
     LinkageEpoch(cloud, probs == 1, KMeansClusterer(2))  # no margin: any clusterer
+
+
+@pytest.mark.parametrize("bad", [2.0, -0.5, np.nan])
+def test_entries_outside_the_unit_interval_rejected(bad):
+    """An entry above 1, below 0 or NaN is neither core nor margin; the epoch
+    rejects it when built, not only when a draw fails to match it."""
+    cloud = generate_synthetic("circle", n=60, noise=0.0, seed=0)
+    probs = np.zeros((60, 3))
+    probs[:20, 0] = 1
+    probs[20:40, 1] = 0.5
+    probs[40:, 2] = 1
+    probs[20:30, 1] = bad
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        LinkageEpoch(cloud, probs, SingleLinkageClusterer(0.5))
 
 
 def test_margin_linked_to_its_core_inside_one_cell():
@@ -524,3 +545,121 @@ def test_loss_and_subgradient_builds_no_node_objects(monkeypatch):
     loss_and_subgradient(cloud, e, LinearFilter(), theta, cl, "extended", epoch)
     assert reads == []
     assert len(map_comp(cloud, e, cl, epoch).nodes) > 0 and len(reads) == 1
+
+
+def epoch_runs():
+    """Schemes at each epoch's theta of two optimize runs: 40 epochs on a
+    2000-point y-shape at M = 3, and 40 on a noisy circle, with the run's
+    own draw seeds."""
+    for cloud, threshold, resolution in [
+            (generate_synthetic("y_shape", n=2000, noise=0.02, seed=3), 0.2, 10),
+            (generate_synthetic("circle", n=500, noise=0.02, seed=3), 0.1, 8)]:
+        config = OptimConfig(epochs=40, mc_samples=3, maximize=True, resolution=resolution,
+                             seed=3)
+        cl = SingleLinkageClusterer(threshold)
+        theta0 = np.ones(cloud.dim) / np.sqrt(cloud.dim)
+        _, trace = optimize(cloud, LinearFilter(), theta0, cl, config)
+        schemes = []
+        for k, theta in enumerate([theta0, *trace.thetas[:-1]]):
+            fv = LinearFilter().evaluate(cloud, theta)
+            cover = uniform_cover(fv.values, resolution, config.gain)
+            scheme = smooth_scheme(fv, cover, smoothing_width(fv, resolution, config.delta_rel))
+            schemes.append((scheme, config.seed + 1 + k * config.mc_samples))
+        yield cloud, cl, schemes
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The sets ``mapper.cluster`` is called on and the elements of each
+    margin grid, in call order."""
+    log = {"cluster": [], "grid": []}
+    real_cluster, real_grid = mapper.cluster, mapper.Grid
+
+    def counted_cluster(clusterer, cloud, members):
+        log["cluster"].append(members.tolist())
+        return real_cluster(clusterer, cloud, members)
+
+    def counted_grid(cells, idx, owner):
+        log["grid"].append(np.unique(owner).tolist())
+        return real_grid(cells, idx, owner)
+
+    monkeypatch.setattr(mapper, "cluster", counted_cluster)
+    monkeypatch.setattr(mapper, "Grid", counted_grid)
+    return log
+
+
+def test_reused_elements_match_a_rebuild_over_whole_runs(builds):
+    """Each epoch on one cloud reuses the elements whose point sets repeat;
+    its graphs equal, draw by draw, those of an epoch on a fresh cloud."""
+    for cloud, cl, schemes in epoch_runs():
+        shared, calls, grids = PointCloud(cloud.points), 0, 0
+        for scheme, seed in schemes:
+            builds["cluster"].clear()
+            builds["grid"].clear()
+            epoch = LinkageEpoch(shared, scheme.probs, cl)
+            calls += len(builds["cluster"])
+            grids += sum(map(len, builds["grid"]))
+            rebuilt = LinkageEpoch(PointCloud(cloud.points), scheme.probs, cl)
+            for m in range(3):
+                e = sample_assignment(scheme, seed + m)
+                assert_same_graph(epoch.graph(e), rebuilt.graph(e))
+        cores = sum(np.count_nonzero((s.probs == 1).any(axis=0)) for s, _ in schemes)
+        margins = sum(np.count_nonzero(((s.probs > 0) & (s.probs < 1)).any(axis=0))
+                      for s, _ in schemes)
+        assert 0 < calls < cores and 0 < grids < margins  # some elements repeat, not all
+
+
+def rebuild_counts(builds, cloud, probs, cl):
+    """The cluster sets and margin grids of an epoch of probs on the cloud,
+    after checking its draws against an epoch on a fresh cloud."""
+    builds["cluster"].clear()
+    builds["grid"].clear()
+    epoch = LinkageEpoch(cloud, probs, cl)
+    counts = list(builds["cluster"]), list(builds["grid"])
+    rebuilt = LinkageEpoch(PointCloud(cloud.points), probs, cl)
+    for m in range(4):
+        e = sample_assignment(AssignmentScheme(probs), m)
+        assert_same_graph(epoch.graph(e), rebuilt.graph(e))
+    return counts
+
+
+def swap_point(probs, j, p):
+    """probs with one entry p of column j moved to a point outside column
+    j, so the column's set changes but keeps its size."""
+    probs = probs.copy()
+    probs[np.flatnonzero(probs[:, j] == p)[0], j] = 0
+    probs[np.flatnonzero(probs[:, j] == 0)[-1], j] = p
+    return probs
+
+
+def test_only_changed_elements_are_rebuilt(builds):
+    cloud, scheme, threshold = smooth_case(1)
+    cloud, probs, cl = PointCloud(cloud.points), scheme.probs, SingleLinkageClusterer(threshold)
+    core, margin = (probs == 1).any(axis=0), ((probs > 0) & (probs < 1)).any(axis=0)
+    called, grids = rebuild_counts(builds, cloud, probs, cl)
+    assert len(called) == np.count_nonzero(core)  # a fresh cloud: every core
+    assert grids == [np.flatnonzero(margin).tolist()]
+    assert rebuild_counts(builds, cloud, probs.copy(), cl) == ([], [])
+    # one core set changed, at its size: one call, and a grid over that element
+    j = int(np.flatnonzero(core & margin)[0])
+    moved = swap_point(probs, j, 1.0)
+    assert rebuild_counts(builds, cloud, moved, cl) == (
+        [np.flatnonzero(moved[:, j] == 1).tolist()], [[j]])
+    # one margin set changed, at its size: no call, and a grid over that element
+    p = moved[(moved[:, j] > 0) & (moved[:, j] < 1), j][0]
+    assert rebuild_counts(builds, cloud, swap_point(moved, j, p), cl) == ([], [[j]])
+
+
+def test_kmeans_reuses_unchanged_columns(builds):
+    cloud, scheme, _ = smooth_case(3)
+    cloud, km = PointCloud(cloud.points), KMeansClusterer(3, seed=1)
+    e = sample_assignment(scheme, 0) != 0
+    called, grids = rebuild_counts(builds, cloud, e, km)
+    assert len(called) == np.count_nonzero(e.any(axis=0)) and grids == []
+    assert rebuild_counts(builds, cloud, e.copy(), km) == ([], [])
+    j = int(np.flatnonzero(e.sum(axis=0) > 1)[0])
+    moved = swap_point(e, j, True)
+    assert rebuild_counts(builds, cloud, moved, km) == ([np.flatnonzero(moved[:, j]).tolist()], [])
+    for m in range(3):
+        d = sample_assignment(scheme, m + 1)
+        assert_same_graph(map_comp(cloud, d, km), oracle_map_comp(cloud, d, km))
