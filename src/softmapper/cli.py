@@ -120,7 +120,7 @@ def _read_config(path) -> dict:
     try:
         with open(path) as fh:
             values = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(values, dict):
         raise ConfigError(f"config {path} must hold a JSON object")

@@ -24,8 +24,8 @@ class PointCloud:
     ``points`` is a read-only copy of the given coordinates, so what two
     private memos keep of it never goes stale: the exact grids that single
     linkage builds from it, one per threshold (see ``clustering.cell_index``),
-    and, per clusterer, the last ``mapper.LinkageEpoch``'s per-element point
-    sets, core clusters and margin edges, which the next epoch reuses.
+    and, per clusterer, the last ``mapper.LinkageEpoch``'s record of each cover
+    element (point sets, core clusters, margin edges), which the next reuses.
     """
 
     points: np.ndarray

@@ -90,7 +90,10 @@ def graph_from_json(text: str) -> MapperGraph:
     int endpoints and weights, are the nerve of the members: one per node
     pair sharing points, weighted by the shared count.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("graph document is nested too deeply") from None
     try:
         if type(doc["nodes"]) is not list or type(doc["edges"]) is not list:
             raise TypeError  # reported below

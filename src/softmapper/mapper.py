@@ -114,15 +114,14 @@ def _by_element(pt: np.ndarray, elem: np.ndarray, r: int):
     return pt[order], elem, np.searchsorted(elem, np.arange(r + 1)).tolist()
 
 
-def _unchanged(pts: np.ndarray, bounds: list, old_pts: np.ndarray, old_bounds: list) -> list:
-    """Per element j: whether its points pts[bounds[j]:bounds[j + 1]] equal
-    element j's in the old arrays, sizes compared first."""
-    same = []
-    for j in range(len(bounds) - 1):
-        lo, hi = bounds[j], bounds[j + 1]
-        same.append(j + 1 < len(old_bounds) and hi - lo == old_bounds[j + 1] - old_bounds[j]
-                    and bool((pts[lo:hi] == old_pts[old_bounds[j]:old_bounds[j + 1]]).all()))
-    return same
+class _Element(NamedTuple):
+    """What an epoch keeps of one cover element for the next epoch on its cloud."""
+
+    core: np.ndarray  # sorted point indices with p = 1
+    margin: np.ndarray  # sorted point indices with 0 < p < 1
+    parts: list  # the core's clusters
+    edges: np.ndarray | None  # margin edges (2 x E) in unit ids local to the element, or
+    # None when it has no margin or they are yet to be built
 
 
 class LinkageEpoch:
@@ -139,11 +138,11 @@ class LinkageEpoch:
 
     Units run element by element: element j's core clusters, then its margin
     points. An element's core clusters depend only on its core point set and
-    its edges only on its core and margin sets, so the cloud keeps them for
-    the last epoch built on it with the same clusterer, and the next such
-    epoch takes them over for every element whose sets are unchanged. It
-    clusters only the changed cores and searches one margin grid over the
-    changed elements; a cloud's first epoch builds every element.
+    its edges only on its core and margin sets. The cloud keeps one record per
+    element of the last epoch built on it with the same clusterer; the next
+    such epoch takes a record's clusters if the core is unchanged and its
+    edges if the margin is too. It clusters the other cores and searches one
+    margin grid over the other elements; a cloud's first epoch has no records.
 
     Any clusterer serves a scheme without margin entries (a single draw, as
     ``map_comp`` builds for k-means); a scheme with them needs single linkage,
@@ -167,42 +166,31 @@ class LinkageEpoch:
         pt, elem = np.divmod(flat, r)
         core_pt, self._core_elem, cb = _by_element(pt[core], elem[core], r)
         self._margin_pt, self._margin_elem, mb = _by_element(pt[margin], elem[margin], r)
-        last = cloud._epochs.get(clusterer)
-        if last is None:
-            same_core = same = [False] * r
-        else:
-            old_core, old_cb, old_margin, old_mb, old_parts, old_pb, old_edges, old_off = last
-            same_core = _unchanged(core_pt, cb, old_core, old_cb)
-            same = [c and m for c, m in zip(same_core, _unchanged(self._margin_pt, mb,
-                                                                  old_margin, old_mb))]
-        parts, pb = [], [0]  # element j's core clusters are parts[pb[j]:pb[j + 1]]
+        last = cloud._epochs.get(clusterer, [])
+        elements = []
         for j in range(r):
-            if same_core[j]:
-                parts += old_parts[old_pb[j]:old_pb[j + 1]]
-            elif cb[j + 1] > cb[j]:
-                parts += cluster(clusterer, cloud, core_pt[cb[j]:cb[j + 1]])
-            pb.append(len(parts))
-        n_parts, n_margin = np.diff(pb), np.diff(mb)
+            c, m = core_pt[cb[j]:cb[j + 1]], self._margin_pt[mb[j]:mb[j + 1]]
+            same = j < len(last) and np.array_equal(c, last[j].core)
+            parts = last[j].parts if same else cluster(clusterer, cloud, c) if c.size else []
+            edges = last[j].edges if same and np.array_equal(m, last[j].margin) else None
+            elements.append(_Element(c, m, parts, edges))
+        parts = [part for el in elements for part in el.parts]
+        n_parts = np.array([len(el.parts) for el in elements], dtype=np.intp)
+        n_margin = np.diff(mb)
         off = np.zeros(r + 1, dtype=np.intp)  # element j's units are off[j]:off[j + 1]
         np.cumsum(n_parts + n_margin, out=off[1:])
         self._core_pt = _cat(parts)
-        part_unit = np.arange(pb[-1]) + np.repeat(off[:-1] - pb[:-1], n_parts)
-        self._core_unit = np.repeat(part_unit, [part.size for part in parts])
-        self._margin_unit = (np.arange(self._margin_pt.size)
-                             + (off[:-1] + n_parts - mb[:-1])[self._margin_elem])
+        self._core_unit = np.repeat(_spread(off[:-1], n_parts)[1], [part.size for part in parts])
+        self._margin_unit = _spread(off[:-1] + n_parts, n_margin)[1]
         self._unit_elem = np.repeat(np.arange(r), n_parts + n_margin)
-        rebuild = (n_margin > 0) & ~np.array(same, dtype=bool)
+        rebuild = np.array([el.edges is None for el in elements], dtype=bool) & (n_margin > 0)
         edges = self._margin_edges(rebuild)
-        if last is not None:
-            # an epoch's edges run by element, ascending in their lower unit
-            new_at = np.searchsorted(edges[0], off).tolist()
-            old_at = np.searchsorted(old_edges[0], old_off).tolist()
-            pieces = [edges[:, new_at[j]:new_at[j + 1]] if rebuild[j]
-                      else old_edges[:, old_at[j]:old_at[j + 1]] + int(off[j] - old_off[j])
-                      for j in np.flatnonzero(n_margin).tolist()]
-            edges = np.concatenate(pieces, axis=1) if pieces else edges
-        self._edges = edges
-        cloud._epochs[clusterer] = (core_pt, cb, self._margin_pt, mb, parts, pb, edges, off)
+        at = np.searchsorted(edges[0], off).tolist()  # the pass's edges run by element
+        for j in np.flatnonzero(rebuild).tolist():
+            elements[j] = elements[j]._replace(edges=edges[:, at[j]:at[j + 1]] - int(off[j]))
+        pieces = [elements[j].edges + int(off[j]) for j in np.flatnonzero(n_margin).tolist()]
+        self._edges = np.concatenate(pieces, axis=1) if pieces else edges
+        cloud._epochs[clusterer] = elements
 
     def _margin_edges(self, rebuild: np.ndarray) -> np.ndarray:
         """Unit pairs (2 x E) of the elements the mask ``rebuild`` picks,

@@ -6,10 +6,10 @@ current filter values (their range moves with theta), draws M independent
 assignment matrices, records the mean loss and its standard error, and takes
 one step along the mean subgradient. Cover endpoints are treated as constants
 inside an epoch: they enter through sampling only, not through the
-per-sample chain rule. The epoch's ``LinkageEpoch`` clusters again only the
-cover elements whose point sets differ from the previous epoch's; the cloud
-keeps the rest (see ``mapper.LinkageEpoch``), so the results are those of a
-rebuild from scratch.
+per-sample chain rule. The cloud keeps one record per cover element of the
+previous epoch's ``LinkageEpoch``, and the epoch clusters again only the
+elements whose point sets differ from their record's (see
+``mapper.LinkageEpoch``), so the results are those of a rebuild from scratch.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ class OptimConfig:
     scheme: str = "smooth"  # smooth | standard
 
     def __post_init__(self):
-        for name in ("epochs", "mc_samples", "resolution"):
+        for name, low in (("epochs", 1), ("mc_samples", 1), ("resolution", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or value < 1:
-                raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
+            if not isinstance(value, Integral) or value < low:
+                raise ValueError(f"{name} must be >= {low} and an integer, got {value!r}")
         if not 0 <= self.step_size < np.inf:
             raise ValueError("step_size must be finite and >= 0")
         if self.schedule not in ("constant", "robbins_monro"):

@@ -236,6 +236,17 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_deeply_nested_json_exits_one(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    for argv in [["export", "--graph", str(deep), "--out", str(tmp_path / "g.dot")],
+                 ["build", "--config", str(deep), "--shape", "circle"]]:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 def test_missing_input_file(tmp_path, capsys):
     rc = main(["build", "--input", str(tmp_path / "nope.csv"),
                "--clusterer", "linkage", "--threshold", "1.0"])

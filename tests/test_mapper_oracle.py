@@ -550,7 +550,13 @@ def test_loss_and_subgradient_builds_no_node_objects(monkeypatch):
 def epoch_runs():
     """Schemes at each epoch's theta of two optimize runs: 40 epochs on a
     2000-point y-shape at M = 3, and 40 on a noisy circle, with the run's
-    own draw seeds."""
+    own draw seeds; then a resolution sweep at one theta on an 800-point
+    y-shape, whose epochs have more or fewer elements than the last."""
+    def scheme(cloud, theta, resolution, config=OptimConfig()):
+        fv = LinearFilter().evaluate(cloud, theta)
+        cover = uniform_cover(fv.values, resolution, config.gain)
+        return smooth_scheme(fv, cover, smoothing_width(fv, resolution, config.delta_rel))
+
     for cloud, threshold, resolution in [
             (generate_synthetic("y_shape", n=2000, noise=0.02, seed=3), 0.2, 10),
             (generate_synthetic("circle", n=500, noise=0.02, seed=3), 0.1, 8)]:
@@ -559,13 +565,13 @@ def epoch_runs():
         cl = SingleLinkageClusterer(threshold)
         theta0 = np.ones(cloud.dim) / np.sqrt(cloud.dim)
         _, trace = optimize(cloud, LinearFilter(), theta0, cl, config)
-        schemes = []
-        for k, theta in enumerate([theta0, *trace.thetas[:-1]]):
-            fv = LinearFilter().evaluate(cloud, theta)
-            cover = uniform_cover(fv.values, resolution, config.gain)
-            scheme = smooth_scheme(fv, cover, smoothing_width(fv, resolution, config.delta_rel))
-            schemes.append((scheme, config.seed + 1 + k * config.mc_samples))
-        yield cloud, cl, schemes
+        yield cloud, cl, [(scheme(cloud, theta, resolution),
+                           config.seed + 1 + k * config.mc_samples)
+                          for k, theta in enumerate([theta0, *trace.thetas[:-1]])]
+    cloud = generate_synthetic("y_shape", n=800, noise=0.02, seed=3)
+    theta = np.ones(cloud.dim) / np.sqrt(cloud.dim)
+    yield cloud, SingleLinkageClusterer(0.2), [
+        (scheme(cloud, theta, r), 3 * k) for k, r in enumerate([10, 12, 10, 7, 7, 13, 13])]
 
 
 @pytest.fixture

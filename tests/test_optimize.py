@@ -33,11 +33,13 @@ def test_config_validation():
         OptimConfig(gain=1.0)
     with pytest.raises(ValueError):
         OptimConfig(resolution=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        OptimConfig(seed=-3)
 
 
-@pytest.mark.parametrize("name", ["epochs", "mc_samples", "resolution"])
+@pytest.mark.parametrize("name", ["epochs", "mc_samples", "resolution", "seed"])
 def test_config_counts_must_be_integers(name):
-    with pytest.raises(ValueError, match=f"{name} must be >= 1 and an integer"):
+    with pytest.raises(ValueError, match=f"{name} must be >= [01] and an integer"):
         OptimConfig(**{name: 2.5})
     assert getattr(OptimConfig(**{name: np.int64(2)}), name) == 2
 
