@@ -16,7 +16,6 @@ from .mapper import MapperNode, MapperGraph, LinkageEpoch, map_comp
 from .persistence import (
     FilteredGraph,
     DiagramPoint,
-    Diagram,
     map_pers_filtration,
     extended_persistence,
     regular_persistence,

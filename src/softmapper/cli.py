@@ -38,6 +38,16 @@ class ConfigError(ValueError):
     pass
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0, as numpy's generators take."""
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
 def _add_dataset_args(p):
     p.add_argument("--input", help="path to a point cloud file")
     p.add_argument("--format", choices=["csv", "off"], default="csv")
@@ -85,7 +95,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         _add_cover_args(p)
         _add_cluster_args(p)
         p.add_argument("--mode", choices=["regular", "extended"], default="extended")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out-dir", default=".")
         if name == "build":
             p.add_argument("--sample", action="store_true",
@@ -106,7 +116,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    choices=["circle", "cylinder", "y_shape", "plane_with_leg"])
     p.add_argument("--n", type=int, default=600)
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
 
     p = commands["export"] = sub.add_parser("export")
@@ -139,7 +149,7 @@ def _config_value(action, key, value):
     text = value if isinstance(value, str) else json.dumps(value)
     try:
         value = action.type(text) if action.type else text
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
         raise ConfigError(f"config key {key!r}: invalid value {text}") from None
     if action.choices is not None and value not in action.choices:
         raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")

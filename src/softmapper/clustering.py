@@ -23,8 +23,10 @@ class KMeansClusterer:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.k, Integral) or self.k < 1:
-            raise ValueError(f"k must be >= 1 and an integer, got {self.k!r}")
+        for name, low in (("k", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < low:
+                raise ValueError(f"{name} must be >= {low} and an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -368,8 +370,6 @@ def cluster(clusterer: Clusterer, cloud: PointCloud, member_indices) -> list[np.
         raise ValueError("cannot cluster an empty member set")
     if members[-1] >= cloud.n or members[0] < 0:
         raise ValueError("member index out of range")
-    if members.size == 1:
-        return [members.copy()]  # members may be the caller's own array
     if isinstance(clusterer, KMeansClusterer):
         return _split(members, _kmeans_labels(cloud.points.take(members, axis=0), clusterer))
     cells = cell_index(cloud, clusterer.threshold)  # rejects a threshold too small for the cloud

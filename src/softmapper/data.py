@@ -14,12 +14,10 @@ class FormatError(ValueError):
     """Raised on malformed input files."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
-    """n points in R^p with optional per-point scalar attributes.
-
-    The metric is Euclidean. Attributes (e.g. a sampling timepoint) are
-    carried along for coloring only; nothing downstream optimizes over them.
+    """n points in R^p under the Euclidean metric. A cloud equals only
+    itself and hashes by identity.
 
     ``points`` is a read-only copy of the given coordinates, so what two
     private memos keep of it never goes stale: the exact grids that single
@@ -29,9 +27,8 @@ class PointCloud:
     """
 
     points: np.ndarray
-    attributes: dict[str, np.ndarray] = field(default_factory=dict)
-    _grids: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _epochs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _grids: dict = field(default_factory=dict, init=False, repr=False)
+    _epochs: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -41,15 +38,6 @@ class PointCloud:
         if not np.all(np.isfinite(pts)):
             raise ValueError("points contain non-finite coordinates")
         object.__setattr__(self, "points", pts)
-        attrs = {}
-        for name, vec in self.attributes.items():
-            vec = np.asarray(vec, dtype=float)
-            if vec.shape != (pts.shape[0],):
-                raise ValueError(
-                    f"attribute {name!r} has length {vec.shape}, expected ({pts.shape[0]},)"
-                )
-            attrs[name] = vec
-        object.__setattr__(self, "attributes", attrs)
 
     @property
     def n(self) -> int:
@@ -135,7 +123,7 @@ def normalize_counts(cloud: PointCloud, scale: float) -> PointCloud:
     if zero.size:
         raise ValueError(f"row {zero[0]} has zero total count")
     out = np.log1p(scale * pts / sums[:, None])
-    return PointCloud(out, dict(cloud.attributes))
+    return PointCloud(out)
 
 
 _DISTANCE_BLOCK = 1 << 18  # distances held at a time, 2 MB

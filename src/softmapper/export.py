@@ -10,7 +10,6 @@ import numpy as np
 
 from .mapper import MapperGraph, _nerve
 from .optimize import Trace
-from .persistence import Diagram
 
 # 8-step viridis-like ramp, dark to bright
 _RAMP = [
@@ -125,7 +124,7 @@ def graph_from_json(text: str) -> MapperGraph:
     return MapperGraph(indptr, members, cover, nerve)
 
 
-def diagram_to_csv(diagram: Diagram) -> str:
+def diagram_to_csv(diagram) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["class", "birth", "death", "birth_node", "death_node"])

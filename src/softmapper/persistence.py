@@ -47,20 +47,6 @@ class DiagramPoint:
     death_node: int
 
 
-@dataclass(frozen=True)
-class Diagram:
-    points: tuple[DiagramPoint, ...]
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
-    def by_class(self, cls: str) -> list[DiagramPoint]:
-        return [pt for pt in self.points if pt.cls == cls]
-
-
 def map_pers_filtration(graph: MapperGraph, filter_values: FilterValues) -> FilteredGraph:
     """Node value = mean filter value over members; edge value = max endpoint."""
     return FilteredGraph(graph, node_means(graph, filter_values.values))
@@ -131,7 +117,7 @@ def _ascending(fg: FilteredGraph, cls: str) -> tuple[list, list, Callable[[int],
     return pts, edges, find
 
 
-def extended_persistence(fg: FilteredGraph) -> Diagram:
+def extended_persistence(fg: FilteredGraph) -> tuple[DiagramPoint, ...]:
     phi = fg.node_values.tolist()
     pts, up, find = _ascending(fg, "Ord0")
     down = sorted(up, key=lambda e: (-phi[_ends(phi, e)[1]], e))
@@ -155,25 +141,25 @@ def extended_persistence(fg: FilteredGraph) -> Diagram:
         top, bottom = _ends(phi, up[low])[0], _ends(phi, e)[1]
         pts.append(DiagramPoint(phi[top], phi[bottom], "Ext1", top, bottom))
     pts.sort(key=lambda p: (p.cls, p.birth, p.death, p.birth_node))
-    return Diagram(tuple(pts))
+    return tuple(pts)
 
 
-def regular_persistence(fg: FilteredGraph) -> Diagram:
+def regular_persistence(fg: FilteredGraph) -> tuple[DiagramPoint, ...]:
     """Sublevel-set H0 persistence: the merges of the sublevel sweep, plus
     one essential point per component pairing its min with the global max
     of the filtration."""
     phi = fg.node_values
     if phi.size == 0:
-        return Diagram(())
+        return ()
     pts, _, find = _ascending(fg, "H0")
     gmax, gmax_node = float(phi.max()), int(phi.argmax())
     pts += [DiagramPoint(float(phi[v]), gmax, "H0", v, gmax_node)
             for v in range(phi.size) if find(v) == v]
     pts.sort(key=lambda p: (p.birth, p.death, p.birth_node))
-    return Diagram(tuple(pts))
+    return tuple(pts)
 
 
-def total_persistence(diagram: Diagram) -> float:
+def total_persistence(diagram: tuple[DiagramPoint, ...]) -> float:
     return float(sum(abs(pt.birth - pt.death) for pt in diagram))
 
 

@@ -10,7 +10,7 @@ values (the superlevel sweep). Regular persistence is a union-find over the
 ascending edges.
 """
 
-from softmapper.persistence import Diagram, DiagramPoint
+from softmapper.persistence import DiagramPoint
 
 # Internal simplex tags for the coned reduction.
 _APEX, _VERT, _EDGE, _CONE_V, _CONE_E = range(5)
@@ -44,11 +44,11 @@ def _reduce(columns: list[set[int]]) -> dict[int, int]:
     return pairs
 
 
-def extended_persistence(fg) -> Diagram:
+def extended_persistence(fg) -> tuple[DiagramPoint, ...]:
     g = fg.graph
     phi = fg.node_values
     if g.n_nodes == 0:
-        return Diagram(())
+        return ()
     edges = sorted(g.edges)
     edge_values, edge_argmax, edge_argmin = _edge_extremes(phi, edges)
     edge_min = {e: float(min(phi[e[0]], phi[e[1]])) for e in edges}
@@ -104,10 +104,10 @@ def extended_persistence(fg) -> Diagram:
             continue  # diagonal noise from same-value merges
         pts.append(DiagramPoint(b, d, cls, bn, dn))
     pts.sort(key=lambda p: (p.cls, p.birth, p.death, p.birth_node))
-    return Diagram(tuple(pts))
+    return tuple(pts)
 
 
-def regular_persistence(fg) -> Diagram:
+def regular_persistence(fg) -> tuple[DiagramPoint, ...]:
     """Sublevel-set H0 persistence of the graph filtration via union-find.
 
     Each merge pairs the younger component (larger min value; ties broken
@@ -118,7 +118,7 @@ def regular_persistence(fg) -> Diagram:
     g = fg.graph
     phi = fg.node_values
     if g.n_nodes == 0:
-        return Diagram(())
+        return ()
     edge_values, edge_argmax, _ = _edge_extremes(phi, g.edges)
     parent = list(range(g.n_nodes))
     birth: dict[int, tuple[float, int]] = {v: (float(phi[v]), v) for v in range(g.n_nodes)}
@@ -153,4 +153,4 @@ def regular_persistence(fg) -> Diagram:
             b, bn = birth[v]
             pts.append(DiagramPoint(b, gmax, "H0", bn, gmax_node))
     pts.sort(key=lambda p: (p.birth, p.death, p.birth_node))
-    return Diagram(tuple(pts))
+    return tuple(pts)

@@ -219,6 +219,22 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         out = tmp_path / f"optimize {flag}"
         assert main(optimize + [flag, "inf", "--out-dir", str(out)]) == 1
         assert not (out / "trace.csv").exists()
+    for argv in [["synth", "--shape", "circle", "--seed", "-1",
+                  "--out", str(tmp_path / "cloud.csv")],
+                 ["build", "--shape", "circle", "--n", "100", "--seed", "-1",
+                  "--threshold", "0.5", "--out-dir", str(tmp_path / "seed")],
+                 optimize + ["--seed", "-1", "--out-dir", str(tmp_path / "seed")]]:
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "cloud.csv").exists() and not (tmp_path / "seed").exists()
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({"seed": -1}))
+    capsys.readouterr()
+    assert main(["build", "--config", str(config), "--shape", "circle", "--n", "100",
+                 "--threshold", "0.5", "--out-dir", str(tmp_path / "seed")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "seed" in err
     capsys.readouterr()
     # operating-system errors end in one error line, not a traceback
     a_file = tmp_path / "a file"

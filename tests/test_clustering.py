@@ -72,6 +72,14 @@ def test_resolution_rule_is_the_same_on_both_branches(n):
         cluster(SingleLinkageClusterer(1e-6), wide, range(n))
 
 
+@pytest.mark.parametrize("members", [[0], [0, 1]])
+def test_extent_rule_holds_for_a_one_point_set(members):
+    # the cloud spans too many cells of side 1e-6, however narrow the set
+    wide = PointCloud(np.concatenate([np.linspace(0, 1, 5), [1e12]])[:, None])
+    with pytest.raises(ValueError, match="too small"):
+        cluster(SingleLinkageClusterer(1e-6), wide, members)
+
+
 def test_extent_rule_runs_once_per_cloud_and_threshold(monkeypatch):
     calls = []
     real = clustering._cells_across
@@ -109,6 +117,14 @@ def test_kmeans_k_must_be_an_integer(k):
     with pytest.raises(ValueError, match="k must be >= 1 and an integer"):
         KMeansClusterer(k)
     assert KMeansClusterer(np.int64(2)).k == 2
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, "0"])
+def test_kmeans_seed_must_be_a_nonnegative_integer(seed):
+    # numpy's generators take no negative seed: reject it here, not in cluster
+    with pytest.raises(ValueError, match="seed must be >= 0 and an integer"):
+        KMeansClusterer(3, seed=seed)
+    assert KMeansClusterer(3, seed=np.int64(0)).seed == 0
 
 
 @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), float("inf")])

@@ -25,6 +25,13 @@ def test_points_are_a_read_only_copy():
     assert cloud.points.tolist() == [[0.0, 1.0], [2.0, 3.0]]
 
 
+def test_a_cloud_equals_only_itself():
+    a = PointCloud([[0.0, 1.0], [2.0, 3.0]])
+    b = PointCloud(a.points)
+    assert a == a and a != b
+    assert len({a: 0, b: 1}) == 2
+
+
 def test_load_csv_basic(tmp_path):
     f = tmp_path / "pts.csv"
     f.write_text("0,0\n1,0\n0,1\n")
@@ -223,5 +230,3 @@ def test_pointcloud_validation():
         PointCloud(np.zeros((0, 2)))
     with pytest.raises(ValueError):
         PointCloud([[np.nan, 0.0]])
-    with pytest.raises(ValueError):
-        PointCloud([[0.0, 1.0]], {"t": [1.0, 2.0]})

@@ -201,6 +201,12 @@ def test_entries_outside_the_unit_interval_rejected(bad):
         LinkageEpoch(cloud, probs, SingleLinkageClusterer(0.5))
 
 
+def test_a_cover_with_no_elements_gives_an_empty_graph():
+    cloud = generate_synthetic("circle", n=50, noise=0.0, seed=0)
+    graph = map_comp(cloud, np.zeros((50, 0)), SingleLinkageClusterer(0.3))
+    assert graph.n_nodes == 0 and len(graph.edges) == 0
+
+
 def test_margin_linked_to_its_core_inside_one_cell():
     """Beads of five points on a line, each inside one cell and farther
     apart than the threshold. The edge of element 0's core cuts bead 3, so

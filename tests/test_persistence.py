@@ -35,9 +35,9 @@ def test_edge_tie_goes_to_smaller_id():
     # edge (2, 3) joins two equal values: its max and its min are both node 2
     edges = [(0, 2), (1, 3), (2, 3)]
     d = extended_persistence(make_filtered_graph([0, 1, 2, 2], edges))
-    assert [(p.birth, p.death, p.death_node) for p in d.by_class("Ord0")] == [(1.0, 2.0, 2)]
+    assert [(p.birth, p.death, p.death_node) for p in d if p.cls == "Ord0"] == [(1.0, 2.0, 2)]
     d = extended_persistence(make_filtered_graph([2, 1, 0, 0], edges))
-    assert [(p.birth, p.death, p.death_node) for p in d.by_class("Rel1")] == [(1.0, 0.0, 2)]
+    assert [(p.birth, p.death, p.death_node) for p in d if p.cls == "Rel1"] == [(1.0, 0.0, 2)]
 
 
 def test_extended_path():
@@ -75,13 +75,13 @@ def test_extended_branch_classes():
     # branch that merges at the apex
     fg = make_filtered_graph([0.0, 3.0, 1.0, 2.0], [(0, 1), (1, 2), (1, 3)])
     d = extended_persistence(fg)
-    assert [(p.birth, p.death) for p in d.by_class("Ext0")] == [(0.0, 3.0)]
-    assert {(p.birth, p.death) for p in d.by_class("Ord0")} == {(1.0, 3.0), (2.0, 3.0)}
-    assert d.by_class("Rel1") == []
+    assert [(p.birth, p.death) for p in d if p.cls == "Ext0"] == [(0.0, 3.0)]
+    assert {(p.birth, p.death) for p in d if p.cls == "Ord0"} == {(1.0, 3.0), (2.0, 3.0)}
+    assert [p for p in d if p.cls == "Rel1"] == []
     # W shape instead produces a genuine downward branch pairing
     fg = make_filtered_graph([3.0, 0.0, 2.0, 1.0], [(0, 1), (1, 2), (2, 3)])
     d = extended_persistence(fg)
-    assert [(p.birth, p.death) for p in d.by_class("Rel1")] == [(2.0, 0.0)]
+    assert [(p.birth, p.death) for p in d if p.cls == "Rel1"] == [(2.0, 0.0)]
 
 
 def test_regular_path_and_w():
@@ -140,10 +140,8 @@ def test_sweeps_match_coned_reduction_exactly(chunk):
     graphs = [_tie_heavy_graph(rng, integer=trial % 2 == 1) for trial in range(250)]
     graphs += [_long_cycle_graph(rng, integer=trial % 2 == 1) for trial in range(4)]
     for trial, fg in enumerate(graphs):
-        assert (extended_persistence(fg).points
-                == coned_reduction.extended_persistence(fg).points), trial
-        assert (regular_persistence(fg).points
-                == coned_reduction.regular_persistence(fg).points), trial
+        assert extended_persistence(fg) == coned_reduction.extended_persistence(fg), trial
+        assert regular_persistence(fg) == coned_reduction.regular_persistence(fg), trial
 
 
 # --- independent oracle: merge trees via union-find, no matrix reduction ---
@@ -203,12 +201,12 @@ def _oracle_extended(fg):
 
 
 def _pairs(diagram, cls):
-    return Counter((round(p.birth, 9), round(p.death, 9)) for p in diagram.by_class(cls))
+    return Counter((round(p.birth, 9), round(p.death, 9)) for p in diagram if p.cls == cls)
 
 
 def _ext1_values_match(diagram, births, deaths):
     """The diagram's Ext1 births and deaths are the oracle's multisets."""
-    ext1 = diagram.by_class("Ext1")
+    ext1 = [p for p in diagram if p.cls == "Ext1"]
 
     def rounded(values):
         return Counter(round(x, 9) for x in values)
@@ -226,7 +224,7 @@ def test_extended_matches_union_find_oracle(trial):
     assert _pairs(d, "Ord0") == Counter((round(b, 9), round(x, 9)) for b, x in ord0)
     assert _pairs(d, "Rel1") == Counter((round(b, 9), round(x, 9)) for b, x in rel1)
     assert _pairs(d, "Ext0") == Counter((round(b, 9), round(x, 9)) for b, x in ext0)
-    assert len(d.by_class("Ext1")) == beta1
+    assert sum(p.cls == "Ext1" for p in d) == beta1
     assert _ext1_values_match(d, births, deaths)
 
 
@@ -238,8 +236,8 @@ def test_betti_counts(trial):
     n = fg.node_values.shape[0]
     m = len(fg.graph.edges)
     _, _, ext0, beta1, _, _ = _oracle_extended(fg)
-    assert len(d.by_class("Ext0")) == len(ext0)
-    assert len(d.by_class("Ext1")) == m - n + len(ext0)
+    assert sum(p.cls == "Ext0" for p in d) == len(ext0)
+    assert sum(p.cls == "Ext1" for p in d) == m - n + len(ext0)
     assert beta1 == m - n + len(ext0)
 
 
@@ -257,12 +255,13 @@ def test_shift_and_scale_invariance(rng):
 def test_class_sign_conventions(rng):
     for _ in range(20):
         d = extended_persistence(random_filtered_graph(rng))
-        for p in d.by_class("Ord0"):
-            assert p.birth < p.death
-        for p in d.by_class("Ext0"):
-            assert p.birth <= p.death
-        for p in d.by_class("Ext1") + d.by_class("Rel1"):
-            assert p.birth >= p.death
+        for p in d:
+            if p.cls == "Ord0":
+                assert p.birth < p.death
+            elif p.cls == "Ext0":
+                assert p.birth <= p.death
+            elif p.cls in ("Ext1", "Rel1"):
+                assert p.birth >= p.death
 
 
 def test_loss_fixed_filter_empty_gradient(rng):
