@@ -116,12 +116,13 @@ def graph_from_json(text: str) -> MapperGraph:
     np.cumsum(sizes, out=indptr[1:])
     members = np.array([i for nd in nodes for i in nd["members"]], dtype=np.intp)
     cover = np.array([nd["cover_index"] for nd in nodes], dtype=np.intp)
-    nerve = _nerve(members, np.repeat(np.arange(len(nodes)), sizes), len(nodes))
-    if (sorted((min(u, v), max(u, v), w) for u, v, w in edges)
-            != sorted((u, v, w) for (u, v), w in nerve.items())):
+    order = np.argsort(members, kind="stable")  # memberships by (point, node)
+    col = np.repeat(np.arange(len(nodes)), sizes)
+    nerve = list(zip(*(x.tolist() for x in _nerve(members[order], col[order], len(nodes)))))
+    if sorted((min(u, v), max(u, v), w) for u, v, w in edges) != nerve:
         raise ValueError("edges must join exactly the node pairs that share points, once"
                          " each, weighted by the shared count")
-    return MapperGraph(indptr, members, cover, nerve)
+    return MapperGraph(indptr, members, cover, {(u, v): w for u, v, w in nerve})
 
 
 def diagram_to_csv(diagram) -> str:

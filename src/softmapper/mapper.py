@@ -66,26 +66,28 @@ class MapperGraph:
         return f"MapperGraph({self.indptr!r}, {self.members!r}, {self.cover!r}, {self.edges!r})"
 
 
-def _nerve(pts: np.ndarray, col: np.ndarray, k: int) -> dict[tuple[int, int], int]:
-    """The edges of k nodes; membership i puts point pts[i] in node col[i],
-    and the memberships come sorted by (node, point).
+def _nerve(pts: np.ndarray, col: np.ndarray, k: int):
+    """The pairs u < v of k nodes that share points, and their shared counts;
+    membership i puts point pts[i] in node col[i], and the memberships come
+    sorted by (point, node).
 
-    Nodes u < v sharing points get an edge weighted by the shared count: in
-    (point, node) order, every two nodes of one point lie at most (nodes per
-    point - 1) places apart. The keys are inserted in ascending (u, v) order.
+    Every two nodes of one point lie at most (nodes per point - 1) places
+    apart. Returns the arrays (u, v, count), ascending in (u, v).
     """
-    order = np.argsort(pts, kind="stable")
-    pts, col = pts[order], col[order]
     keys, gap = [], 1
-    while (same := pts[gap:] == pts[:-gap]).any():
-        keys.append(col[:-gap][same] * k + col[gap:][same])
+    while (at := np.flatnonzero(pts[gap:] == pts[:-gap])).size:
+        keys.append(col.take(at) * k + col.take(at + gap))
         gap += 1
     keys = np.sort(_cat(keys))
-    ends = np.ones(keys.size + 1, dtype=bool)  # where each run of equal keys starts, and the end
+    ends = _run_ends(keys)
+    return (*np.divmod(keys[ends[:-1]], k), np.diff(ends))
+
+
+def _run_ends(keys: np.ndarray) -> np.ndarray:
+    """The start of each run of equal entries of the sorted array keys, then keys.size."""
+    ends = np.ones(keys.size + 1, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=ends[1:-1])
-    ends = np.flatnonzero(ends)
-    u, v = np.divmod(keys[ends[:-1]], k)
-    return dict(zip(zip(u.tolist(), v.tolist()), (ends[1:] - ends[:-1]).tolist()))
+    return np.flatnonzero(ends)
 
 
 def _cat(parts: list) -> np.ndarray:
@@ -108,10 +110,12 @@ def _among(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _by_element(pt: np.ndarray, elem: np.ndarray, r: int):
     """Entries (point pt[k] in element elem[k]), given in point order, sorted
-    by element and then point, with each element's bounds as a list."""
-    order = np.argsort(elem, kind="stable")
+    by element and then point: the order, the sorted entries, and each
+    element's bounds as a list."""
+    # the ids fit the smallest unsigned type that holds r, which numpy radix-sorts
+    order = np.argsort(elem.astype(np.min_scalar_type(r)), kind="stable")
     elem = elem[order]
-    return pt[order], elem, np.searchsorted(elem, np.arange(r + 1)).tolist()
+    return order, pt[order], elem, np.searchsorted(elem, np.arange(r + 1)).tolist()
 
 
 class _Element(NamedTuple):
@@ -144,6 +148,15 @@ class LinkageEpoch:
     edges if the margin is too. It clusters the other cores and searches one
     margin grid over the other elements; a cloud's first epoch has no records.
 
+    The epoch also keeps what no draw decides: the flat indices of the core
+    and margin entries, through which ``graph(e)`` checks a draw; each unit's
+    smallest member, from which it takes each component's; and the unit pairs
+    that share points, with their shared counts, from one ``_nerve`` pass
+    over the entries in the point-major order ``flatnonzero`` gives them. A
+    node is the union of its component's units, and two units of one element
+    share no point, so ``graph(e)`` weighs each edge by summing the present
+    unit pairs between its two nodes.
+
     Any clusterer serves a scheme without margin entries (a single draw, as
     ``map_comp`` builds for k-means); a scheme with them needs single linkage,
     and any other clusterer raises ValueError.
@@ -164,8 +177,12 @@ class LinkageEpoch:
         if margin.any() and not isinstance(clusterer, SingleLinkageClusterer):
             raise ValueError("a scheme with margin entries (0 < p < 1) needs single linkage")
         pt, elem = np.divmod(flat, r)
-        core_pt, self._core_elem, cb = _by_element(pt[core], elem[core], r)
-        self._margin_pt, self._margin_elem, mb = _by_element(pt[margin], elem[margin], r)
+        core_at, margin_at = np.flatnonzero(core), np.flatnonzero(margin)
+        core_order, core_pt, self._core_elem, cb = _by_element(pt[core_at], elem[core_at], r)
+        margin_order, self._margin_pt, self._margin_elem, mb = _by_element(
+            pt[margin_at], elem[margin_at], r)
+        core_at, margin_at = core_at[core_order], margin_at[margin_order]  # in element order
+        self._core_flat, self._margin_flat = flat[core_at], flat[margin_at]
         last = cloud._epochs.get(clusterer, [])
         elements = []
         for j in range(r):
@@ -180,9 +197,23 @@ class LinkageEpoch:
         off = np.zeros(r + 1, dtype=np.intp)  # element j's units are off[j]:off[j + 1]
         np.cumsum(n_parts + n_margin, out=off[1:])
         self._core_pt = _cat(parts)
-        self._core_unit = np.repeat(_spread(off[:-1], n_parts)[1], [part.size for part in parts])
+        sizes = np.array([part.size for part in parts], dtype=np.intp)
+        core_units = _spread(off[:-1], n_parts)[1]
+        self._core_unit = np.repeat(core_units, sizes)
         self._margin_unit = _spread(off[:-1] + n_parts, n_margin)[1]
         self._unit_elem = np.repeat(np.arange(r), n_parts + n_margin)
+        n_units = self._unit_elem.size
+        self._unit_min = np.empty(n_units, dtype=np.intp)  # a cluster's members ascend
+        self._unit_min[core_units] = self._core_pt[np.cumsum(sizes) - sizes]
+        self._unit_min[self._margin_unit] = self._margin_pt
+        # each entry's unit, point-major as flatnonzero gave them, so units
+        # ascend within a point; the core's (element, point) keys, in part
+        # order, come in one sorted run per cluster, which a stable sort merges
+        unit = np.empty(flat.size, dtype=np.intp)
+        unit[margin_at] = self._margin_unit
+        by_elem = np.argsort(self._core_elem * cloud.n + self._core_pt, kind="stable")
+        unit[core_at] = self._core_unit[by_elem]
+        self._pairs = _nerve(pt, unit, n_units)
         rebuild = np.array([el.edges is None for el in elements], dtype=bool) & (n_margin > 0)
         edges = self._margin_edges(rebuild)
         at = np.searchsorted(edges[0], off).tolist()  # the pass's edges run by element
@@ -275,36 +306,53 @@ class LinkageEpoch:
     def graph(self, e) -> MapperGraph:
         """The Mapper graph of the draw e (n x r, nonzero = assigned).
 
-        Nodes run in (cover_index, smallest member) order.
+        Nodes run in (cover_index, smallest member) order, and edges are
+        inserted in ascending (u, v) order.
         """
         e = np.asarray(e)
         if e.shape != self._shape:
             raise ValueError(f"assignment must be {self._shape}, got {e.shape}")
-        drawn = e[self._margin_pt, self._margin_elem] != 0
+        flat = e.reshape(-1)
+        drawn = flat[self._margin_flat] != 0
         # a draw assigns every core entry, and beyond them only drawn margin entries
-        if (not np.all(e[self._core_pt, self._core_elem])
-                or np.count_nonzero(e) != self._core_pt.size + np.count_nonzero(drawn)):
+        if (not np.all(flat[self._core_flat])
+                or np.count_nonzero(flat) != self._core_flat.size + np.count_nonzero(drawn)):
             raise ValueError("assignment is not a draw of this epoch's scheme")
-        present = np.ones(self._unit_elem.size, dtype=bool)
+        n, n_units = self.cloud.n, self._unit_elem.size
+        present = np.ones(n_units, dtype=bool)
         present[self._margin_unit[~drawn]] = False
         a, b = self._edges
         keep = present[a] & present[b]
         # one components call over all elements: edges never cross elements
-        root = merge_components(np.arange(present.size), a[keep], b[keep])
-        pts = np.concatenate([self._core_pt, self._margin_pt[drawn]])
-        roots = root[np.concatenate([self._core_unit, self._margin_unit[drawn]])]
-        smallest = np.full(present.size, self.cloud.n)  # smallest member of each root's component
-        np.minimum.at(smallest, roots, pts)
-        used = np.flatnonzero(smallest < self.cloud.n)
+        root = merge_components(np.arange(n_units), a[keep], b[keep])
+        live = np.flatnonzero(present)
+        smallest = np.full(n_units, n)  # smallest member of each root's component
+        np.minimum.at(smallest, root[live], self._unit_min[live])
+        used = np.flatnonzero(smallest < n)
         # a component lies in one element; nodes run by (element, smallest member)
-        by_node = used[np.argsort(self._unit_elem[used] * self.cloud.n + smallest[used])]
-        node = np.empty(present.size, dtype=np.intp)
-        node[by_node] = np.arange(by_node.size)
-        # memberships by (node, point); a point is in a node at most once
-        col, pts = np.divmod(np.sort(node[roots] * self.cloud.n + pts), self.cloud.n)
-        indptr = np.searchsorted(col, np.arange(by_node.size + 1))
+        by_node = used[np.argsort(self._unit_elem[used] * n + smallest[used])]
+        k = by_node.size
+        node = np.empty(n_units, dtype=np.intp)
+        node[by_node] = np.arange(k)
+        node = node[root]
+        # memberships by (node, point); a point is in a node at most once, and
+        # each core cluster's members ascend, so a stable sort merges runs
+        pts = np.concatenate([self._core_pt, self._margin_pt[drawn]])
+        units = np.concatenate([self._core_unit, self._margin_unit[drawn]])
+        col, pts = np.divmod(np.sort(node[units] * n + pts, kind="stable"), n)
+        indptr = np.searchsorted(col, np.arange(k + 1))
+        # a node's points are its units', and two units of one element share
+        # none, so a node pair's weight sums those of its present unit pairs
+        u, v, w = self._pairs
+        shared = present[u] & present[v]
+        keys = node[u[shared]] * k + node[v[shared]]
+        order = np.argsort(keys, kind="stable")
+        keys, w = keys[order], w[shared][order]
+        first = _run_ends(keys)[:-1]
+        u, v = np.divmod(keys[first], k)
+        w = np.add.reduceat(w, first) if first.size else first
         return MapperGraph(indptr, pts, self._unit_elem[by_node] + 1,
-                           _nerve(pts, col, by_node.size))
+                           dict(zip(zip(u.tolist(), v.tolist()), w.tolist())))
 
 
 def map_comp(
@@ -334,6 +382,6 @@ def map_comp(
 def node_means(graph: MapperGraph, values) -> np.ndarray:
     """Each node's mean of ``values`` (one value or row per point) over its
     members, one row per node in id order, summed in member order."""
-    sums = np.add.reduceat(np.asarray(values, dtype=float)[graph.members], graph.indptr[:-1],
-                           axis=0)
+    sums = np.add.reduceat(np.asarray(values, dtype=float).take(graph.members, axis=0),
+                           graph.indptr[:-1], axis=0)
     return (sums.T / (graph.indptr[1:] - graph.indptr[:-1])).T

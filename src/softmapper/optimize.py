@@ -1,14 +1,15 @@
 """Stochastic subgradient descent over the filter parameters on a
 Monte-Carlo estimate of the soft-Mapper risk.
 
-Each epoch rebuilds the interval cover and the smoothing width from the
-current filter values (their range moves with theta), draws M independent
-assignment matrices, records the mean loss and its standard error, and takes
-one step along the mean subgradient. Cover endpoints are treated as constants
-inside an epoch: they enter through sampling only, not through the
-per-sample chain rule. The cloud keeps one record per cover element of the
-previous epoch's ``LinkageEpoch``, and the epoch clusters again only the
-elements whose point sets differ from their record's (see
+Each epoch evaluates the filter once, rebuilds the interval cover and the
+smoothing width from those values (their range moves with theta), draws M
+independent assignment matrices, records the mean loss and its standard
+error, and takes one step along the mean subgradient. The M draws share the
+epoch's filter values (``loss_and_subgradient``'s ``fv``). Cover endpoints
+are treated as constants inside an epoch: they enter through sampling only,
+not through the per-sample chain rule. The cloud keeps one record per cover
+element of the previous epoch's ``LinkageEpoch``, and the epoch clusters
+again only the elements whose point sets differ from their record's (see
 ``mapper.LinkageEpoch``), so the results are those of a rebuild from scratch.
 """
 
@@ -109,7 +110,7 @@ def _sample_losses(cloud, filter_family, theta, clusterer, config, base_seed):
     for m in range(config.mc_samples):
         e = sample_assignment(scheme, base_seed + m)
         loss, grad = loss_and_subgradient(cloud, e, filter_family, theta, clusterer,
-                                          config.mode, epoch)
+                                          config.mode, epoch, fv=fv)
         losses.append(sign * loss)
         grads.append(sign * grad)
     return losses, grads

@@ -171,6 +171,8 @@ def loss_and_subgradient(
     clusterer: Clusterer,
     mode: str = "extended",
     epoch: LinkageEpoch | None = None,
+    *,
+    fv: FilterValues | None = None,
 ) -> tuple[float, np.ndarray]:
     """Total persistence of the Mapper graph of e under f_theta, and one
     subgradient element w.r.t. theta.
@@ -180,11 +182,17 @@ def loss_and_subgradient(
     point contributes sign(birth - death) * (grad birth - grad death), with
     sign(0) = 0; the gradient of a node value averages the Jacobian rows of
     its members. ``epoch`` is the reusable Mapper of the scheme e was drawn
-    from (see ``map_comp``).
+    from (see ``map_comp``). ``fv`` is ``filter_family.evaluate(cloud,
+    theta)`` when the caller holds it already, as an epoch's draws share it;
+    without it the filter is evaluated here.
     """
     if mode not in ("regular", "extended"):
         raise ValueError(f"mode must be 'regular' or 'extended', got {mode!r}")
-    fv = filter_family.evaluate(cloud, theta)
+    if fv is None:
+        fv = filter_family.evaluate(cloud, theta)
+    elif fv.values.shape[0] != cloud.n:
+        raise ValueError(f"fv must hold one value per point ({cloud.n}),"
+                         f" got {fv.values.shape[0]}")
     graph = map_comp(cloud, e, clusterer, epoch)
     fg = map_pers_filtration(graph, fv)
     diagram = extended_persistence(fg) if mode == "extended" else regular_persistence(fg)

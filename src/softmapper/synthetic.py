@@ -77,15 +77,23 @@ _GENERATORS = {
 
 
 def generate_synthetic(name: str, n: int, noise: float = 0.0, seed: int = 0) -> PointCloud:
-    """Generate one of the named shapes with optional Gaussian jitter."""
+    """Generate one of the named shapes with optional Gaussian jitter.
+
+    Raises ValueError unless 0 <= noise < inf, and FloatingPointError when
+    the jitter overflows.
+    """
     if name not in _GENERATORS:
         raise ValueError(f"unknown shape {name!r}; choose from {sorted(_GENERATORS)}")
     if not isinstance(n, Integral) or n < 10:
         raise ValueError(f"need an integer n >= 10 points, got {n!r}")
-    if not noise >= 0:
-        raise ValueError("noise must be >= 0")
+    if not 0 <= noise < np.inf:
+        raise ValueError("noise must be finite and >= 0")
     rng = np.random.default_rng(seed)
     pts = _GENERATORS[name](n, rng)
     if noise > 0:
-        pts = pts + noise * rng.standard_normal(pts.shape)
+        try:
+            with np.errstate(over="raise"):
+                pts = pts + noise * rng.standard_normal(pts.shape)
+        except FloatingPointError:
+            raise FloatingPointError(f"noise {noise!r} overflows the jitter") from None
     return PointCloud(pts)

@@ -178,6 +178,15 @@ def test_numeric_failures_exit_two(tmp_path, capsys, flags):
         assert not (tmp_path / name).exists()
 
 
+def test_overflowing_noise_exits_two(tmp_path, capsys):
+    out = tmp_path / "cloud.csv"
+    assert main(["synth", "--shape", "circle", "--n", "50", "--noise", "1e308",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "numeric failure: noise 1e+308 overflows the jitter\n"
+    assert not out.exists()
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["build"]) == 1  # no dataset
     assert main(["build", "--shape", "hexagon"]) == 1
@@ -196,8 +205,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert main(["build", "--shape", "circle", "--n", "200", "--filter", "coord",
                      "--threshold", "0.5", "--delta-rel", delta_rel,
                      "--out-dir", str(tmp_path)]) == 1
-    assert main(["synth", "--shape", "circle", "--noise", "nan",
-                 "--out", str(tmp_path / "cloud.csv")]) == 1
+    for noise in ["nan", "inf"]:  # inf passes a ">= 0" check
+        assert main(["synth", "--shape", "circle", "--n", "50", "--noise", noise,
+                     "--out", str(tmp_path / "cloud.csv")]) == 1
     assert main(["synth", "--shape", "plane_with_leg", "--n", "12",
                  "--out", str(tmp_path / "cloud.csv")]) == 1
     optimize = ["optimize", "--shape", "circle", "--n", "60", "--theta", "0.6,0.8",

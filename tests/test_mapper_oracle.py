@@ -244,6 +244,29 @@ def test_margin_links_a_core_cluster_beside_its_own_cell():
         assert_same_graph(g, oracle_map_comp(cloud, e, cl))
 
 
+def test_every_draw_sums_the_unit_pairs_of_shared_points():
+    """Point 4 is in the margins of all three elements, point 5 is margin in
+    element 0 and core in element 1, and points 6 and 7 are core in element 1
+    and margin in element 2. Edge weights sum margin-margin, margin-core and
+    core-core unit pairs, and every draw of the six margin entries must give
+    the oracle's graph."""
+    cloud = PointCloud(0.1 * np.arange(10.0)[:, None])
+    probs = np.zeros((10, 3))
+    probs[:4, 0] = 1
+    probs[4] = 0.5
+    probs[5, :2] = [0.5, 1]
+    probs[6:8, 1:] = [1, 0.5]
+    probs[8:, 2] = 1
+    cl = SingleLinkageClusterer(0.15)
+    epoch = LinkageEpoch(cloud, probs, cl)
+    margin = np.flatnonzero((probs > 0) & (probs < 1))
+    assert margin.size == 6
+    for bits in range(1 << margin.size):
+        e = (probs == 1).astype(np.uint8)
+        e.ravel()[margin] = (bits >> np.arange(margin.size)) & 1
+        assert_same_graph(epoch.graph(e), oracle_map_comp(cloud, e, cl))
+
+
 def test_epoch_rejects_foreign_draws():
     cloud = PointCloud(np.arange(6.0)[:, None])
     probs = np.array([[1, 0], [1, 0], [0.5, 0.5], [0, 1], [0, 1], [0, 1]])

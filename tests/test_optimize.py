@@ -201,3 +201,30 @@ def test_direction_correlation():
     assert direction_correlation([1, 1, 0], [1, 0, 0]) == pytest.approx(np.sqrt(0.5))
     with pytest.raises(ValueError):
         direction_correlation([0, 0, 0], [1, 0, 0])
+
+
+def test_an_epoch_evaluates_the_filter_once(monkeypatch):
+    cloud, fam, cl = _setup()
+    calls = []
+    evaluate = LinearFilter.evaluate
+    monkeypatch.setattr(LinearFilter, "evaluate",
+                        lambda self, c, t: calls.append(1) or evaluate(self, c, t))
+    optimize(cloud, fam, np.array([1.0, 0.3]), cl,
+             OptimConfig(epochs=3, mc_samples=4, delta_rel=0.2, seed=5))
+    assert len(calls) == 3
+
+
+def test_loss_and_subgradient_takes_the_epochs_filter_values():
+    cloud, fam, cl = _setup()
+    theta = np.array([1.0, 0.3])
+    fv = fam.evaluate(cloud, theta)
+    scheme = smooth_scheme(fv, uniform_cover(fv.values, 10, 0.3), 0.2)
+    for m in range(4):
+        e = sample_assignment(scheme, m)
+        for mode in ("extended", "regular"):
+            loss, grad = loss_and_subgradient(cloud, e, fam, theta, cl, mode)
+            got_loss, got_grad = loss_and_subgradient(cloud, e, fam, theta, cl, mode, fv=fv)
+            assert got_loss == loss and np.array_equal(got_grad, grad)
+    short = LinearFilter().evaluate(PointCloud(cloud.points[:-1]), theta)
+    with pytest.raises(ValueError, match="one value per point"):
+        loss_and_subgradient(cloud, e, fam, theta, cl, fv=short)

@@ -9,8 +9,11 @@ def test_unknown_shape_and_bad_args():
         generate_synthetic("torus", n=100)
     with pytest.raises(ValueError):
         generate_synthetic("circle", n=5)
-    with pytest.raises(ValueError):
-        generate_synthetic("circle", n=100, noise=-0.1)
+    for noise in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise must be finite and >= 0"):
+            generate_synthetic("circle", n=100, noise=noise)
+    with pytest.raises(FloatingPointError, match="overflows the jitter"):  # finite noise
+        generate_synthetic("circle", n=50, noise=1e308)
     for n in (10, 12, 15, 16):  # four 4-point legs leave no plane point
         with pytest.raises(ValueError, match="n >= 17"):
             generate_synthetic("plane_with_leg", n=n)
