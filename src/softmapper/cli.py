@@ -294,7 +294,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_synth(args) -> int:
     cloud = generate_synthetic(args.shape, args.n, args.noise, args.seed)
-    lines = [",".join(repr(float(x)) for x in row) for row in cloud.points]
+    lines = [",".join(map(repr, row)) for row in cloud.points.tolist()]
     Path(args.out).write_text("\n".join(lines) + "\n")
     return 0
 

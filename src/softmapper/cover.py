@@ -179,7 +179,7 @@ def sample_assignment(scheme: AssignmentScheme, seed: int) -> np.ndarray:
     """Draw one binary assignment matrix; deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
     u = rng.random(scheme.probs.shape)
-    return (u < scheme.probs).astype(np.uint8)
+    return (u < scheme.probs).view(np.uint8)
 
 
 def log_prob(scheme: AssignmentScheme, e: np.ndarray) -> float:

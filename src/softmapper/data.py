@@ -54,7 +54,7 @@ def load_csv(path, has_header: bool = False) -> PointCloud:
     With ``has_header`` the first line names the columns; header names are
     not interpreted (all columns become coordinates).
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [ln.strip() for ln in fh]
     linenos = [i for i, ln in enumerate(lines, 1) if ln]
     if has_header:
@@ -82,7 +82,7 @@ def load_csv(path, has_header: bool = False) -> PointCloud:
 
 def load_off_vertices(path) -> PointCloud:
     """Read the vertex coordinates of an ASCII OFF mesh; faces are discarded."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         tokens_lines = [
             ln.split("#", 1)[0].strip() for ln in fh
         ]

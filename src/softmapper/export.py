@@ -20,13 +20,12 @@ _RAMP = [
 _MAX_INDEX = np.iinfo(np.intp).max
 
 
-def _ramp_color(t: float) -> str:
-    idx = min(7, max(0, int(t * 8)))
-    return _RAMP[idx]
-
-
 def export_dot(graph: MapperGraph, colors) -> str:
-    """Render the graph as DOT; node fill colors follow the color ramp."""
+    """Render the graph as DOT; node fill colors follow the color ramp.
+
+    Colors spanning an infinite range raise ValueError; equal colors fill
+    every node with the middle of the ramp.
+    """
     colors = np.asarray(colors, dtype=float)
     if colors.shape != (graph.n_nodes,):
         raise ValueError(f"need one color per node, got {colors.shape}")
@@ -34,41 +33,39 @@ def export_dot(graph: MapperGraph, colors) -> str:
         return "graph mapper { }\n"
     lo, hi = colors.min(), colors.max()
     span = hi - lo
+    if span == np.inf:
+        raise ValueError("node colors span an infinite range")
+    # ramp step min(7, int(8 t)) at t = (color - lo) / span in [0, 1], or t = 1/2
+    steps = (np.minimum((colors - lo) / span * 8, 7).astype(np.intp).tolist() if span > 0
+             else [4] * graph.n_nodes)
     out = ["graph mapper {", "  node [style=filled];"]
-    for k, size in enumerate(np.diff(graph.indptr).tolist()):
-        t = (colors[k] - lo) / span if span > 0 else 0.5
-        out.append(
-            f'  n{k} [label="{k}", tooltip="{size}",'
-            f' fillcolor="{_ramp_color(t)}"];'
-        )
-    for (u, v) in sorted(graph.edges):
-        out.append(f"  n{u} -- n{v} [weight={graph.edges[(u, v)]}];")
+    out += [f'  n{k} [label="{k}", tooltip="{size}", fillcolor="{_RAMP[step]}"];'
+            for k, (size, step) in enumerate(zip(np.diff(graph.indptr).tolist(), steps))]
+    out += [f"  n{u} -- n{v} [weight={w}];" for (u, v), w in sorted(graph.edges.items())]
     out.append("}")
     return "\n".join(out) + "\n"
 
 
+def _tokens(xs: list) -> list[str]:
+    """Each number of ``xs`` as ``json.dumps`` writes it."""
+    return json.dumps(xs)[1:-1].split(", ") if xs else []
+
+
 def graph_to_json(graph: MapperGraph, values=None) -> str:
-    """The graph as one line of JSON; each node's "value" and "color" are its
-    entry of ``values`` (zeros when left out)."""
+    """The graph as one line of JSON, written as ``json.dumps(doc, sort_keys=True)``
+    writes it; each node's "value" and "color" are its entry of ``values``
+    (zeros when left out)."""
     values = np.zeros(graph.n_nodes) if values is None else np.asarray(values, dtype=float)
-    values, members, bounds = values.tolist(), graph.members.tolist(), graph.indptr.tolist()
-    doc = {
-        "nodes": [
-            {
-                "id": k,
-                "cover_index": j,
-                "members": members[bounds[k]:bounds[k + 1]],
-                "value": values[k],
-                "color": values[k],
-            }
-            for k, j in enumerate(graph.cover.tolist())
-        ],
-        "edges": [
-            {"source": u, "target": v, "weight": w}
-            for (u, v), w in sorted(graph.edges.items())
-        ],
-    }
-    return json.dumps(doc, sort_keys=True) + "\n"
+    if values.shape != (graph.n_nodes,):
+        raise ValueError(f"need one value per node, got {values.shape}")
+    members, bounds = _tokens(graph.members.tolist()), graph.indptr.tolist()
+    nodes = ", ".join(
+        f'{{"color": {x}, "cover_index": {j}, "id": {k}, "members":'
+        f' [{", ".join(members[bounds[k]:bounds[k + 1]])}], "value": {x}}}'
+        for k, (j, x) in enumerate(zip(graph.cover.tolist(), _tokens(values.tolist()))))
+    edges = ", ".join(f'{{"source": {u}, "target": {v}, "weight": {w}}}'
+                      for (u, v), w in sorted(graph.edges.items()))
+    return f'{{"edges": [{edges}], "nodes": [{nodes}]}}\n'
 
 
 def _is_index(x) -> bool:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from softmapper import cli
 from softmapper.cli import build_parser, main
 from softmapper.export import graph_from_json
 from softmapper.optimize import OptimConfig
+from softmapper.synthetic import generate_synthetic
 
 
 def _betti1(path):
@@ -59,6 +61,17 @@ def test_build_from_csv_and_coord_filter(tmp_path):
     ])
     assert rc == 0
     assert (tmp_path / "out" / "diagram.csv").read_text().count("Ext") == 0
+
+
+def test_build_reads_a_csv_with_a_byte_order_mark(tmp_path):
+    text = "".join(f"{math.cos(a)!r},{math.sin(a)!r}\n" for a in np.linspace(0, 6, 80).tolist())
+    (tmp_path / "plain.csv").write_text(text)
+    (tmp_path / "bom.csv").write_text(text, encoding="utf-8-sig")
+    for name in ("plain", "bom"):
+        assert main(["build", "--input", str(tmp_path / f"{name}.csv"), "--threshold", "0.5",
+                     "--out-dir", str(tmp_path / name)]) == 0
+    for file in ("mapper.json", "mapper.dot", "diagram.csv"):
+        assert (tmp_path / "bom" / file).read_bytes() == (tmp_path / "plain" / file).read_bytes()
 
 
 def test_optimize_is_reproducible(tmp_path):
@@ -316,8 +329,8 @@ def test_synth_and_export_round_trip(tmp_path):
     out_csv = tmp_path / "cloud.csv"
     assert main(["synth", "--shape", "y_shape", "--n", "50", "--out", str(out_csv)]) == 0
     rows = out_csv.read_text().strip().split("\n")
-    assert len(rows) == 50
-    assert all(len(r.split(",")) == 3 for r in rows)
+    points = generate_synthetic("y_shape", 50, 0.0, 0).points
+    assert rows == [",".join(repr(float(x)) for x in row) for row in points]
 
     build_dir = tmp_path / "build"
     main(["build", "--input", str(out_csv), "--clusterer", "linkage",

@@ -47,6 +47,14 @@ def test_load_csv_non_numeric(tmp_path):
         load_csv(f)
 
 
+def test_load_csv_accepts_a_byte_order_mark(tmp_path):
+    f = tmp_path / "bom.csv"
+    f.write_text("x,y\n0.5,1\n2,3\n", encoding="utf-8-sig")
+    assert load_csv(f, has_header=True).points.tolist() == [[0.5, 1.0], [2.0, 3.0]]
+    f.write_text("0.5,1\n2,3\n", encoding="utf-8-sig")
+    assert load_csv(f).points.tolist() == [[0.5, 1.0], [2.0, 3.0]]
+
+
 def test_load_csv_ragged(tmp_path):
     f = tmp_path / "ragged.csv"
     f.write_text("1,2,3\n4,5\n")
@@ -118,6 +126,12 @@ def test_load_off(tmp_path):
     cloud = load_off_vertices(f)
     assert cloud.n == 3 and cloud.dim == 3
     assert np.array_equal(cloud.points[1], [1, 0, 0])
+
+
+def test_load_off_accepts_a_byte_order_mark(tmp_path):
+    f = tmp_path / "bom.off"
+    f.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", encoding="utf-8-sig")
+    assert load_off_vertices(f).points.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
 
 
 def test_load_off_cube(tmp_path):

@@ -1,7 +1,12 @@
 import csv
 import io
+import json
+import math
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import graph_of, make_filtered_graph
 from softmapper.export import (
@@ -34,9 +39,17 @@ def test_dot_two_nodes_one_edge():
     assert "#440154" in dot and "#fde725" in dot
 
 
-def test_dot_constant_colors_use_middle_ramp():
-    dot = export_dot(_two_node_graph(), [2.0, 2.0])
-    assert dot.count("#1fa187") == 2
+@pytest.mark.parametrize("color", [2.0, -0.0, 5e-324, -1e308, math.inf])
+def test_dot_constant_colors_use_middle_ramp(color):
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert export_dot(_two_node_graph(), [color, color]).count("#1fa187") == 2
+        assert export_dot(graph_of([(0,)]), [color]).count("#1fa187") == 1
+
+
+@pytest.mark.parametrize("colors", [[0.0, math.inf], [-math.inf, 1.0], [-1e308, 1e308]])
+def test_dot_colors_spanning_an_infinite_range_raise(colors):
+    with np.errstate(all="ignore"), pytest.raises(ValueError):  # 1e308 - -1e308 overflows
+        export_dot(_two_node_graph(), colors)
 
 
 def test_json_round_trip():
@@ -46,6 +59,12 @@ def test_json_round_trip():
     back = graph_from_json(text)
     assert back == g
     assert back.edges == g.edges
+
+
+@pytest.mark.parametrize("values", [[0.5], [0.5, 1.5, 2.5], [[0.5, 1.5]]])
+def test_json_needs_one_value_per_node(values):
+    with pytest.raises(ValueError, match="one value per node"):
+        graph_to_json(_two_node_graph(), values)
 
 
 def test_json_round_trip_empty():
@@ -98,3 +117,80 @@ def test_learning_curve_svg():
     assert 'points="40.0,320.0"' in svg
     empty = learning_curve_svg(Trace())
     assert empty.startswith("<svg") and empty.rstrip().endswith("/>")
+
+
+_ORACLE_RAMP = ["#440154", "#46327e", "#365c8d", "#277f8e",
+                "#1fa187", "#4ac16d", "#a0da39", "#fde725"]
+
+
+def _oracle_json(graph, values=None):
+    """graph_to_json written as one dict per node and edge, dumped by json."""
+    values = np.zeros(graph.n_nodes) if values is None else np.asarray(values, dtype=float)
+    values, members, bounds = values.tolist(), graph.members.tolist(), graph.indptr.tolist()
+    doc = {
+        "nodes": [
+            {"id": k, "cover_index": j, "members": members[bounds[k]:bounds[k + 1]],
+             "value": values[k], "color": values[k]}
+            for k, j in enumerate(graph.cover.tolist())
+        ],
+        "edges": [{"source": u, "target": v, "weight": w}
+                  for (u, v), w in sorted(graph.edges.items())],
+    }
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def _oracle_dot(graph, colors):
+    """export_dot written node by node in numpy-scalar arithmetic."""
+    colors = np.asarray(colors, dtype=float)
+    if graph.n_nodes == 0:
+        return "graph mapper { }\n"
+    lo, hi = colors.min(), colors.max()
+    span = hi - lo
+    out = ["graph mapper {", "  node [style=filled];"]
+    for k, size in enumerate(np.diff(graph.indptr).tolist()):
+        t = (colors[k] - lo) / span if span > 0 else 0.5
+        color = _ORACLE_RAMP[min(7, max(0, int(t * 8)))]  # int(nan) raises ValueError
+        out.append(f'  n{k} [label="{k}", tooltip="{size}", fillcolor="{color}"];')
+    for (u, v) in sorted(graph.edges):
+        out.append(f"  n{u} -- n{v} [weight={graph.edges[(u, v)]}];")
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
+def _outcome(write, *args):
+    """What ``write`` returns, or ValueError if it raises one."""
+    with np.errstate(all="ignore"):  # the oracle's scalar inf - inf and overflow
+        try:
+            return write(*args)
+        except ValueError:
+            return ValueError
+
+
+_INDICES = st.integers(0, 2 ** 62)
+_VALUES = st.one_of(st.sampled_from([-0.0, 5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf]),
+                    st.floats())
+
+
+@st.composite
+def graphs_and_values(draw):
+    """A graph of up to 6 nodes with any edges between them, and one float per node."""
+    members = draw(st.lists(st.lists(_INDICES, min_size=1, max_size=5, unique=True).map(sorted),
+                            max_size=6))
+    k = len(members)
+    cover = draw(st.lists(_INDICES, min_size=k, max_size=k))
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    edges = draw(st.dictionaries(st.sampled_from(pairs), _INDICES)) if pairs else {}
+    return graph_of(members, cover, edges), draw(st.lists(_VALUES, min_size=k, max_size=k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_values())
+@example((graph_of([]), []))
+@example((graph_of([(0, 2 ** 62)], [2 ** 62]), [-0.0]))
+@example((graph_of([(0, 1), (1, 2), (5,)], [3, 3, 0]), [5e-324, 1e308, math.nan]))
+@example((graph_of([(0, 1), (1, 2)], [0, 1], {(0, 1): 1}), [-math.inf, math.inf]))
+def test_writers_match_their_dict_and_per_node_oracles(case):
+    graph, values = case
+    assert graph_to_json(graph, values) == _oracle_json(graph, values)
+    assert graph_to_json(graph) == _oracle_json(graph)
+    assert _outcome(export_dot, graph, values) == _outcome(_oracle_dot, graph, values)

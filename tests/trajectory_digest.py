@@ -1,15 +1,21 @@
 """Print the sha256 of the theta, risk and risk-SE trajectories of two
-optimize runs, so that two checkouts can be compared for bit-identity:
+optimize runs, and of the files two ``softmapper build`` runs write, so that
+two checkouts can be compared for bit-identity:
 
 - the README library quick-start configuration (600-point y-shape, M = 10),
   cut to 50 epochs;
-- a 10k-point y-shape at M = 2 for 20 epochs.
+- a 10k-point y-shape at M = 2 for 20 epochs;
+- a build of the benchmark's circle-build configuration (4000-point circle,
+  coordinate filter, 400 intervals, linkage threshold 0.05);
+- a sampled build of a 600-point y-shape.
 
 Run from a checkout: ``PYTHONPATH=src python tests/trajectory_digest.py``.
 pytest does not collect this file.
 """
 
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +27,7 @@ from softmapper import (
     generate_synthetic,
     optimize,
 )
+from softmapper.cli import main as cli_main
 
 RUNS = {
     "readme-600": (600, OptimConfig(epochs=50, mc_samples=10, step_size=0.1,
@@ -28,6 +35,13 @@ RUNS = {
     "yshape-10k": (10_000, OptimConfig(epochs=20, mc_samples=2, step_size=0.1,
                                        mode="extended", maximize=True, seed=0)),
 }
+BUILDS = {
+    "circle-build": ["--shape", "circle", "--n", "4000", "--filter", "coord",
+                     "--resolution", "400", "--threshold", "0.05"],
+    "yshape-sampled": ["--shape", "y_shape", "--n", "600", "--noise", "0.02",
+                       "--threshold", "0.2", "--sample", "--seed", "3"],
+}
+BUILD_FILES = ("mapper.json", "mapper.dot", "diagram.csv")
 
 
 def digest(values) -> str:
@@ -41,6 +55,12 @@ def main():
                             SingleLinkageClusterer(0.2), config)
         for field in ("thetas", "risks", "risk_ses"):
             print(f"{name} {field} {digest(getattr(trace, field))}")
+    for name, argv in BUILDS.items():
+        with tempfile.TemporaryDirectory() as out:
+            if cli_main(["build", *argv, "--out-dir", out]) != 0:
+                raise SystemExit(f"{name}: softmapper build failed")
+            for file in BUILD_FILES:
+                print(name, file, hashlib.sha256((Path(out) / file).read_bytes()).hexdigest())
 
 
 if __name__ == "__main__":
