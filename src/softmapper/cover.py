@@ -65,12 +65,10 @@ def uniform_cover(values, r: int, g: float) -> IntervalCover:
     if not (0 < g < 1):
         raise ValueError(f"gain must lie in (0,1), got {g}")
     lo, hi = float(values.min()), float(values.max())
-    if r == 1:
-        if hi <= lo:
-            hi = lo + 1.0  # degenerate constant data: any covering interval works
-        return IntervalCover(np.array([[lo, hi]]))
     if hi <= lo:
-        raise ValueError("constant values cannot be covered with r > 1 intervals")
+        if r > 1:
+            raise ValueError("constant values cannot be covered with r > 1 intervals")
+        hi = lo + 1.0  # degenerate constant data: any covering interval works
     length = (hi - lo) / (r - (r - 1) * g)
     step = length * (1 - g)
     a = lo + step * np.arange(r)

@@ -23,15 +23,18 @@ _MAX_INDEX = np.iinfo(np.intp).max
 def export_dot(graph: MapperGraph, colors) -> str:
     """Render the graph as DOT; node fill colors follow the color ramp.
 
-    Colors spanning an infinite range raise ValueError; equal colors fill
-    every node with the middle of the ramp.
+    Non-finite colors and colors spanning an infinite range raise
+    ValueError; equal colors fill every node with the middle of the ramp.
     """
     colors = np.asarray(colors, dtype=float)
     if colors.shape != (graph.n_nodes,):
         raise ValueError(f"need one color per node, got {colors.shape}")
     if graph.n_nodes == 0:
         return "graph mapper { }\n"
-    lo, hi = colors.min(), colors.max()
+    bad = np.flatnonzero(~np.isfinite(colors))
+    if bad.size:
+        raise ValueError(f"node {bad[0]} has the non-finite color {colors[bad[0]]}")
+    lo, hi = float(colors.min()), float(colors.max())
     span = hi - lo
     if span == np.inf:
         raise ValueError("node colors span an infinite range")

@@ -49,7 +49,7 @@ class LinearFilter:
             )
         if not np.all(np.isfinite(theta)):
             raise ValueError("non-finite parameters")
-        return FilterValues(cloud.points @ theta, cloud.points.copy())
+        return FilterValues(cloud.points @ theta, cloud.points)
 
 
 class FixedFilter:

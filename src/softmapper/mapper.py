@@ -140,22 +140,23 @@ class LinkageEpoch:
     draw. ``graph(e)`` equals the Mapper graph of e clustered from scratch.
     An entry outside [0, 1] (or NaN) raises ValueError.
 
-    Units run element by element: element j's core clusters, then its margin
-    points. An element's core clusters depend only on its core point set and
-    its edges only on its core and margin sets. The cloud keeps one record per
-    element of the last epoch built on it with the same clusterer; the next
-    such epoch takes a record's clusters if the core is unchanged and its
-    edges if the margin is too. It clusters the other cores and searches one
-    margin grid over the other elements; a cloud's first epoch has no records.
+    Units run element by element, and within an element by smallest member,
+    core clusters and margin points alike. An element's core clusters depend
+    only on its core point set and its edges only on its core and margin
+    sets. The cloud keeps one record per element of the last epoch built on
+    it with the same clusterer; the next such epoch takes a record's clusters
+    if the core is unchanged and its edges if the margin is too. It clusters
+    the other cores and searches one margin grid over the other elements; a
+    cloud's first epoch has no records.
 
     The epoch also keeps what no draw decides: the flat indices of the core
-    and margin entries, through which ``graph(e)`` checks a draw; each unit's
-    smallest member, from which it takes each component's; and the unit pairs
-    that share points, with their shared counts, from one ``_nerve`` pass
-    over the entries in the point-major order ``flatnonzero`` gives them. A
-    node is the union of its component's units, and two units of one element
-    share no point, so ``graph(e)`` weighs each edge by summing the present
-    unit pairs between its two nodes.
+    and margin entries, through which ``graph(e)`` checks a draw, and the unit
+    pairs that share points, with their shared counts, from one ``_nerve``
+    pass over the entries in the point-major order ``flatnonzero`` gives them.
+    A node is the union of its component's units; its smallest unit, the
+    component's root, holds its smallest member, so the roots already run in
+    node order. Two units of one element share no point, so ``graph(e)``
+    weighs each edge by summing the present unit pairs between its two nodes.
 
     Any clusterer serves a scheme without margin entries (a single draw, as
     ``map_comp`` builds for k-means); a scheme with them needs single linkage,
@@ -194,18 +195,20 @@ class LinkageEpoch:
         parts = [part for el in elements for part in el.parts]
         n_parts = np.array([len(el.parts) for el in elements], dtype=np.intp)
         n_margin = np.diff(mb)
-        off = np.zeros(r + 1, dtype=np.intp)  # element j's units are off[j]:off[j + 1]
-        np.cumsum(n_parts + n_margin, out=off[1:])
         self._core_pt = _cat(parts)
         sizes = np.array([part.size for part in parts], dtype=np.intp)
-        core_units = _spread(off[:-1], n_parts)[1]
-        self._core_unit = np.repeat(core_units, sizes)
-        self._margin_unit = _spread(off[:-1] + n_parts, n_margin)[1]
-        self._unit_elem = np.repeat(np.arange(r), n_parts + n_margin)
-        n_units = self._unit_elem.size
-        self._unit_min = np.empty(n_units, dtype=np.intp)  # a cluster's members ascend
-        self._unit_min[core_units] = self._core_pt[np.cumsum(sizes) - sizes]
-        self._unit_min[self._margin_unit] = self._margin_pt
+        # number the units, listed core clusters first, by (element, smallest
+        # member); a cluster's members ascend
+        elem = np.concatenate([np.repeat(np.arange(r), n_parts), self._margin_elem])
+        by_min = np.argsort(elem * cloud.n + np.concatenate(
+            [self._core_pt[np.cumsum(sizes) - sizes], self._margin_pt]))
+        n_units = by_min.size
+        rank = np.empty(n_units, dtype=np.intp)
+        rank[by_min] = np.arange(n_units)
+        self._core_unit = np.repeat(rank[:len(parts)], sizes)
+        self._margin_unit = rank[len(parts):]
+        self._unit_elem = elem[by_min]
+        off = np.searchsorted(self._unit_elem, np.arange(r + 1))  # element j's units
         # each entry's unit, point-major as flatnonzero gave them, so units
         # ascend within a point; the core's (element, point) keys, in part
         # order, come in one sorted run per cluster, which a stable sort merges
@@ -227,7 +230,7 @@ class LinkageEpoch:
         """Unit pairs (2 x E) of the elements the mask ``rebuild`` picks,
         whose components match the radius graph's in every draw, from one
         grid over those elements' supports, binned by the cloud's cell index;
-        they come ascending in their lower unit.
+        they come ascending in their first unit.
 
         Margin entries are passed first, so the grid's stable sort puts them
         first in each cell, and a cell's core entries, which lie within 3/4
@@ -264,8 +267,7 @@ class LinkageEpoch:
 
         sure, near = g.split(((m[g.a] > 0) | (m[g.b] > 0))
                              & ((cl[g.a] != cl[g.b]) | (cl[g.a] < 0)))
-        # (core cluster, margin point) links: an element's core units come
-        # before its margin units, so each key is core * n_units + margin
+        # (core cluster, margin point) links, each keyed core * n_units + margin
         a, b = sure
         known = _distinct(_cat([unit[j] * n_units + unit[i] for _, i, j in range_pairs(
             np.concatenate([s, s[a], s[b]]), np.concatenate([m, m[a], m[b]]),
@@ -325,12 +327,9 @@ class LinkageEpoch:
         keep = present[a] & present[b]
         # one components call over all elements: edges never cross elements
         root = merge_components(np.arange(n_units), a[keep], b[keep])
-        live = np.flatnonzero(present)
-        smallest = np.full(n_units, n)  # smallest member of each root's component
-        np.minimum.at(smallest, root[live], self._unit_min[live])
-        used = np.flatnonzero(smallest < n)
-        # a component lies in one element; nodes run by (element, smallest member)
-        by_node = used[np.argsort(self._unit_elem[used] * n + smallest[used])]
+        # a component lies in one element and its root is its smallest unit,
+        # the one holding its smallest member, so the roots run in node order
+        by_node = np.flatnonzero(present & (root == np.arange(n_units)))
         k = by_node.size
         node = np.empty(n_units, dtype=np.intp)
         node[by_node] = np.arange(k)

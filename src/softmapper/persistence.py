@@ -105,12 +105,12 @@ def _kruskal(key: list, edges: list, labels: list) -> tuple[list, list, Callable
     return retired, cycles, find
 
 
-def _ascending(fg: FilteredGraph, cls: str) -> tuple[list, list, Callable[[int], int]]:
-    """The sublevel sweep: one ``cls`` point per merge off the diagonal, the
-    edges in sweep order, and the final ``find``, whose roots are their
-    components' minima."""
-    phi = fg.node_values.tolist()
-    edges = sorted(fg.graph.edges, key=lambda e: (phi[_ends(phi, e)[0]], e))
+def _ascending(graph: MapperGraph, phi: list,
+               cls: str) -> tuple[list, list, Callable[[int], int]]:
+    """The sublevel sweep of ``graph`` under the node values ``phi``: one
+    ``cls`` point per merge off the diagonal, the edges in sweep order, and
+    the final ``find``, whose roots are their components' minima."""
+    edges = sorted(graph.edges, key=lambda e: (phi[_ends(phi, e)[0]], e))
     retired, _, find = _kruskal([(x, v) for v, x in enumerate(phi)], edges, [0] * len(edges))
     pts = [DiagramPoint(phi[r], phi[top], cls, r, top) for e, r in zip(edges, retired)
            if r is not None and phi[r] != phi[top := _ends(phi, e)[0]]]
@@ -119,7 +119,7 @@ def _ascending(fg: FilteredGraph, cls: str) -> tuple[list, list, Callable[[int],
 
 def extended_persistence(fg: FilteredGraph) -> tuple[DiagramPoint, ...]:
     phi = fg.node_values.tolist()
-    pts, up, find = _ascending(fg, "Ord0")
+    pts, up, find = _ascending(fg.graph, phi, "Ord0")
     down = sorted(up, key=lambda e: (-phi[_ends(phi, e)[1]], e))
     rank = {e: i for i, e in enumerate(up)}
     retired, cycles, find_down = _kruskal([(-x, v) for v, x in enumerate(phi)], down,
@@ -148,13 +148,14 @@ def regular_persistence(fg: FilteredGraph) -> tuple[DiagramPoint, ...]:
     """Sublevel-set H0 persistence: the merges of the sublevel sweep, plus
     one essential point per component pairing its min with the global max
     of the filtration."""
-    phi = fg.node_values
-    if phi.size == 0:
+    phi = fg.node_values.tolist()
+    if not phi:
         return ()
-    pts, _, find = _ascending(fg, "H0")
-    gmax, gmax_node = float(phi.max()), int(phi.argmax())
-    pts += [DiagramPoint(float(phi[v]), gmax, "H0", v, gmax_node)
-            for v in range(phi.size) if find(v) == v]
+    pts, _, find = _ascending(fg.graph, phi, "H0")
+    gmax_node = int(fg.node_values.argmax())
+    gmax = phi[gmax_node]
+    pts += [DiagramPoint(phi[v], gmax, "H0", v, gmax_node)
+            for v in range(len(phi)) if find(v) == v]
     pts.sort(key=lambda p: (p.birth, p.death, p.birth_node))
     return tuple(pts)
 

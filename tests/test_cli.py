@@ -50,17 +50,21 @@ def test_build_is_reproducible(tmp_path):
 
 
 def test_build_from_csv_and_coord_filter(tmp_path):
-    src = tmp_path / "pts.csv"
     rng = np.random.default_rng(0)
-    pts = rng.standard_normal((60, 3))
-    src.write_text("\n".join(",".join(map(str, row)) for row in pts) + "\n")
-    rc = main([
-        "build", "--input", str(src), "--filter", "coord", "--coord", "2",
-        "--clusterer", "linkage", "--threshold", "2.0",
-        "--mode", "regular", "--out-dir", str(tmp_path / "out"),
-    ])
-    assert rc == 0
-    assert (tmp_path / "out" / "diagram.csv").read_text().count("Ext") == 0
+    rows = "\n".join(" ".join(map(str, row)) for row in rng.standard_normal((60, 3)))
+    (tmp_path / "pts.csv").write_text(rows.replace(" ", ",") + "\n")
+    (tmp_path / "pts.off").write_text(f"OFF\n60 0 0\n{rows}\n")
+    for fmt in ("csv", "off"):
+        rc = main([
+            "build", "--input", str(tmp_path / f"pts.{fmt}"), "--format", fmt,
+            "--filter", "coord", "--coord", "2", "--clusterer", "linkage", "--threshold", "2.0",
+            "--mode", "regular", "--out-dir", str(tmp_path / fmt),
+        ])
+        assert rc == 0
+    assert (tmp_path / "csv" / "diagram.csv").read_text().count("Ext") == 0
+    # the same points read from an OFF mesh give the same graph and diagram
+    for file in ("mapper.json", "mapper.dot", "diagram.csv"):
+        assert (tmp_path / "off" / file).read_bytes() == (tmp_path / "csv" / file).read_bytes()
 
 
 def test_build_reads_a_csv_with_a_byte_order_mark(tmp_path):
@@ -79,7 +83,11 @@ def test_optimize_is_reproducible(tmp_path):
             "--threshold", "0.2", "--maximize", "--epochs", "3", "--mc-samples", "3",
             "--delta-rel", "0.1", "--noise-std", "0.01"]
     assert main(argv + ["--out-dir", str(tmp_path / "a")]) == 0
-    assert main(argv + ["--out-dir", str(tmp_path / "b")]) == 0
+    # a switch set in a config file acts as the flag, and the hash ignores the config path
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"maximize": True}))
+    argv.remove("--maximize")
+    assert main(argv + ["--config", str(cfg), "--out-dir", str(tmp_path / "b")]) == 0
     files = {out: sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
              for out in (tmp_path / "a", tmp_path / "b")}
     names = files[tmp_path / "a"]
@@ -156,14 +164,16 @@ def test_config_unknown_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("config", [{"epochs": 2.5}, {"maximize": 1}, {"scheme": "rough"},
-                                    {"theta": [1, 0]}])
+                                    {"theta": [1, 0]}, ["epochs", 2]])
 def test_config_values_are_checked_like_flags(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     rc = main(["optimize", "--config", str(cfg), "--shape", "circle", "--threshold", "0.8",
                "--out-dir", str(tmp_path)])
     assert rc == 1
-    assert "error: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: " in err
+    assert ("must hold a JSON object" in err) == isinstance(config, list)
 
 
 _OPTIMIZE = ["optimize", "--maximize", "--epochs", "3"]
@@ -245,6 +255,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     for argv in [["synth", "--shape", "circle", "--seed", "-1",
                   "--out", str(tmp_path / "cloud.csv")],
                  ["build", "--shape", "circle", "--n", "100", "--seed", "-1",
+                  "--threshold", "0.5", "--out-dir", str(tmp_path / "seed")],
+                 ["build", "--shape", "circle", "--n", "100", "--seed", "abc",
                   "--threshold", "0.5", "--out-dir", str(tmp_path / "seed")],
                  optimize + ["--seed", "-1", "--out-dir", str(tmp_path / "seed")]]:
         capsys.readouterr()

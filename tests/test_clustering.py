@@ -46,6 +46,9 @@ def test_singleton_member_set(line_cloud):
 def test_empty_member_set_rejected(line_cloud):
     with pytest.raises(ValueError):
         cluster(SingleLinkageClusterer(0.5), line_cloud, [])
+    for members in ([0, 4], [-1, 0]):
+        with pytest.raises(ValueError, match="member index out of range"):
+            cluster(SingleLinkageClusterer(0.5), line_cloud, members)
 
 
 def test_threshold_below_coordinate_resolution_rejected(line_cloud):
@@ -137,6 +140,10 @@ def test_kmeans_more_clusters_than_points(line_cloud):
     parts = cluster(KMeansClusterer(10, seed=0), line_cloud, [0, 2, 3])
     assert len(parts) == 3
     assert all(len(p) == 1 for p in parts)
+    # k-means++ runs out of distinct points: the later centers repeat chosen ones
+    cloud = PointCloud([[1.0, 2.0]] * 4 + [[5.0, 5.0]])
+    parts = cluster(KMeansClusterer(3, seed=0), cloud, [0, 1, 2, 3, 4])
+    assert as_sets(parts) == {frozenset({0, 1, 2, 3}), frozenset({4})}
 
 
 def test_partition_property(rng):
@@ -179,6 +186,9 @@ def test_threshold_from_hausdorff():
     assert cl2.threshold == 2 * cl1.threshold
     with pytest.raises(ValueError, match="threshold must be finite and > 0, got inf"):
         threshold_from_hausdorff(cloud, 0.5, float("inf"), seed=0)
+    for factor in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="factor must be > 0"):
+            threshold_from_hausdorff(cloud, 0.5, factor, seed=0)
 
 
 def test_threshold_fraction_one_degenerate(rng):

@@ -52,8 +52,10 @@ def test_uniform_cover_r2():
 
 
 def test_uniform_cover_single_interval():
-    cover = uniform_cover([2.0, 5.0], 1, 0.3)
-    assert np.allclose(cover.intervals, [[2, 5]])
+    # one interval is exactly the range, and constant values get a unit interval
+    assert uniform_cover([2.0, 5.0], 1, 0.3).intervals.tolist() == [[2.0, 5.0]]
+    assert uniform_cover([0.1, 0.7, 0.3], 1, 0.9).intervals.tolist() == [[0.1, 0.7]]
+    assert uniform_cover([3.0, 3.0], 1, 0.3).intervals.tolist() == [[3.0, 4.0]]
 
 
 def test_uniform_cover_r25():
@@ -254,6 +256,16 @@ def test_standard_scheme_reports_first_value_outside():
         standard_scheme(np.array([0.5, 1.5, -1.0]), cover)
 
 
+@pytest.mark.parametrize("intervals, message", [
+    ([[0, 1, 2]], "r x 2"), (np.zeros((0, 2)), "r x 2"), ([0, 1], "r x 2"),
+    ([[1, 1]], "a_j < b_j"), ([[0, 1], [2, 1.5]], "a_j < b_j"),
+    ([[0, 1], [1, 2]], "must overlap"),
+])
+def test_interval_cover_rejects_malformed_intervals(intervals, message):
+    with pytest.raises(ValueError, match=message):
+        IntervalCover(intervals)
+
+
 def test_interval_cover_rejects_endpoints_out_of_order():
     with pytest.raises(ValueError, match="non-decreasing"):
         IntervalCover([[0, 3], [-1, 1]])
@@ -270,6 +282,13 @@ def test_assignment_scheme_rejects_probabilities_outside_unit_interval(bad):
     probs[1, 2] = bad
     with pytest.raises(ValueError, match=r"\[0,1\]"):
         AssignmentScheme(probs)
+
+
+def test_scheme_and_draw_shapes_are_checked():
+    with pytest.raises(ValueError, match="n x r matrix"):
+        AssignmentScheme(np.full(3, 0.5))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        log_prob(AssignmentScheme(np.full((3, 2), 0.5)), np.ones((2, 3)))
 
 
 def test_assignment_scheme_accepts_empty_and_endpoints():

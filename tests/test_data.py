@@ -156,6 +156,12 @@ def test_load_off_empty_and_malformed(tmp_path):
     h.write_text("OFF\n3 0 0\n0 0 0\n1 1 1\n")
     with pytest.raises(FormatError, match="ends after"):
         load_off_vertices(h)
+    for text, message in [("OFF\n3 0\n", "truncated OFF count line"),
+                          ("OFF\nthree 0 0\n0 0 0\n", "bad vertex count 'three'"),
+                          ("OFF\n1 0 0\n0 x 0\n", "non-numeric vertex coordinate")]:
+        h.write_text(text)
+        with pytest.raises(FormatError, match=message):
+            load_off_vertices(h)
 
 
 def test_normalize_counts_examples():
@@ -188,6 +194,9 @@ def test_normalize_counts_row_local(rng):
 def test_hausdorff_full_fraction_zero(rng):
     cloud = PointCloud(rng.standard_normal((40, 2)))
     assert hausdorff_to_subsample(cloud, 1.0, seed=0) == 0.0
+    for fraction in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"fraction must be in \(0,1\]"):
+            hausdorff_to_subsample(cloud, fraction, seed=0)
 
 
 def test_hausdorff_two_points():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from softmapper.data import PointCloud
-from softmapper.filters import FixedFilter, LinearFilter, diagonal_init
+from softmapper.filters import FilterValues, FixedFilter, LinearFilter, diagonal_init
 
 
 def test_linear_projection():
@@ -10,6 +10,7 @@ def test_linear_projection():
     fv = LinearFilter().evaluate(cloud, [0.0, 0.0, 1.0])
     assert fv.values[0] == 3.0
     assert np.array_equal(fv.jacobian, [[1.0, 2.0, 3.0]])
+    assert fv.jacobian is cloud.points  # read-only, so shared rather than copied
 
 
 def test_linear_zero_theta(rng):
@@ -20,6 +21,9 @@ def test_linear_zero_theta(rng):
 def test_linear_dimension_mismatch():
     with pytest.raises(ValueError):
         LinearFilter().evaluate(PointCloud([[1.0, 2.0]]), [1.0, 2.0, 3.0])
+    for theta in ([np.nan, 1.0], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            LinearFilter().evaluate(PointCloud([[1.0, 2.0]]), theta)
 
 
 def test_linear_jacobian_finite_differences(rng):
@@ -56,6 +60,20 @@ def test_fixed_filter():
 def test_fixed_filter_rejects_nan():
     with pytest.raises(ValueError):
         FixedFilter([0.0, np.nan])
+    with pytest.raises(ValueError, match="length does not match"):
+        FixedFilter([0.0, 1.0]).evaluate(PointCloud([[0.0], [1.0], [2.0]]))
+
+
+@pytest.mark.parametrize("values, jacobian, message", [
+    ([0.0, 1.0], np.zeros((3, 1)), "inconsistent shapes"),
+    ([[0.0, 1.0]], np.zeros((1, 1)), "inconsistent shapes"),
+    ([0.0, 1.0], np.zeros(2), "inconsistent shapes"),
+    ([0.0, np.nan], np.zeros((2, 1)), "non-finite"),
+    ([0.0, 1.0], [[0.0], [np.inf]], "non-finite"),
+])
+def test_filter_values_are_checked(values, jacobian, message):
+    with pytest.raises(ValueError, match=message):
+        FilterValues(values, jacobian)
 
 
 def test_diagonal_init():

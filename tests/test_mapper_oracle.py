@@ -280,6 +280,11 @@ def test_epoch_rejects_foreign_draws():
         epoch.graph(np.zeros((6, 2)))  # drops the core
     with pytest.raises(ValueError):
         map_comp(cloud, ok, SingleLinkageClusterer(2.0), epoch)
+    with pytest.raises(ValueError, match=r"assignment must be \(6, 2\)"):
+        epoch.graph(ok[:, :1])
+    for scheme in (probs[:5], probs[:, 0]):
+        with pytest.raises(ValueError, match="scheme must have 6 rows"):
+            LinkageEpoch(cloud, scheme, cl)
 
 
 def all_pairs(pts, threshold):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,29 @@ def test_loss_and_subgradient_takes_the_epochs_filter_values():
     short = LinearFilter().evaluate(PointCloud(cloud.points[:-1]), theta)
     with pytest.raises(ValueError, match="one value per point"):
         loss_and_subgradient(cloud, e, fam, theta, cl, fv=short)
+
+
+def test_non_finite_losses_gradients_and_steps_raise():
+    """A draw's loss and subgradient, an epoch's means of them and its step
+    are each checked for overflow. With overflow warnings silenced, these
+    checks are what stop each case; the filter values, cover and clustering
+    stay finite in all of them."""
+    clusterer = SingleLinkageClusterer(1e300)
+    config = OptimConfig(epochs=1, mc_samples=2, mode="regular", scheme="standard",
+                         resolution=1)
+    with np.errstate(over="ignore"):
+        # H0 losses 1.5e308 + 0.5e308: the draw's own sum overflows
+        cloud = PointCloud([[0.0], [1e308], [1.5e308]])
+        with pytest.raises(FloatingPointError, match="non-finite loss or subgradient"):
+            loss_and_subgradient(cloud, np.ones((3, 1), dtype=np.uint8), LinearFilter(),
+                                 np.array([1.0]), clusterer, "regular")
+        # each draw's loss is 1.5e308, their mean overflows
+        cloud = PointCloud([[0.0], [1.5e308]])
+        with pytest.raises(FloatingPointError, match="epoch 0: non-finite risk or gradient"):
+            optimize(cloud, LinearFilter(), [1.0], clusterer, config)
+        # a gradient of -2 times a step of 1e308
+        cloud = PointCloud([[0.0], [2.0]])
+        config = dataclasses.replace(config, step_size=1e308)
+        with pytest.raises(FloatingPointError,
+                           match="epoch 0: the step made the parameters non-finite"):
+            optimize(cloud, LinearFilter(), [1.0], SingleLinkageClusterer(1.0), config)

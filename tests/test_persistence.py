@@ -281,6 +281,9 @@ def test_loss_single_node_graph():
     )
     assert loss == 0.0
     assert np.array_equal(grad, [0.0, 0.0])
+    with pytest.raises(ValueError, match="mode must be 'regular' or 'extended'"):
+        loss_and_subgradient(cloud, e, LinearFilter(), np.array([1.0, 0.0]),
+                             SingleLinkageClusterer(1.0), "ordinary")
 
 
 @pytest.mark.parametrize("mode", ["regular", "extended"])
