@@ -132,7 +132,8 @@ class CellIndex:
     per cloud and threshold.
 
     Construction only applies the extent rule (``_cells_across``) to the
-    cloud's extent. ``bin``, which a ``Grid`` calls on first use, bins the
+    cloud's extent; an extent past the largest double raises
+    FloatingPointError. ``bin``, which a ``Grid`` calls on first use, bins the
     points less the cloud's least coordinates: ``id`` maps each point to its
     cell, numbered in lexicographic order of the cells' coordinates, of
     which there are ``count``. The cells across the extent number below
@@ -156,7 +157,11 @@ class CellIndex:
     def __init__(self, points: np.ndarray, threshold: float):
         self.points, self.threshold = points, threshold
         self.low = points.min(axis=0)
-        self.side, self.across = _cells_across(points.max(axis=0) - self.low, threshold)
+        with np.errstate(over="ignore"):
+            extent = points.max(axis=0) - self.low
+        if not np.all(np.isfinite(extent)):
+            raise FloatingPointError("the extent of the points overflows a double")
+        self.side, self.across = _cells_across(extent, threshold)
         self.id = None
 
     def bin(self) -> None:

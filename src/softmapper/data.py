@@ -23,7 +23,8 @@ class PointCloud:
     private memos keep of it never goes stale: the exact grids that single
     linkage builds from it, one per threshold (see ``clustering.cell_index``),
     and, per clusterer, the last ``mapper.LinkageEpoch``'s record of each cover
-    element (point sets, core clusters, margin edges), which the next reuses.
+    element of its last scheme (point sets, core clusters, margin edges),
+    which the next reuses.
     """
 
     points: np.ndarray

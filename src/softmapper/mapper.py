@@ -30,16 +30,23 @@ class MapperNode(NamedTuple):
 class MapperGraph:
     """Dimension <= 1 nerve: nodes are clusters, edges mark shared points.
 
-    ``MapperGraph(indptr, members, cover, edges)`` stores these fields as
-    given. Node k has cover index cover[k] and the members
+    ``MapperGraph(indptr, members, cover, edges, draws)`` stores these fields
+    as given. Node k has cover index cover[k] and the members
     members[indptr[k]:indptr[k + 1]], sorted point indices, at least one.
     Edges are unordered id pairs (u, v) with u < v; each weight is the size
     of the member intersection (always >= 1). ``nodes`` lists the same nodes
     as MapperNode records, built on first read.
+
+    A graph may hold the graphs of several draws as their disjoint union:
+    draw m has the nodes draws[m]:draws[m + 1], no edge joins two draws, and
+    each draw's nodes and edges come in the order its own graph gives them.
+    ``draws`` defaults to [0, n_nodes], a single draw.
     """
 
-    def __init__(self, indptr: np.ndarray, members: np.ndarray, cover: np.ndarray, edges: dict):
+    def __init__(self, indptr: np.ndarray, members: np.ndarray, cover: np.ndarray, edges: dict,
+                 draws: np.ndarray | None = None):
         self.indptr, self.members, self.cover, self.edges = indptr, members, cover, edges
+        self.draws = np.array([0, cover.size]) if draws is None else draws
 
     @cached_property
     def nodes(self) -> tuple[MapperNode, ...]:
@@ -60,10 +67,12 @@ class MapperGraph:
             return NotImplemented
         return (np.array_equal(self.indptr, other.indptr)
                 and np.array_equal(self.members, other.members)
-                and np.array_equal(self.cover, other.cover) and self.edges == other.edges)
+                and np.array_equal(self.cover, other.cover) and self.edges == other.edges
+                and np.array_equal(self.draws, other.draws))
 
     def __repr__(self):
-        return f"MapperGraph({self.indptr!r}, {self.members!r}, {self.cover!r}, {self.edges!r})"
+        return (f"MapperGraph({self.indptr!r}, {self.members!r}, {self.cover!r}, {self.edges!r},"
+                f" {self.draws!r})")
 
 
 def _nerve(pts: np.ndarray, col: np.ndarray, k: int):
@@ -80,7 +89,14 @@ def _nerve(pts: np.ndarray, col: np.ndarray, k: int):
         gap += 1
     keys = np.sort(_cat(keys))
     ends = _run_ends(keys)
-    return (*np.divmod(keys[ends[:-1]], k), np.diff(ends))
+    return (*_divmod(keys[ends[:-1]], k), np.diff(ends))
+
+
+def _divmod(keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.divmod of integer keys by k from one floor division, which numpy
+    runs about four times faster than divmod."""
+    q = keys // k
+    return q, keys - q * k
 
 
 def _run_ends(keys: np.ndarray) -> np.ndarray:
@@ -140,14 +156,22 @@ class LinkageEpoch:
     draw. ``graph(e)`` equals the Mapper graph of e clustered from scratch.
     An entry outside [0, 1] (or NaN) raises ValueError.
 
+    The scheme is one n x r matrix or a stack of S of them (S x n x r), which
+    is one scheme over S r elements: element j of scheme s is element s r + j,
+    and its points are rows s n + i to the nerve, so no two schemes' nodes
+    share a point. ``map_comp`` stacks k-means draws this way, each its own
+    scheme.
+
     Units run element by element, and within an element by smallest member,
     core clusters and margin points alike. An element's core clusters depend
     only on its core point set and its edges only on its core and margin
-    sets. The cloud keeps one record per element of the last epoch built on
-    it with the same clusterer; the next such epoch takes a record's clusters
-    if the core is unchanged and its edges if the margin is too. It clusters
-    the other cores and searches one margin grid over the other elements; a
-    cloud's first epoch has no records.
+    sets. The cloud keeps one record per element of the last scheme of the
+    last epoch built on it with the same clusterer. Element j of a scheme
+    looks at one record: element j of the scheme before it, or of the
+    cloud's record for the first scheme. It takes the record's clusters if
+    the core is unchanged and its edges if the margin is too. The epoch
+    clusters the other cores and searches one margin grid over the other
+    elements; a cloud's first epoch has no records.
 
     The epoch also keeps what no draw decides: the flat indices of the core
     and margin entries, through which ``graph(e)`` checks a draw, and the unit
@@ -165,11 +189,12 @@ class LinkageEpoch:
 
     def __init__(self, cloud: PointCloud, probs, clusterer: Clusterer):
         p = np.asarray(probs)
-        if p.ndim != 2 or p.shape[0] != cloud.n:
+        if p.ndim not in (2, 3) or p.shape[-2] != cloud.n:
             raise ValueError(f"scheme must have {cloud.n} rows, got {p.shape}")
         self.cloud, self.clusterer = cloud, clusterer
-        self._shape = p.shape
-        r = p.shape[1]
+        self._shape = p.shape if p.ndim == 3 else (1, *p.shape)  # (S, n, r)
+        n_schemes, n, per_scheme = self._shape
+        r = n_schemes * per_scheme  # elements, scheme by scheme
         flat = np.flatnonzero(p.astype(bool, copy=False))  # NaN and negatives too
         kept = p.ravel()[flat]
         core, margin = kept == 1, (kept > 0) & (kept < 1)
@@ -177,7 +202,9 @@ class LinkageEpoch:
             raise ValueError("scheme entries must lie in [0, 1]")
         if margin.any() and not isinstance(clusterer, SingleLinkageClusterer):
             raise ValueError("a scheme with margin entries (0 < p < 1) needs single linkage")
-        pt, elem = np.divmod(flat, r)
+        row, elem = _divmod(flat, per_scheme)
+        scheme, pt = _divmod(row, n)
+        elem += scheme * per_scheme
         core_at, margin_at = np.flatnonzero(core), np.flatnonzero(margin)
         core_order, core_pt, self._core_elem, cb = _by_element(pt[core_at], elem[core_at], r)
         margin_order, self._margin_pt, self._margin_elem, mb = _by_element(
@@ -188,9 +215,11 @@ class LinkageEpoch:
         elements = []
         for j in range(r):
             c, m = core_pt[cb[j]:cb[j + 1]], self._margin_pt[mb[j]:mb[j + 1]]
-            same = j < len(last) and np.array_equal(c, last[j].core)
-            parts = last[j].parts if same else cluster(clusterer, cloud, c) if c.size else []
-            edges = last[j].edges if same and np.array_equal(m, last[j].margin) else None
+            prev = (elements[j - per_scheme] if j >= per_scheme
+                    else last[j] if j < len(last) else None)
+            same = prev is not None and np.array_equal(c, prev.core)
+            parts = prev.parts if same else cluster(clusterer, cloud, c) if c.size else []
+            edges = prev.edges if same and np.array_equal(m, prev.margin) else None
             elements.append(_Element(c, m, parts, edges))
         parts = [part for el in elements for part in el.parts]
         n_parts = np.array([len(el.parts) for el in elements], dtype=np.intp)
@@ -216,7 +245,7 @@ class LinkageEpoch:
         unit[margin_at] = self._margin_unit
         by_elem = np.argsort(self._core_elem * cloud.n + self._core_pt, kind="stable")
         unit[core_at] = self._core_unit[by_elem]
-        self._pairs = _nerve(pt, unit, n_units)
+        self._pairs = _nerve(row, unit, n_units)
         rebuild = np.array([el.edges is None for el in elements], dtype=bool) & (n_margin > 0)
         edges = self._margin_edges(rebuild)
         at = np.searchsorted(edges[0], off).tolist()  # the pass's edges run by element
@@ -224,7 +253,7 @@ class LinkageEpoch:
             elements[j] = elements[j]._replace(edges=edges[:, at[j]:at[j + 1]] - int(off[j]))
         pieces = [elements[j].edges + int(off[j]) for j in np.flatnonzero(n_margin).tolist()]
         self._edges = np.concatenate(pieces, axis=1) if pieces else edges
-        cloud._epochs[clusterer] = elements
+        cloud._epochs[clusterer] = elements[r - per_scheme:]
 
     def _margin_edges(self, rebuild: np.ndarray) -> np.ndarray:
         """Unit pairs (2 x E) of the elements the mask ``rebuild`` picks,
@@ -303,55 +332,75 @@ class LinkageEpoch:
             lo, hi = np.minimum(unit[i], unit[j]), np.maximum(unit[i], unit[j])
             keys.append((lo * n_units + hi)[(lo != hi) & ((own[i] != own[j]) | (own[i] < 0))])
         keys = _distinct(np.concatenate(keys))
-        return np.stack(np.divmod(keys, n_units)).astype(np.int32)
+        return np.stack(_divmod(keys, n_units)).astype(np.int32)
 
     def graph(self, e) -> MapperGraph:
-        """The Mapper graph of the draw e (n x r, nonzero = assigned).
+        """The Mapper graph of the draw e (n x r, nonzero = assigned), or the
+        disjoint union of the graphs of a stack of draws (M x n x r), with
+        draw m's node range in ``draws``. An epoch of S stacked schemes takes
+        stacks of a multiple of S draws, draw m from scheme m mod S.
 
-        Nodes run in (cover_index, smallest member) order, and edges are
-        inserted in ascending (u, v) order.
+        Each draw's nodes run in (cover_index, smallest member) order, and
+        edges are inserted in ascending (u, v) order. The stack is a run of
+        tiles, S draws each; tile t's units and entries are the epoch's
+        shifted by t times their counts, so one components call, one
+        membership sort and one pass over the shared unit pairs build every
+        draw.
         """
         e = np.asarray(e)
-        if e.shape != self._shape:
-            raise ValueError(f"assignment must be {self._shape}, got {e.shape}")
+        n_schemes, n, r = self._shape
+        stack = (1, *e.shape) if e.ndim == 2 and n_schemes == 1 else e.shape
+        if len(stack) != 3 or stack[1:] != (n, r) or stack[0] % n_schemes:
+            raise ValueError(f"assignment must be {(n, r)}, or a stack of them whose length"
+                             f" is a multiple of {n_schemes}, got {e.shape}")
+        n_tiles, n_units = stack[0] // n_schemes, self._unit_elem.size
         flat = e.reshape(-1)
-        drawn = flat[self._margin_flat] != 0
-        # a draw assigns every core entry, and beyond them only drawn margin entries
-        if (not np.all(flat[self._core_flat])
-                or np.count_nonzero(flat) != self._core_flat.size + np.count_nonzero(drawn)):
+        tile = np.arange(n_tiles)[:, None]
+        entry, shift = tile * (n_schemes * n * r), tile * n_units
+        drawn = flat[(entry + self._margin_flat).ravel()] != 0
+        # a draw assigns every core entry, and beyond them only drawn margin
+        # entries; a draw holds at least those, so equal totals make each equal
+        if (not np.all(flat[(entry + self._core_flat).ravel()])
+                or np.count_nonzero(flat)
+                != n_tiles * self._core_flat.size + np.count_nonzero(drawn)):
             raise ValueError("assignment is not a draw of this epoch's scheme")
-        n, n_units = self.cloud.n, self._unit_elem.size
-        present = np.ones(n_units, dtype=bool)
-        present[self._margin_unit[~drawn]] = False
-        a, b = self._edges
+        present = np.ones(n_tiles * n_units, dtype=bool)
+        present[(shift + self._margin_unit).ravel()[~drawn]] = False
+        a, b = (self._edges[:, None] + shift).reshape(2, -1)
         keep = present[a] & present[b]
         # one components call over all elements: edges never cross elements
-        root = merge_components(np.arange(n_units), a[keep], b[keep])
+        root = merge_components(np.arange(present.size), a[keep], b[keep])
         # a component lies in one element and its root is its smallest unit,
         # the one holding its smallest member, so the roots run in node order
-        by_node = np.flatnonzero(present & (root == np.arange(n_units)))
+        by_node = np.flatnonzero(present & (root == np.arange(present.size)))
         k = by_node.size
-        node = np.empty(n_units, dtype=np.intp)
+        node = np.empty(present.size, dtype=np.intp)
         node[by_node] = np.arange(k)
         node = node[root]
         # memberships by (node, point); a point is in a node at most once, and
         # each core cluster's members ascend, so a stable sort merges runs
-        pts = np.concatenate([self._core_pt, self._margin_pt[drawn]])
-        units = np.concatenate([self._core_unit, self._margin_unit[drawn]])
-        col, pts = np.divmod(np.sort(node[units] * n + pts, kind="stable"), n)
+        pts = np.concatenate([np.tile(self._core_pt, n_tiles),
+                              np.tile(self._margin_pt, n_tiles)[drawn]])
+        units = np.concatenate([(shift + self._core_unit).ravel(),
+                                (shift + self._margin_unit).ravel()[drawn]])
+        col, pts = _divmod(np.sort(node[units] * n + pts, kind="stable"), n)
         indptr = np.searchsorted(col, np.arange(k + 1))
         # a node's points are its units', and two units of one element share
         # none, so a node pair's weight sums those of its present unit pairs
         u, v, w = self._pairs
+        u, v = (shift + u).ravel(), (shift + v).ravel()
         shared = present[u] & present[v]
         keys = node[u[shared]] * k + node[v[shared]]
         order = np.argsort(keys, kind="stable")
-        keys, w = keys[order], w[shared][order]
+        keys, w = keys[order], np.tile(w, n_tiles)[shared][order]
         first = _run_ends(keys)[:-1]
-        u, v = np.divmod(keys[first], k)
+        u, v = _divmod(keys[first], k)
         w = np.add.reduceat(w, first) if first.size else first
-        return MapperGraph(indptr, pts, self._unit_elem[by_node] + 1,
-                           dict(zip(zip(u.tolist(), v.tolist()), w.tolist())))
+        t, unit = _divmod(by_node, n_units)
+        elem = self._unit_elem[unit]  # scheme s element j is s r + j
+        draws = np.searchsorted(t * (n_schemes * r) + elem, r * np.arange(stack[0] + 1))
+        return MapperGraph(indptr, pts, elem % r + 1,
+                           dict(zip(zip(u.tolist(), v.tolist()), w.tolist())), draws)
 
 
 def map_comp(
@@ -364,10 +413,13 @@ def map_comp(
     cluster) order. Every node pair sharing a point gets an edge, whatever
     their cover indices.
 
+    A stack of draws e (M x n x r) gives the disjoint union of their graphs,
+    draw m's nodes in ``draws[m]:draws[m + 1]`` (see ``MapperGraph``).
+
     The graph comes from ``epoch.graph(e)``. For single linkage, pass the
     epoch built once for the scheme e was drawn from; leave it out, as for
-    k-means, to treat e as its own scheme, which clusters every nonempty
-    column once.
+    k-means, to treat e as its own scheme (a stack as a stack of schemes),
+    which clusters every nonempty column once.
     """
     e = np.asarray(e)
     if epoch is None:

@@ -4,10 +4,14 @@ Monte-Carlo estimate of the soft-Mapper risk.
 Each epoch evaluates the filter once, rebuilds the interval cover and the
 smoothing width from those values (their range moves with theta), draws M
 independent assignment matrices, records the mean loss and its standard
-error, and takes one step along the mean subgradient. The M draws share the
-epoch's filter values (``loss_and_subgradient``'s ``fv``). Cover endpoints
-are treated as constants inside an epoch: they enter through sampling only,
-not through the per-sample chain rule. The cloud keeps one record per cover
+error, and takes one step along the mean subgradient. The M draws go, as one
+stack, through one ``loss_and_subgradient`` call with the epoch's filter
+values (its ``fv``): one ``map_comp`` builds their graphs as one disjoint
+union whose ``draws`` bounds give each draw's nodes, and one filtration and
+one diagram of that union give each draw's loss and subgradient. Cover
+endpoints are treated as constants inside an epoch: they enter through
+sampling only, not through the per-sample chain rule. An overflow in an
+epoch's means or step raises FloatingPointError. The cloud keeps one record per cover
 element of the previous epoch's ``LinkageEpoch``, and the epoch clusters
 again only the elements whose point sets differ from their record's (see
 ``mapper.LinkageEpoch``), so the results are those of a rebuild from scratch.
@@ -25,7 +29,7 @@ from .clustering import Clusterer, SingleLinkageClusterer
 from .cover import sample_assignment, smooth_scheme, smoothing_width, standard_scheme, uniform_cover
 from .data import PointCloud
 from .mapper import LinkageEpoch
-from .persistence import loss_and_subgradient
+from .persistence import loss_and_subgradient, raising
 
 
 @dataclass(frozen=True)
@@ -105,15 +109,11 @@ def _sample_losses(cloud, filter_family, theta, clusterer, config, base_seed):
     # every sample shares the linkage clustering of the scheme's deterministic core
     epoch = (LinkageEpoch(cloud, scheme.probs, clusterer)
              if isinstance(clusterer, SingleLinkageClusterer) else None)
+    e = np.stack([sample_assignment(scheme, base_seed + m) for m in range(config.mc_samples)])
+    losses, grads = loss_and_subgradient(cloud, e, filter_family, theta, clusterer,
+                                         config.mode, epoch, fv=fv)
     sign = -1.0 if config.maximize else 1.0
-    losses, grads = [], []
-    for m in range(config.mc_samples):
-        e = sample_assignment(scheme, base_seed + m)
-        loss, grad = loss_and_subgradient(cloud, e, filter_family, theta, clusterer,
-                                          config.mode, epoch, fv=fv)
-        losses.append(sign * loss)
-        grads.append(sign * grad)
-    return losses, grads
+    return sign * losses, sign * grads
 
 
 def _standard_error(losses) -> float:
@@ -149,16 +149,16 @@ def optimize(
             losses, grads = _sample_losses(
                 cloud, filter_family, theta, clusterer, config, base_seed
             )
+            # the losses and subgradients are finite, so only an overflow
+            # makes their means or the step non-finite
+            with raising("non-finite risk or gradient"):
+                y, risk = np.mean(grads, axis=0), float(np.mean(losses))
+            xi = (noise_rng.normal(0.0, config.noise_std, size=theta.shape)
+                  if config.noise_std > 0 else 0.0)
+            with raising("the step made the parameters non-finite"):
+                theta = theta - config.learning_rate(epoch) * (y + xi)
         except FloatingPointError as exc:
             raise FloatingPointError(f"epoch {epoch}: {exc}") from exc
-        y = np.mean(grads, axis=0)
-        risk = float(np.mean(losses))
-        if not np.isfinite(risk) or not np.all(np.isfinite(y)):
-            raise FloatingPointError(f"epoch {epoch}: non-finite risk or gradient")
-        xi = noise_rng.normal(0.0, config.noise_std, size=theta.shape) if config.noise_std > 0 else 0.0
-        theta = theta - config.learning_rate(epoch) * (y + xi)
-        if not np.all(np.isfinite(theta)):
-            raise FloatingPointError(f"epoch {epoch}: the step made the parameters non-finite")
         trace.append(theta, risk, _standard_error(losses), np.linalg.norm(y),
                      time.perf_counter() - t0)
     return theta, trace

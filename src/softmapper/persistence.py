@@ -22,6 +22,7 @@ realized by a specific node, which is what the subgradient chain traverses.
 from __future__ import annotations
 
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +118,15 @@ def _ascending(graph: MapperGraph, phi: list,
     return pts, edges, find
 
 
+def _draw_of(graph: MapperGraph) -> np.ndarray:
+    """The draw of each node of a graph holding one or more draws."""
+    return np.repeat(np.arange(graph.draws.size - 1), np.diff(graph.draws))
+
+
 def extended_persistence(fg: FilteredGraph) -> tuple[DiagramPoint, ...]:
+    """The Ord0, Ext0, Rel1 and Ext1 points of the graph's diagram, sorted
+    by (class, birth, death, birth node); for a graph of several draws, each
+    draw's diagram in turn, as each draw's own graph gives it."""
     phi = fg.node_values.tolist()
     pts, up, find = _ascending(fg.graph, phi, "Ord0")
     down = sorted(up, key=lambda e: (-phi[_ends(phi, e)[1]], e))
@@ -130,7 +139,8 @@ def extended_persistence(fg: FilteredGraph) -> tuple[DiagramPoint, ...]:
     pts += [DiagramPoint(phi[r], phi[bottom], "Rel1", r, bottom) for e, r in zip(down, retired)
             if r is not None and phi[r] != phi[bottom := _ends(phi, e)[1]]]
     # Ext1: each closed cycle, a bit set of ascending ranks, reduced over Z/2
-    # against the earlier ones; its latest edge is the birth
+    # against the earlier ones; its latest edge is the birth. Two draws share
+    # no edge, so a cycle only ever meets cycles of its own draw
     reduced = {}
     for e, cycle in zip([e for e, r in zip(down, retired) if r is None], cycles):
         while (low := cycle.bit_length() - 1) in reduced:
@@ -140,28 +150,52 @@ def extended_persistence(fg: FilteredGraph) -> tuple[DiagramPoint, ...]:
         reduced[low] = cycle
         top, bottom = _ends(phi, up[low])[0], _ends(phi, e)[1]
         pts.append(DiagramPoint(phi[top], phi[bottom], "Ext1", top, bottom))
-    pts.sort(key=lambda p: (p.cls, p.birth, p.death, p.birth_node))
+    draw = _draw_of(fg.graph).tolist()
+    pts.sort(key=lambda p: (draw[p.birth_node], p.cls, p.birth, p.death, p.birth_node))
     return tuple(pts)
+
+
+def _tops(values: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Per node, the node ``np.argmax`` picks in its draw's values: the
+    first largest, or the first NaN if the draw holds one."""
+    lo = draws[:-1][np.diff(draws) > 0]  # the nonempty draws' first nodes
+    size = np.diff(np.append(lo, values.size))
+    top = np.repeat(np.maximum.reduceat(values, lo), size)  # NaN if the draw holds one
+    at = np.where((values == top) | np.isnan(values), np.arange(values.size), values.size)
+    return np.repeat(np.minimum.reduceat(at, lo), size)
 
 
 def regular_persistence(fg: FilteredGraph) -> tuple[DiagramPoint, ...]:
     """Sublevel-set H0 persistence: the merges of the sublevel sweep, plus
     one essential point per component pairing its min with the global max
-    of the filtration."""
+    of the filtration, sorted by (birth, death, birth node); for a graph of
+    several draws, each draw's diagram in turn, each pairing with its own
+    draw's maximum."""
     phi = fg.node_values.tolist()
     if not phi:
         return ()
     pts, _, find = _ascending(fg.graph, phi, "H0")
-    gmax_node = int(fg.node_values.argmax())
-    gmax = phi[gmax_node]
-    pts += [DiagramPoint(phi[v], gmax, "H0", v, gmax_node)
+    top = _tops(fg.node_values, fg.graph.draws).tolist()
+    pts += [DiagramPoint(phi[v], phi[top[v]], "H0", v, top[v])
             for v in range(len(phi)) if find(v) == v]
-    pts.sort(key=lambda p: (p.birth, p.death, p.birth_node))
+    draw = _draw_of(fg.graph).tolist()
+    pts.sort(key=lambda p: (draw[p.birth_node], p.birth, p.death, p.birth_node))
     return tuple(pts)
 
 
 def total_persistence(diagram: tuple[DiagramPoint, ...]) -> float:
     return float(sum(abs(pt.birth - pt.death) for pt in diagram))
+
+
+@contextmanager
+def raising(message: str):
+    """Within the block, a numpy overflow or invalid operation raises
+    FloatingPointError(message) instead of warning."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError:
+            raise FloatingPointError(message) from None
 
 
 def loss_and_subgradient(
@@ -174,9 +208,10 @@ def loss_and_subgradient(
     epoch: LinkageEpoch | None = None,
     *,
     fv: FilterValues | None = None,
-) -> tuple[float, np.ndarray]:
+) -> tuple:
     """Total persistence of the Mapper graph of e under f_theta, and one
-    subgradient element w.r.t. theta.
+    subgradient element w.r.t. theta; for a stack e of M draws (M x n x r),
+    the M losses and the M x p subgradients.
 
     The graph depends only on (cloud, e, clusterer), so the chain rule runs
     through node means and the recorded realizing endpoints: each diagram
@@ -186,6 +221,12 @@ def loss_and_subgradient(
     from (see ``map_comp``). ``fv`` is ``filter_family.evaluate(cloud,
     theta)`` when the caller holds it already, as an epoch's draws share it;
     without it the filter is evaluated here.
+
+    A stack goes through one ``map_comp`` call, one filtration and one
+    diagram of the union of its draws' graphs. Each draw's loss sums its own
+    diagram's points in order and its subgradient adds their terms in order,
+    so every draw gets what a call on it alone gives. An overflow or a
+    non-finite result raises FloatingPointError.
     """
     if mode not in ("regular", "extended"):
         raise ValueError(f"mode must be 'regular' or 'extended', got {mode!r}")
@@ -194,22 +235,28 @@ def loss_and_subgradient(
     elif fv.values.shape[0] != cloud.n:
         raise ValueError(f"fv must hold one value per point ({cloud.n}),"
                          f" got {fv.values.shape[0]}")
+    e = np.asarray(e)
     graph = map_comp(cloud, e, clusterer, epoch)
-    fg = map_pers_filtration(graph, fv)
-    diagram = extended_persistence(fg) if mode == "extended" else regular_persistence(fg)
-    loss = total_persistence(diagram)
-
-    s = fv.n_params
-    grad = np.zeros(s)
-    if s == 0:
-        return loss, grad
-    node_grad = node_means(graph, fv.jacobian)
-    for pt in diagram:
-        sign = np.sign(pt.birth - pt.death)
-        if sign == 0:
-            continue
-        grad += sign * node_grad[pt.birth_node]
-        grad -= sign * node_grad[pt.death_node]
-    if not np.all(np.isfinite(grad)) or not np.isfinite(loss):
+    with raising("non-finite loss or subgradient"):
+        fg = map_pers_filtration(graph, fv)
+        diagram = extended_persistence(fg) if mode == "extended" else regular_persistence(fg)
+        birth, death = np.array([(p.birth, p.death) for p in diagram],
+                                dtype=float).reshape(-1, 2).T
+        nodes = np.array([(p.birth_node, p.death_node) for p in diagram],
+                         dtype=np.intp).reshape(-1, 2)
+        draw = _draw_of(graph)[nodes[:, 0]]
+        n_draws = graph.draws.size - 1
+        span = birth - death
+        losses = np.bincount(draw, np.abs(span), n_draws)  # in diagram order
+        grads = np.zeros((n_draws, fv.n_params))
+        if fv.n_params:
+            # each point off the diagonal adds sign * (grad birth) and then
+            # -sign * (grad death) to its draw's subgradient, one at a time
+            sign = np.sign(span)
+            at = np.flatnonzero(sign)  # NaN counts as off the diagonal
+            coef = np.stack([sign[at], -sign[at]], axis=1).reshape(-1, 1)
+            np.add.at(grads, draw[at].repeat(2),
+                      coef * node_means(graph, fv.jacobian)[nodes[at].ravel()])
+    if not (np.all(np.isfinite(losses)) and np.all(np.isfinite(grads))):
         raise FloatingPointError("non-finite loss or subgradient")
-    return loss, grad
+    return (float(losses[0]), grads[0]) if e.ndim == 2 else (losses, grads)

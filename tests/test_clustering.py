@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,17 @@ def test_extent_rule_holds_for_a_one_point_set(members):
     wide = PointCloud(np.concatenate([np.linspace(0, 1, 5), [1e12]])[:, None])
     with pytest.raises(ValueError, match="too small"):
         cluster(SingleLinkageClusterer(1e-6), wide, members)
+
+
+@pytest.mark.parametrize("threshold", [1.0, 1e300, 1e308])
+def test_an_extent_past_the_largest_double_raises(threshold):
+    """The extent overflows before any threshold is weighed, and says so
+    rather than warn or call the threshold too small."""
+    wide = PointCloud([[-1e308], [1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="extent of the points overflows"):
+            cluster(SingleLinkageClusterer(threshold), wide, [0, 1])
 
 
 def test_extent_rule_runs_once_per_cloud_and_threshold(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -256,3 +257,28 @@ def test_non_finite_losses_gradients_and_steps_raise():
         with pytest.raises(FloatingPointError,
                            match="epoch 0: the step made the parameters non-finite"):
             optimize(cloud, LinearFilter(), [1.0], SingleLinkageClusterer(1.0), config)
+
+
+def test_overflow_raises_rather_than_warns():
+    """Under warnings as errors, an overflow in a draw's subgradient or in an
+    epoch's mean of losses still ends in FloatingPointError."""
+    clusterer = SingleLinkageClusterer(1e300)
+    config = OptimConfig(epochs=1, mc_samples=2, mode="regular", scheme="standard",
+                         resolution=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the subgradient adds 1.5e308 + 0.5e308
+        cloud = PointCloud([[0.0], [1e308], [1.5e308]])
+        with pytest.raises(FloatingPointError, match="non-finite loss or subgradient"):
+            loss_and_subgradient(cloud, np.ones((3, 1), dtype=np.uint8), LinearFilter(),
+                                 np.array([1.0]), clusterer, "regular")
+        # each draw's loss is 1.5e308, their mean overflows
+        cloud = PointCloud([[0.0], [1.5e308]])
+        with pytest.raises(FloatingPointError, match="epoch 0: non-finite risk or gradient"):
+            optimize(cloud, LinearFilter(), [1.0], clusterer, config)
+        # a gradient of -2 times a step of 1e308
+        config = dataclasses.replace(config, step_size=1e308)
+        with pytest.raises(FloatingPointError,
+                           match="epoch 0: the step made the parameters non-finite"):
+            optimize(PointCloud([[0.0], [2.0]]), LinearFilter(), [1.0],
+                     SingleLinkageClusterer(1.0), config)

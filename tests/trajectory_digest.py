@@ -1,10 +1,12 @@
-"""Print the sha256 of the theta, risk and risk-SE trajectories of two
+"""Print the sha256 of the theta, risk and risk-SE trajectories of three
 optimize runs, and of the files two ``softmapper build`` runs write, so that
 two checkouts can be compared for bit-identity:
 
 - the README library quick-start configuration (600-point y-shape, M = 10),
   cut to 50 epochs;
 - a 10k-point y-shape at M = 2 for 20 epochs;
+- the README configuration in regular mode, 30 epochs, where each draw's
+  essential points pair with that draw's own global maximum;
 - a build of the benchmark's circle-build configuration (4000-point circle,
   coordinate filter, 400 intervals, linkage threshold 0.05);
 - a sampled build of a 600-point y-shape.
@@ -34,6 +36,8 @@ RUNS = {
                                     mode="extended", maximize=True, seed=0)),
     "yshape-10k": (10_000, OptimConfig(epochs=20, mc_samples=2, step_size=0.1,
                                        mode="extended", maximize=True, seed=0)),
+    "regular-600": (600, OptimConfig(epochs=30, mc_samples=10, step_size=0.1,
+                                     mode="regular", maximize=True, seed=0)),
 }
 BUILDS = {
     "circle-build": ["--shape", "circle", "--n", "4000", "--filter", "coord",
