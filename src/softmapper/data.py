@@ -22,9 +22,12 @@ class PointCloud:
     ``points`` is a read-only copy of the given coordinates, so what two
     private memos keep of it never goes stale: the exact grids that single
     linkage builds from it, one per threshold (see ``clustering.cell_index``),
-    and, per clusterer, the last ``mapper.LinkageEpoch``'s record of each cover
-    element of its last scheme (point sets, core clusters, margin edges),
-    which the next reuses.
+    and, per clusterer, the last ``mapper.LinkageEpoch`` built on it: its
+    scheme's support, the read-only arrays it derived from that support, and
+    its record of each cover element of its last scheme (point sets, core
+    clusters, margin edges). The next epoch takes the whole epoch if its
+    support is the same, and otherwise each element whose point sets are.
+    Neither memo refers back to the cloud.
     """
 
     points: np.ndarray

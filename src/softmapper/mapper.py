@@ -144,6 +144,16 @@ class _Element(NamedTuple):
     # None when it has no margin or they are yet to be built
 
 
+class _Memo(NamedTuple):
+    """What an epoch keeps for the next epoch on its (cloud, clusterer)."""
+
+    shape: tuple  # the scheme's (S, n, r)
+    flat: np.ndarray  # flat indices of its nonzero entries
+    core: np.ndarray  # mask of those entries equal to 1
+    state: dict  # the epoch's arrays derived from that support, by attribute, read-only
+    elements: list  # the _Element record of each element of its last scheme
+
+
 class LinkageEpoch:
     """Mapper graphs of every draw of one Bernoulli scheme.
 
@@ -165,13 +175,19 @@ class LinkageEpoch:
     Units run element by element, and within an element by smallest member,
     core clusters and margin points alike. An element's core clusters depend
     only on its core point set and its edges only on its core and margin
-    sets. The cloud keeps one record per element of the last scheme of the
-    last epoch built on it with the same clusterer. Element j of a scheme
-    looks at one record: element j of the scheme before it, or of the
-    cloud's record for the first scheme. It takes the record's clusters if
-    the core is unchanged and its edges if the margin is too. The epoch
-    clusters the other cores and searches one margin grid over the other
-    elements; a cloud's first epoch has no records.
+    sets. The cloud keeps one memo per clusterer, written by the last epoch
+    built on it with that clusterer: that epoch's support (its shape, the
+    flat indices of its nonzero entries and which of them equal 1),
+    everything the epoch derived from it, and one record per element of its
+    last scheme. Everything ``graph(e)`` reads depends only on the cloud,
+    the clusterer and the support, so an epoch whose support equals the
+    memo's takes the memo's arrays, which are read-only, and builds nothing.
+    Otherwise element j of a scheme looks at one record: element j of the
+    scheme before it, or of the memo's records for the first scheme. It
+    takes the record's clusters if the core is unchanged and its edges if
+    the margin is too. The epoch clusters the other cores, searches one
+    margin grid over the other elements and replaces the memo; a cloud's
+    first epoch has no memo. The memo holds no reference to the cloud.
 
     The epoch also keeps what no draw decides: the flat indices of the core
     and margin entries, through which ``graph(e)`` checks a draw, and the unit
@@ -202,6 +218,15 @@ class LinkageEpoch:
             raise ValueError("scheme entries must lie in [0, 1]")
         if margin.any() and not isinstance(clusterer, SingleLinkageClusterer):
             raise ValueError("a scheme with margin entries (0 < p < 1) needs single linkage")
+        memo = cloud._epochs.get(clusterer)
+        if (memo is not None and memo.shape == self._shape and np.array_equal(memo.flat, flat)
+                and np.array_equal(memo.core, core)):
+            vars(self).update(memo.state)  # the same support: everything below repeats
+            return
+        # only the old records are read from here on: free the old arrays before
+        # the new are built
+        last = [] if memo is None else cloud._epochs.pop(clusterer).elements
+        del memo
         row, elem = _divmod(flat, per_scheme)
         scheme, pt = _divmod(row, n)
         elem += scheme * per_scheme
@@ -211,7 +236,6 @@ class LinkageEpoch:
             pt[margin_at], elem[margin_at], r)
         core_at, margin_at = core_at[core_order], margin_at[margin_order]  # in element order
         self._core_flat, self._margin_flat = flat[core_at], flat[margin_at]
-        last = cloud._epochs.get(clusterer, [])
         elements = []
         for j in range(r):
             c, m = core_pt[cb[j]:cb[j + 1]], self._margin_pt[mb[j]:mb[j + 1]]
@@ -245,7 +269,7 @@ class LinkageEpoch:
         unit[margin_at] = self._margin_unit
         by_elem = np.argsort(self._core_elem * cloud.n + self._core_pt, kind="stable")
         unit[core_at] = self._core_unit[by_elem]
-        self._pairs = _nerve(row, unit, n_units)
+        self._pairs = np.stack(_nerve(row, unit, n_units))
         rebuild = np.array([el.edges is None for el in elements], dtype=bool) & (n_margin > 0)
         edges = self._margin_edges(rebuild)
         at = np.searchsorted(edges[0], off).tolist()  # the pass's edges run by element
@@ -253,7 +277,10 @@ class LinkageEpoch:
             elements[j] = elements[j]._replace(edges=edges[:, at[j]:at[j + 1]] - int(off[j]))
         pieces = [elements[j].edges + int(off[j]) for j in np.flatnonzero(n_margin).tolist()]
         self._edges = np.concatenate(pieces, axis=1) if pieces else edges
-        cloud._epochs[clusterer] = elements[r - per_scheme:]
+        state = {name: a for name, a in vars(self).items() if isinstance(a, np.ndarray)}
+        for a in (flat, core, *state.values()):
+            a.flags.writeable = False  # later epochs share them
+        cloud._epochs[clusterer] = _Memo(self._shape, flat, core, state, elements[r - per_scheme:])
 
     def _margin_edges(self, rebuild: np.ndarray) -> np.ndarray:
         """Unit pairs (2 x E) of the elements the mask ``rebuild`` picks,

@@ -11,10 +11,15 @@ union whose ``draws`` bounds give each draw's nodes, and one filtration and
 one diagram of that union give each draw's loss and subgradient. Cover
 endpoints are treated as constants inside an epoch: they enter through
 sampling only, not through the per-sample chain rule. An overflow in an
-epoch's means or step raises FloatingPointError. The cloud keeps one record per cover
-element of the previous epoch's ``LinkageEpoch``, and the epoch clusters
-again only the elements whose point sets differ from their record's (see
-``mapper.LinkageEpoch``), so the results are those of a rebuild from scratch.
+epoch's means or step raises FloatingPointError; the recorded gradient norm
+is taken at an exact power-of-two scale, so it is finite wherever the
+gradient is. The cloud keeps one memo of the previous epoch's
+``LinkageEpoch`` (see ``mapper.LinkageEpoch``). An epoch whose scheme has
+the same support (the same nonzero entries, the same ones equal to 1) takes
+that whole epoch and clusters nothing, as most epochs do once theta
+settles; any other epoch clusters again only the cover elements whose point
+sets differ from their record's. Either way the results are those of a
+rebuild from scratch.
 """
 
 from __future__ import annotations
@@ -116,14 +121,22 @@ def _sample_losses(cloud, filter_family, theta, clusterer, config, base_seed):
     return sign * losses, sign * grads
 
 
+def _scaled(f, x) -> float:
+    """f(x) for an f that scales with x, such as a norm, taken at x over the
+    power of two that brings its largest entry into [1/2, 1), so the squares
+    inside f cannot overflow. The scaling is exact: wherever f(x) neither
+    overflows nor underflows, this is f(x) bit for bit."""
+    exp = np.frexp(np.abs(x).max(initial=0.0))[1]
+    return float(np.ldexp(f(np.ldexp(x, -exp)), exp))
+
+
 def _standard_error(losses) -> float:
     """The M-sample standard error of the mean loss, exactly 0 when the losses
-    coincide; an exact power-of-two scale keeps their squares from overflowing."""
+    coincide."""
     x = np.asarray(losses)
     if np.ptp(x) == 0:  # where np.std can round to 1e-16
         return 0.0
-    exp = np.frexp(np.abs(x).max())[1]
-    return float(np.ldexp(np.std(np.ldexp(x, -exp), ddof=1) / np.sqrt(x.size), exp))
+    return _scaled(lambda z: np.std(z, ddof=1) / np.sqrt(z.size), x)
 
 
 def optimize(
@@ -159,7 +172,7 @@ def optimize(
                 theta = theta - config.learning_rate(epoch) * (y + xi)
         except FloatingPointError as exc:
             raise FloatingPointError(f"epoch {epoch}: {exc}") from exc
-        trace.append(theta, risk, _standard_error(losses), np.linalg.norm(y),
+        trace.append(theta, risk, _standard_error(losses), _scaled(np.linalg.norm, y),
                      time.perf_counter() - t0)
     return theta, trace
 

@@ -21,6 +21,12 @@ def test_small_nerve():
     assert g.edges == {(0, 1): 1}
 
 
+def test_a_graph_is_never_equal_to_another_type():
+    g = map_comp(PointCloud([[0.0], [1.0]]), np.ones((2, 1), dtype=np.uint8), trivial_clusterer())
+    assert g.__eq__((g.indptr, g.members, g.cover, g.edges)) is NotImplemented
+    assert g != g.edges and not g == g.members.tolist() and g == g
+
+
 def test_empty_assignment():
     cloud = PointCloud([[0.0], [1.0]])
     g = map_comp(cloud, np.zeros((2, 3), dtype=np.uint8), trivial_clusterer())

@@ -8,7 +8,9 @@ across samples; the two must agree exactly, node order and edge insertion
 order included.
 """
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -610,10 +612,11 @@ def epoch_runs():
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The sets ``mapper.cluster`` is called on and the elements of each
-    margin grid, in call order."""
-    log = {"cluster": [], "grid": []}
-    real_cluster, real_grid = mapper.cluster, mapper.Grid
+    """The sets ``mapper.cluster`` is called on, the elements of each margin
+    grid and the elements each margin pass is asked to rebuild, in call
+    order; an epoch that builds makes one margin pass, if an empty one."""
+    log = {"cluster": [], "grid": [], "edges": []}
+    real_cluster, real_grid, real_edges = mapper.cluster, mapper.Grid, LinkageEpoch._margin_edges
 
     def counted_cluster(clusterer, cloud, members):
         log["cluster"].append(members.tolist())
@@ -623,8 +626,13 @@ def builds(monkeypatch):
         log["grid"].append(np.unique(owner).tolist())
         return real_grid(cells, idx, owner)
 
+    def counted_edges(epoch, rebuild):
+        log["edges"].append(np.flatnonzero(rebuild).tolist())
+        return real_edges(epoch, rebuild)
+
     monkeypatch.setattr(mapper, "cluster", counted_cluster)
     monkeypatch.setattr(mapper, "Grid", counted_grid)
+    monkeypatch.setattr(LinkageEpoch, "_margin_edges", counted_edges)
     return log
 
 
@@ -703,3 +711,74 @@ def test_kmeans_reuses_unchanged_columns(builds):
     for m in range(3):
         d = sample_assignment(scheme, m + 1)
         assert_same_graph(map_comp(cloud, d, km), oracle_map_comp(cloud, d, km))
+
+
+def assert_draws_match_a_fresh_cloud(epoch, cloud, probs, cl):
+    """Four draws of probs (one n x r scheme or a stack of them) have the
+    graphs under the epoch that they have under an epoch on a fresh cloud."""
+    fresh = LinkageEpoch(PointCloud(cloud.points), probs, cl)
+    for seed in range(4):
+        e = np.stack([sample_assignment(AssignmentScheme(p), seed) for p in probs.reshape(
+            -1, *probs.shape[-2:])])
+        assert_same_graph(epoch.graph(e), fresh.graph(e))
+
+
+def test_a_repeated_support_reuses_the_whole_epoch(builds):
+    """An epoch whose scheme has the same nonzero entries, and the same ones
+    equal to 1, as the last epoch on its cloud and clusterer neither
+    clusters nor searches a margin grid, whatever its margin probabilities."""
+    cloud, scheme, threshold = smooth_case(1)
+    cloud, cl = PointCloud(cloud.points), SingleLinkageClusterer(threshold)
+    margin = (scheme.probs > 0) & (scheme.probs < 1)
+    assert margin.any()
+    LinkageEpoch(cloud, scheme.probs, cl)
+    assert builds["cluster"] and builds["edges"]
+    probs = np.where(margin, scheme.probs / 2, scheme.probs)
+    for log in builds.values():
+        log.clear()
+    epoch = LinkageEpoch(cloud, probs, cl)
+    assert builds == {"cluster": [], "grid": [], "edges": []}
+    assert_draws_match_a_fresh_cloud(epoch, cloud, probs, cl)
+
+
+def test_another_support_clusterer_or_cloud_builds_anew(builds):
+    """One entry flipped between core and margin, another stack depth,
+    another clusterer or another cloud: the epoch is built, not reused."""
+    cloud, scheme, threshold = smooth_case(1)
+    cloud, cl, probs = PointCloud(cloud.points), SingleLinkageClusterer(threshold), scheme.probs
+    to_margin, to_core = probs.copy(), probs.copy()
+    to_margin.flat[np.flatnonzero(probs == 1)[0]] = 0.5
+    to_core.flat[np.flatnonzero((probs > 0) & (probs < 1))[0]] = 1.0
+    for other_cloud, other, other_cl in [
+            (cloud, to_margin, cl), (cloud, to_core, cl), (cloud, np.stack([probs, probs]), cl),
+            (cloud, probs, SingleLinkageClusterer(1.5 * threshold)),
+            (PointCloud(cloud.points), probs, cl)]:
+        LinkageEpoch(cloud, probs, cl)  # the memo of (cloud, cl) holds probs' support
+        builds["edges"].clear()
+        epoch = LinkageEpoch(other_cloud, other, other_cl)
+        assert len(builds["edges"]) == 1
+        assert_draws_match_a_fresh_cloud(epoch, other_cloud, other, other_cl)
+
+
+def test_the_memo_is_read_only_and_dies_with_its_cloud():
+    """The arrays a reused epoch shares cannot be written, and the memo
+    holds no reference back to the cloud, so reference counting alone frees
+    a dropped cloud."""
+    cloud, scheme, threshold = smooth_case(1)
+    cloud, cl = PointCloud(cloud.points), SingleLinkageClusterer(threshold)
+    epoch = LinkageEpoch(cloud, scheme.probs, cl)
+    memo = cloud._epochs[cl]
+    again = LinkageEpoch(cloud, scheme.probs, cl)
+    assert all(getattr(again, name) is a for name, a in memo.state.items())
+    arrays = [memo.flat, memo.core, *memo.state.values()]
+    assert {"_pairs", "_edges", "_core_unit", "_margin_unit"} <= memo.state.keys()
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        epoch._edges[...] = 0
+    ref = weakref.ref(cloud)
+    gc.disable()
+    try:
+        del cloud, epoch, again
+        assert ref() is None
+    finally:
+        gc.enable()

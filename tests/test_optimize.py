@@ -7,7 +7,7 @@ import pytest
 from softmapper.clustering import CellIndex, KMeansClusterer, SingleLinkageClusterer
 from softmapper.data import PointCloud
 from softmapper.filters import FixedFilter, LinearFilter
-from softmapper.optimize import OptimConfig, direction_correlation, optimize
+from softmapper.optimize import OptimConfig, _scaled, direction_correlation, optimize
 from softmapper.cover import sample_assignment, smooth_scheme, smoothing_width, uniform_cover
 from softmapper.persistence import loss_and_subgradient
 from softmapper.synthetic import generate_synthetic
@@ -282,3 +282,23 @@ def test_overflow_raises_rather_than_warns():
                            match="epoch 0: the step made the parameters non-finite"):
             optimize(PointCloud([[0.0], [2.0]]), LinearFilter(), [1.0],
                      SingleLinkageClusterer(1.0), config)
+
+
+def test_a_gradient_whose_square_overflows_has_a_finite_norm():
+    """The epoch's gradient norm is taken at an exact power-of-two scale, so
+    it is finite wherever the gradient is, and is np.linalg.norm's own value
+    wherever that does not overflow."""
+    config = OptimConfig(epochs=1, mc_samples=2, mode="regular", scheme="standard",
+                         resolution=1, step_size=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, trace = optimize(PointCloud([[0.0], [1e200]]), LinearFilter(), [1.0],
+                            SingleLinkageClusterer(1e190), config)
+        assert trace.grad_norms == [1e200]  # each draw's gradient is [1e200]
+        assert _scaled(np.linalg.norm, np.array([1e200, -1e200])) == pytest.approx(
+            np.sqrt(2) * 1e200, rel=1e-15)
+    rng = np.random.default_rng(0)
+    for size in (1, 2, 3, 7, 40):
+        for scale in (1e-150, 1e-8, 1.0, 3.0, 1e8, 1e150):
+            y = scale * rng.standard_normal(size)
+            assert _scaled(np.linalg.norm, y) == np.linalg.norm(y)

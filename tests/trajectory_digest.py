@@ -1,4 +1,4 @@
-"""Print the sha256 of the theta, risk and risk-SE trajectories of three
+"""Print the sha256 of the theta, risk and risk-SE trajectories of four
 optimize runs, and of the files two ``softmapper build`` runs write, so that
 two checkouts can be compared for bit-identity:
 
@@ -7,6 +7,9 @@ two checkouts can be compared for bit-identity:
 - a 10k-point y-shape at M = 2 for 20 epochs;
 - the README configuration in regular mode, 30 epochs, where each draw's
   essential points pair with that draw's own global maximum;
+- the README configuration for 600 epochs, long enough for theta to settle:
+  over half its epochs repeat the previous epoch's scheme support and so
+  reuse that whole ``LinkageEpoch``, which no shorter run here does;
 - a build of the benchmark's circle-build configuration (4000-point circle,
   coordinate filter, 400 intervals, linkage threshold 0.05);
 - a sampled build of a 600-point y-shape.
@@ -38,6 +41,8 @@ RUNS = {
                                        mode="extended", maximize=True, seed=0)),
     "regular-600": (600, OptimConfig(epochs=30, mc_samples=10, step_size=0.1,
                                      mode="regular", maximize=True, seed=0)),
+    "steady-600": (600, OptimConfig(epochs=600, mc_samples=10, step_size=0.1,
+                                    mode="extended", maximize=True, seed=0)),
 }
 BUILDS = {
     "circle-build": ["--shape", "circle", "--n", "4000", "--filter", "coord",
