@@ -329,6 +329,9 @@ def main(argv=None) -> int:
     except (FloatingPointError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -101,16 +101,12 @@ def _cells_across(extent: np.ndarray, threshold: float) -> tuple[float, float]:
     number of whole cells across the widest coordinate of ``extent`` (a
     cloud's largest less least coordinates, one per dimension).
 
-    Raises ValueError from 2**50 cells on, where a cell could no longer be
-    told apart in floating point. ``CellIndex`` applies this rule once per
-    cloud and threshold, whichever way its sets are linked, so the outcome
-    never depends on set size.
+    ``CellIndex`` rejects 2**50 cells or more, where a cell could no longer
+    be told apart in floating point, once per cloud and threshold, whichever
+    way its sets are linked, so the outcome never depends on set size.
     """
     side = threshold / (2 * math.sqrt(extent.size))
-    cells = np.floor(extent.max() / side)
-    if cells >= 2.0 ** 50:
-        raise ValueError(f"threshold {threshold} is too small for the extent of the points")
-    return side, cells
+    return side, np.floor(extent.max() / side)
 
 
 def range_pairs(sa, na, sb, nb):
@@ -130,6 +126,12 @@ class CellIndex:
     grid of single linkage (DBSCAN with minPts = 1, Gan & Tao 2015), shared
     by every ``Grid`` over the cloud's point sets; ``cell_index`` keeps one
     per cloud and threshold.
+
+    Every linkage distance, here, in a ``Grid`` and in ``cluster``, is taken
+    on ``points``, the cloud's times the power of two 2**-e that brings their
+    largest |coordinate| into [1/2, 1), where no square overflows, against
+    ``limit``, the caller's ``threshold`` times 2**-e capped at 4 sqrt(d),
+    past which every pair links. The scaling is exact (``optimize._scaled``).
 
     Construction only applies the extent rule (``_cells_across``) to the
     cloud's extent; an extent past the largest double raises
@@ -155,18 +157,22 @@ class CellIndex:
     """
 
     def __init__(self, points: np.ndarray, threshold: float):
-        self.points, self.threshold = points, threshold
-        self.low = points.min(axis=0)
-        with np.errstate(over="ignore"):
-            extent = points.max(axis=0) - self.low
+        self.threshold = threshold
+        exp = int(np.frexp(np.abs(points).max(initial=0.0))[1])
+        with np.errstate(over="ignore"):  # an infinite extent raises, an infinite limit is capped
+            extent = points.max(axis=0) - points.min(axis=0)
+            self.limit = min(float(np.ldexp(threshold, -exp)), 4 * math.sqrt(points.shape[1]))
         if not np.all(np.isfinite(extent)):
             raise FloatingPointError("the extent of the points overflows a double")
-        self.side, self.across = _cells_across(extent, threshold)
+        self.points = np.ldexp(points, -exp)
+        self.side, self.across = _cells_across(np.ldexp(extent, -exp), self.limit)
+        if self.across >= 2.0 ** 50:
+            raise ValueError(f"threshold {threshold} is too small for the extent of the points")
         self.id = None
 
     def bin(self) -> None:
         n = self.points.shape[0]
-        shifted = self.points - self.low
+        shifted = self.points - self.points.min(axis=0)
         key = np.floor(shifted.T / self.side)  # per point: cell coordinates
         order = np.lexsort(key[::-1])
         key = key[:, order]
@@ -184,22 +190,17 @@ class CellIndex:
         # the shift and the centres each round by up to an ulp of the extent,
         # (across + 1) sides of threshold / (2 sqrt(d)), per coordinate, which
         # is 4 sqrt(d) ulps in all; the distances round relative to themselves
-        pad = self.threshold * (_SLACK + 2 * _EPS * (self.across + 1))
-        # no two centres lie farther apart than the diagonal of their bounding
-        # box, so a reach past twice that adds no pair; it is capped there, but
-        # at no less than 1: the tree squares the reach, and a square
-        # overflows from about 1e154 on and underflows below about 1e-154
-        reach = min(self.threshold + pad + 2 * radius.max(),
-                    max(2 * float(np.hypot.reduce(np.ptp(centre, axis=0))), 1.0))
-        a, b = cKDTree(centre).query_pairs(reach, output_type="ndarray").T
+        pad = self.limit * (_SLACK + 2 * _EPS * (self.across + 1))
+        a, b = cKDTree(centre).query_pairs(self.limit + pad + 2 * radius.max(),
+                                           output_type="ndarray").T
         gap = np.empty(a.size)  # by blocks of pairs, so the differences held stay bounded
         for s in range(0, a.size, _CHUNK):
             diff = centre[a[s:s + _CHUNK]] - centre[b[s:s + _CHUNK]]
             gap[s:s + _CHUNK] = np.einsum("ij,ij->i", diff, diff)
         np.sqrt(gap, out=gap)
         spread = radius[a] + radius[b]
-        sure = gap + spread <= self.threshold - pad
-        keep = np.flatnonzero(sure | (gap - spread <= self.threshold + pad))
+        sure = gap + spread <= self.limit - pad
+        keep = np.flatnonzero(sure | (gap - spread <= self.limit + pad))
         keep = keep[np.argsort(a[keep], kind="stable")]
         self.pair_start = np.searchsorted(a[keep], np.arange(self.count + 1))
         self.pair_cell, self.pair_sure = b[keep], sure[keep]
@@ -236,7 +237,7 @@ class Grid:
         if cells.id is None:
             cells.bin()
         n = idx.size
-        self.threshold = cells.threshold
+        self.limit = cells.limit
         key = np.asarray(owner, dtype=np.intp) * cells.count + cells.id[idx]
         self.order = np.argsort(key, kind="stable")
         key = key[self.order]
@@ -272,7 +273,7 @@ class Grid:
         """
         ks = np.arange(na.size) if keep is None else np.flatnonzero(keep)
         for k, i, j in range_pairs(sa[ks], na[ks], sb[ks], nb[ks]):
-            ok = _within(self.cols, i, j, self.threshold)
+            ok = _within(self.cols, i, j, self.limit)
             yield ks[k[ok]], i[ok], j[ok]
 
 
@@ -380,7 +381,7 @@ def cluster(clusterer: Clusterer, cloud: PointCloud, member_indices) -> list[np.
     cells = cell_index(cloud, clusterer.threshold)  # rejects a threshold too small for the cloud
     if members.size * (members.size - 1) // 2 > _CHUNK:
         return _split(members, _grid_labels(cells, members))
-    return _linkage_parts(members, cloud.points.take(members, axis=0), clusterer.threshold)
+    return _linkage_parts(members, cells.points.take(members, axis=0), cells.limit)
 
 
 def threshold_from_hausdorff(

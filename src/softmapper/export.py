@@ -44,7 +44,7 @@ def export_dot(graph: MapperGraph, colors) -> str:
     out = ["graph mapper {", "  node [style=filled];"]
     out += [f'  n{k} [label="{k}", tooltip="{size}", fillcolor="{_RAMP[step]}"];'
             for k, (size, step) in enumerate(zip(np.diff(graph.indptr).tolist(), steps))]
-    out += [f"  n{u} -- n{v} [weight={w}];" for (u, v), w in sorted(graph.edges.items())]
+    out += [f"  n{u} -- n{v} [weight={w}];" for u, v, w in zip(*graph.links.tolist())]
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -67,7 +67,7 @@ def graph_to_json(graph: MapperGraph, values=None) -> str:
         f' [{", ".join(members[bounds[k]:bounds[k + 1]])}], "value": {x}}}'
         for k, (j, x) in enumerate(zip(graph.cover.tolist(), _tokens(values.tolist()))))
     edges = ", ".join(f'{{"source": {u}, "target": {v}, "weight": {w}}}'
-                      for (u, v), w in sorted(graph.edges.items()))
+                      for u, v, w in zip(*graph.links.tolist()))
     return f'{{"edges": [{edges}], "nodes": [{nodes}]}}\n'
 
 
@@ -112,17 +112,16 @@ def graph_from_json(text: str) -> MapperGraph:
     if not all(type(x) is int for edge in edges for x in edge):
         raise ValueError("edge endpoints and weights must be ints")
     sizes = [len(nd["members"]) for nd in nodes]
-    indptr = np.zeros(len(nodes) + 1, dtype=np.intp)
-    np.cumsum(sizes, out=indptr[1:])
+    indptr = np.cumsum([0, *sizes])
     members = np.array([i for nd in nodes for i in nd["members"]], dtype=np.intp)
     cover = np.array([nd["cover_index"] for nd in nodes], dtype=np.intp)
     order = np.argsort(members, kind="stable")  # memberships by (point, node)
     col = np.repeat(np.arange(len(nodes)), sizes)
-    nerve = list(zip(*(x.tolist() for x in _nerve(members[order], col[order], len(nodes)))))
-    if sorted((min(u, v), max(u, v), w) for u, v, w in edges) != nerve:
+    links = np.stack(_nerve(members[order], col[order], len(nodes)))
+    if sorted((min(u, v), max(u, v), w) for u, v, w in edges) != list(zip(*links.tolist())):
         raise ValueError("edges must join exactly the node pairs that share points, once"
                          " each, weighted by the shared count")
-    return MapperGraph(indptr, members, cover, {(u, v): w for u, v, w in nerve})
+    return MapperGraph(indptr, members, cover, links)
 
 
 def diagram_to_csv(diagram) -> str:

@@ -30,12 +30,13 @@ class MapperNode(NamedTuple):
 class MapperGraph:
     """Dimension <= 1 nerve: nodes are clusters, edges mark shared points.
 
-    ``MapperGraph(indptr, members, cover, edges, draws)`` stores these fields
+    ``MapperGraph(indptr, members, cover, links, draws)`` stores these fields
     as given. Node k has cover index cover[k] and the members
     members[indptr[k]:indptr[k + 1]], sorted point indices, at least one.
-    Edges are unordered id pairs (u, v) with u < v; each weight is the size
-    of the member intersection (always >= 1). ``nodes`` lists the same nodes
-    as MapperNode records, built on first read.
+    ``links`` (3 x E ints) holds the edges (u, v), u < v, ascending, with
+    their weights w, the sizes of the member intersections (always >= 1).
+    ``nodes`` (MapperNode records) and ``edges`` ({(u, v): w}) are views of
+    the same nodes and edges, built on first read.
 
     A graph may hold the graphs of several draws as their disjoint union:
     draw m has the nodes draws[m]:draws[m + 1], no edge joins two draws, and
@@ -43,9 +44,9 @@ class MapperGraph:
     ``draws`` defaults to [0, n_nodes], a single draw.
     """
 
-    def __init__(self, indptr: np.ndarray, members: np.ndarray, cover: np.ndarray, edges: dict,
-                 draws: np.ndarray | None = None):
-        self.indptr, self.members, self.cover, self.edges = indptr, members, cover, edges
+    def __init__(self, indptr: np.ndarray, members: np.ndarray, cover: np.ndarray,
+                 links: np.ndarray, draws: np.ndarray | None = None):
+        self.indptr, self.members, self.cover, self.links = indptr, members, cover, links
         self.draws = np.array([0, cover.size]) if draws is None else draws
 
     @cached_property
@@ -54,25 +55,36 @@ class MapperGraph:
         return tuple(MapperNode(k, j, tuple(flat[bounds[k]:bounds[k + 1]]))
                      for k, j in enumerate(self.cover.tolist()))
 
+    @cached_property
+    def edges(self) -> dict:
+        return {(u, v): w for u, v, w in zip(*self.links.tolist())}
+
     @property
     def n_nodes(self) -> int:
         return self.cover.size
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return self.links.shape[1]
 
     def __eq__(self, other):
         if not isinstance(other, MapperGraph):
             return NotImplemented
-        return (np.array_equal(self.indptr, other.indptr)
-                and np.array_equal(self.members, other.members)
-                and np.array_equal(self.cover, other.cover) and self.edges == other.edges
-                and np.array_equal(self.draws, other.draws))
+        return all(np.array_equal(getattr(self, f), getattr(other, f))
+                   for f in ("indptr", "members", "cover", "links", "draws"))
 
     def __repr__(self):
-        return (f"MapperGraph({self.indptr!r}, {self.members!r}, {self.cover!r}, {self.edges!r},"
+        return (f"MapperGraph({self.indptr!r}, {self.members!r}, {self.cover!r}, {self.links!r},"
                 f" {self.draws!r})")
+
+
+def _union(graphs: list[MapperGraph]) -> MapperGraph:
+    """The disjoint union of single-draw graphs, taken in order."""
+    draws = np.cumsum([0, *(g.n_nodes for g in graphs)])
+    links = [g.links + [[k], [k], [0]] for g, k in zip(graphs, draws)]
+    return MapperGraph(np.cumsum(_cat([[0], *(np.diff(g.indptr) for g in graphs)])),
+                       _cat([g.members for g in graphs]), _cat([g.cover for g in graphs]),
+                       np.concatenate([np.empty((3, 0), dtype=np.intp), *links], axis=1), draws)
 
 
 def _nerve(pts: np.ndarray, col: np.ndarray, k: int):
@@ -147,7 +159,7 @@ class _Element(NamedTuple):
 class _Memo(NamedTuple):
     """What an epoch keeps for the next epoch on its (cloud, clusterer)."""
 
-    shape: tuple  # the scheme's (S, n, r)
+    shape: tuple  # the scheme's (n, r)
     flat: np.ndarray  # flat indices of its nonzero entries
     core: np.ndarray  # mask of those entries equal to 1
     state: dict  # the epoch's arrays derived from that support, by attribute, read-only
@@ -164,13 +176,8 @@ class LinkageEpoch:
     units are the core clusters of j and its drawn margin points. Its edges,
     built once here, join units exactly when the radius graph does in every
     draw. ``graph(e)`` equals the Mapper graph of e clustered from scratch.
-    An entry outside [0, 1] (or NaN) raises ValueError.
-
-    The scheme is one n x r matrix or a stack of S of them (S x n x r), which
-    is one scheme over S r elements: element j of scheme s is element s r + j,
-    and its points are rows s n + i to the nerve, so no two schemes' nodes
-    share a point. ``map_comp`` stacks k-means draws this way, each its own
-    scheme.
+    The scheme is one n x r matrix; an entry outside [0, 1] (or NaN) raises
+    ValueError.
 
     Units run element by element, and within an element by smallest member,
     core clusters and margin points alike. An element's core clusters depend
@@ -178,16 +185,14 @@ class LinkageEpoch:
     sets. The cloud keeps one memo per clusterer, written by the last epoch
     built on it with that clusterer: that epoch's support (its shape, the
     flat indices of its nonzero entries and which of them equal 1),
-    everything the epoch derived from it, and one record per element of its
-    last scheme. Everything ``graph(e)`` reads depends only on the cloud,
-    the clusterer and the support, so an epoch whose support equals the
-    memo's takes the memo's arrays, which are read-only, and builds nothing.
-    Otherwise element j of a scheme looks at one record: element j of the
-    scheme before it, or of the memo's records for the first scheme. It
-    takes the record's clusters if the core is unchanged and its edges if
-    the margin is too. The epoch clusters the other cores, searches one
-    margin grid over the other elements and replaces the memo; a cloud's
-    first epoch has no memo. The memo holds no reference to the cloud.
+    everything the epoch derived from it, and one record per element.
+    Everything ``graph(e)`` reads depends only on the cloud, the clusterer
+    and the support, so an epoch whose support equals the memo's takes the
+    memo's arrays, which are read-only, and builds nothing. Any other epoch
+    takes record j's clusters for element j if its core is unchanged, and
+    its edges if the margin is too; it clusters the other cores, searches
+    one margin grid over the other elements and replaces the memo. A
+    cloud's first epoch has no memo; the memo holds no reference to it.
 
     The epoch also keeps what no draw decides: the flat indices of the core
     and margin entries, through which ``graph(e)`` checks a draw, and the unit
@@ -205,12 +210,10 @@ class LinkageEpoch:
 
     def __init__(self, cloud: PointCloud, probs, clusterer: Clusterer):
         p = np.asarray(probs)
-        if p.ndim not in (2, 3) or p.shape[-2] != cloud.n:
-            raise ValueError(f"scheme must have {cloud.n} rows, got {p.shape}")
+        if p.ndim != 2 or p.shape[0] != cloud.n:
+            raise ValueError(f"scheme must have {cloud.n} rows and r columns, got {p.shape}")
         self.cloud, self.clusterer = cloud, clusterer
-        self._shape = p.shape if p.ndim == 3 else (1, *p.shape)  # (S, n, r)
-        n_schemes, n, per_scheme = self._shape
-        r = n_schemes * per_scheme  # elements, scheme by scheme
+        self._shape = n, r = p.shape
         flat = np.flatnonzero(p.astype(bool, copy=False))  # NaN and negatives too
         kept = p.ravel()[flat]
         core, margin = kept == 1, (kept > 0) & (kept < 1)
@@ -227,9 +230,7 @@ class LinkageEpoch:
         # the new are built
         last = [] if memo is None else cloud._epochs.pop(clusterer).elements
         del memo
-        row, elem = _divmod(flat, per_scheme)
-        scheme, pt = _divmod(row, n)
-        elem += scheme * per_scheme
+        pt, elem = _divmod(flat, r)
         core_at, margin_at = np.flatnonzero(core), np.flatnonzero(margin)
         core_order, core_pt, self._core_elem, cb = _by_element(pt[core_at], elem[core_at], r)
         margin_order, self._margin_pt, self._margin_elem, mb = _by_element(
@@ -239,8 +240,7 @@ class LinkageEpoch:
         elements = []
         for j in range(r):
             c, m = core_pt[cb[j]:cb[j + 1]], self._margin_pt[mb[j]:mb[j + 1]]
-            prev = (elements[j - per_scheme] if j >= per_scheme
-                    else last[j] if j < len(last) else None)
+            prev = last[j] if j < len(last) else None
             same = prev is not None and np.array_equal(c, prev.core)
             parts = prev.parts if same else cluster(clusterer, cloud, c) if c.size else []
             edges = prev.edges if same and np.array_equal(m, prev.margin) else None
@@ -269,7 +269,7 @@ class LinkageEpoch:
         unit[margin_at] = self._margin_unit
         by_elem = np.argsort(self._core_elem * cloud.n + self._core_pt, kind="stable")
         unit[core_at] = self._core_unit[by_elem]
-        self._pairs = np.stack(_nerve(row, unit, n_units))
+        self._pairs = np.stack(_nerve(pt, unit, n_units))
         rebuild = np.array([el.edges is None for el in elements], dtype=bool) & (n_margin > 0)
         edges = self._margin_edges(rebuild)
         at = np.searchsorted(edges[0], off).tolist()  # the pass's edges run by element
@@ -280,7 +280,7 @@ class LinkageEpoch:
         state = {name: a for name, a in vars(self).items() if isinstance(a, np.ndarray)}
         for a in (flat, core, *state.values()):
             a.flags.writeable = False  # later epochs share them
-        cloud._epochs[clusterer] = _Memo(self._shape, flat, core, state, elements[r - per_scheme:])
+        cloud._epochs[clusterer] = _Memo(self._shape, flat, core, state, elements)
 
     def _margin_edges(self, rebuild: np.ndarray) -> np.ndarray:
         """Unit pairs (2 x E) of the elements the mask ``rebuild`` picks,
@@ -364,34 +364,29 @@ class LinkageEpoch:
     def graph(self, e) -> MapperGraph:
         """The Mapper graph of the draw e (n x r, nonzero = assigned), or the
         disjoint union of the graphs of a stack of draws (M x n x r), with
-        draw m's node range in ``draws``. An epoch of S stacked schemes takes
-        stacks of a multiple of S draws, draw m from scheme m mod S.
+        draw m's node range in ``draws``.
 
-        Each draw's nodes run in (cover_index, smallest member) order, and
-        edges are inserted in ascending (u, v) order. The stack is a run of
-        tiles, S draws each; tile t's units and entries are the epoch's
-        shifted by t times their counts, so one components call, one
-        membership sort and one pass over the shared unit pairs build every
-        draw.
+        Each draw's nodes run in (cover_index, smallest member) order, its
+        edges in ascending (u, v) order. Draw m's units and entries are the
+        epoch's shifted by m times their counts, so one components call, one
+        membership sort and one pass over the shared unit pairs build all draws.
         """
         e = np.asarray(e)
-        n_schemes, n, r = self._shape
-        stack = (1, *e.shape) if e.ndim == 2 and n_schemes == 1 else e.shape
-        if len(stack) != 3 or stack[1:] != (n, r) or stack[0] % n_schemes:
-            raise ValueError(f"assignment must be {(n, r)}, or a stack of them whose length"
-                             f" is a multiple of {n_schemes}, got {e.shape}")
-        n_tiles, n_units = stack[0] // n_schemes, self._unit_elem.size
+        n, r = self._shape
+        if e.ndim not in (2, 3) or e.shape[-2:] != (n, r):
+            raise ValueError(f"assignment must be {(n, r)} or a stack of them, got {e.shape}")
+        n_draws, n_units = e.shape[0] if e.ndim == 3 else 1, self._unit_elem.size
         flat = e.reshape(-1)
-        tile = np.arange(n_tiles)[:, None]
-        entry, shift = tile * (n_schemes * n * r), tile * n_units
+        draw = np.arange(n_draws)[:, None]
+        entry, shift = draw * (n * r), draw * n_units
         drawn = flat[(entry + self._margin_flat).ravel()] != 0
         # a draw assigns every core entry, and beyond them only drawn margin
         # entries; a draw holds at least those, so equal totals make each equal
         if (not np.all(flat[(entry + self._core_flat).ravel()])
                 or np.count_nonzero(flat)
-                != n_tiles * self._core_flat.size + np.count_nonzero(drawn)):
+                != n_draws * self._core_flat.size + np.count_nonzero(drawn)):
             raise ValueError("assignment is not a draw of this epoch's scheme")
-        present = np.ones(n_tiles * n_units, dtype=bool)
+        present = np.ones(n_draws * n_units, dtype=bool)
         present[(shift + self._margin_unit).ravel()[~drawn]] = False
         a, b = (self._edges[:, None] + shift).reshape(2, -1)
         keep = present[a] & present[b]
@@ -406,8 +401,8 @@ class LinkageEpoch:
         node = node[root]
         # memberships by (node, point); a point is in a node at most once, and
         # each core cluster's members ascend, so a stable sort merges runs
-        pts = np.concatenate([np.tile(self._core_pt, n_tiles),
-                              np.tile(self._margin_pt, n_tiles)[drawn]])
+        pts = np.concatenate([np.tile(self._core_pt, n_draws),
+                              np.tile(self._margin_pt, n_draws)[drawn]])
         units = np.concatenate([(shift + self._core_unit).ravel(),
                                 (shift + self._margin_unit).ravel()[drawn]])
         col, pts = _divmod(np.sort(node[units] * n + pts, kind="stable"), n)
@@ -419,15 +414,13 @@ class LinkageEpoch:
         shared = present[u] & present[v]
         keys = node[u[shared]] * k + node[v[shared]]
         order = np.argsort(keys, kind="stable")
-        keys, w = keys[order], np.tile(w, n_tiles)[shared][order]
+        keys, w = keys[order], np.tile(w, n_draws)[shared][order]
         first = _run_ends(keys)[:-1]
-        u, v = _divmod(keys[first], k)
-        w = np.add.reduceat(w, first) if first.size else first
-        t, unit = _divmod(by_node, n_units)
-        elem = self._unit_elem[unit]  # scheme s element j is s r + j
-        draws = np.searchsorted(t * (n_schemes * r) + elem, r * np.arange(stack[0] + 1))
-        return MapperGraph(indptr, pts, elem % r + 1,
-                           dict(zip(zip(u.tolist(), v.tolist()), w.tolist())), draws)
+        links = np.stack([*_divmod(keys[first], k),
+                          np.add.reduceat(w, first) if first.size else first])
+        # draw m's units are m n_units to (m + 1) n_units
+        return MapperGraph(indptr, pts, self._unit_elem[by_node % n_units] + 1, links,
+                           np.searchsorted(by_node, n_units * np.arange(n_draws + 1)))
 
 
 def map_comp(
@@ -445,12 +438,15 @@ def map_comp(
 
     The graph comes from ``epoch.graph(e)``. For single linkage, pass the
     epoch built once for the scheme e was drawn from; leave it out, as for
-    k-means, to treat e as its own scheme (a stack as a stack of schemes),
-    which clusters every nonempty column once.
+    k-means, to treat e as its own scheme, which clusters every nonempty
+    column once. A stack then builds one epoch per draw, each taking the
+    element records of the draw before it, and joins their graphs.
     """
     e = np.asarray(e)
     if epoch is None:
         e = e != 0  # one pass over e; the epoch and the draw check read only this mask
+        if e.ndim == 3:
+            return _union([LinkageEpoch(cloud, d, clusterer).graph(d) for d in e])
         epoch = LinkageEpoch(cloud, e, clusterer)
     elif epoch.cloud is not cloud or epoch.clusterer != clusterer:
         raise ValueError("epoch was built for another cloud or clusterer")

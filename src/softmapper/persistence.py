@@ -5,9 +5,9 @@ Both diagram modes come from Kruskal sweeps over one union-find in which
 the elder root survives each merge (Cohen-Steiner, Edelsbrunner & Harer,
 "Extending persistence using Poincare and Lefschetz duality", 2009). The
 ascending sweep adds nodes by (value, id) and edges by (max endpoint value,
-edge): its merges are the regular H0 points and the extended Ord0 points,
+u, v): its merges are the regular H0 points and the extended Ord0 points,
 and its roots are the components' minima. The descending sweep adds nodes
-by (-value, id) and edges by (-min endpoint value, edge): its merges are
+by (-value, id) and edges by (-min endpoint value, u, v): its merges are
 the Rel1 points, and its roots are the components' maxima (ties to the
 smaller id). Each component's two roots form its Ext0 point. Each edge
 that closes a cycle in the descending sweep is an Ext1 death. Its cycle
@@ -21,7 +21,7 @@ realized by a specific node, which is what the subgradient chain traverses.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -36,7 +36,7 @@ from .mapper import LinkageEpoch, MapperGraph, map_comp, node_means
 @dataclass(frozen=True)
 class FilteredGraph:
     graph: MapperGraph
-    node_values: np.ndarray  # phi per node id; an edge's values are its endpoints' (see _ends)
+    node_values: np.ndarray  # phi per node id; an edge's values are its endpoints' (see _sweep)
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,7 @@ def map_pers_filtration(graph: MapperGraph, filter_values: FilterValues) -> Filt
     return FilteredGraph(graph, node_means(graph, filter_values.values))
 
 
-def _ends(phi: list, e: tuple[int, int]) -> tuple[int, int]:
-    """The endpoints of the edge e = (u, v), u < v, that realize its max and
-    its min value; a tie goes to the smaller id."""
-    u, v = e
-    return (v, u) if phi[v] > phi[u] else (u, v) if phi[v] < phi[u] else (u, u)
-
-
-def _kruskal(key: list, edges: list, labels: list) -> tuple[list, list, Callable[[int], int]]:
+def _kruskal(key: list, edges: Iterable, labels: list) -> tuple[list, list, Callable[[int], int]]:
     """Add ``edges`` in order to a union-find over the nodes of ``key``; at
     each merge the root with the smaller key survives (the elder rule).
 
@@ -106,16 +99,29 @@ def _kruskal(key: list, edges: list, labels: list) -> tuple[list, list, Callable
     return retired, cycles, find
 
 
-def _ascending(graph: MapperGraph, phi: list,
-               cls: str) -> tuple[list, list, Callable[[int], int]]:
-    """The sublevel sweep of ``graph`` under the node values ``phi``: one
-    ``cls`` point per merge off the diagonal, the edges in sweep order, and
-    the final ``find``, whose roots are their components' minima."""
-    edges = sorted(graph.edges, key=lambda e: (phi[_ends(phi, e)[0]], e))
-    retired, _, find = _kruskal([(x, v) for v, x in enumerate(phi)], edges, [0] * len(edges))
-    pts = [DiagramPoint(phi[r], phi[top], cls, r, top) for e, r in zip(edges, retired)
-           if r is not None and phi[r] != phi[top := _ends(phi, e)[0]]]
-    return pts, edges, find
+def _sweep(fg: FilteredGraph, sign: float, rank: np.ndarray | None = None) -> tuple:
+    """The ascending (sign 1) or descending (sign -1) Kruskal sweep: nodes by
+    (sign * value, id), edges by (sign * value, u, v) of the endpoint realizing
+    their max, or with sign -1 their min (ties to u, the smaller id). Returns
+    the edge order, those endpoints in that order and ``_kruskal``'s results,
+    each edge labelled by the bit of its ``rank`` entry, if given."""
+    phi, (u, v, _) = sign * fg.node_values, fg.graph.links
+    end = np.where(phi[v] > phi[u], v, u)
+    order = np.lexsort((v, u, phi[end]))
+    labels = [0] * order.size if rank is None else [1 << i for i in rank[order].tolist()]
+    return order, end[order].tolist(), *_kruskal(list(zip(phi.tolist(), range(phi.size))),
+                                                 zip(u[order].tolist(), v[order].tolist()), labels)
+
+
+def _ascending(fg: FilteredGraph, cls: str) -> tuple[list, np.ndarray, list, Callable]:
+    """The sublevel sweep: one ``cls`` point per merge off the diagonal, the
+    edge order and each edge's top endpoint in that order (see ``_sweep``),
+    and the final ``find``, whose roots are their components' minima."""
+    phi = fg.node_values.tolist()
+    up, top, retired, _, find = _sweep(fg, 1.0)
+    pts = [DiagramPoint(phi[r], phi[t], cls, r, t) for t, r in zip(top, retired)
+           if r is not None and phi[r] != phi[t]]
+    return pts, up, top, find
 
 
 def _draw_of(graph: MapperGraph) -> np.ndarray:
@@ -128,28 +134,25 @@ def extended_persistence(fg: FilteredGraph) -> tuple[DiagramPoint, ...]:
     by (class, birth, death, birth node); for a graph of several draws, each
     draw's diagram in turn, as each draw's own graph gives it."""
     phi = fg.node_values.tolist()
-    pts, up, find = _ascending(fg.graph, phi, "Ord0")
-    down = sorted(up, key=lambda e: (-phi[_ends(phi, e)[1]], e))
-    rank = {e: i for i, e in enumerate(up)}
-    retired, cycles, find_down = _kruskal([(-x, v) for v, x in enumerate(phi)], down,
-                                          [1 << rank[e] for e in down])
+    pts, up, top, find = _ascending(fg, "Ord0")
+    # each edge's place in the ascending sweep labels it in the descending one
+    _, bottom, retired, cycles, find_down = _sweep(fg, -1.0, np.argsort(up))
     # Ext0: each component's min, its ascending root, against its max, its descending root
-    pts += [DiagramPoint(phi[r], phi[top := find_down(r)], "Ext0", r, top)
+    pts += [DiagramPoint(phi[r], phi[peak := find_down(r)], "Ext0", r, peak)
             for r in range(len(phi)) if find(r) == r]
-    pts += [DiagramPoint(phi[r], phi[bottom], "Rel1", r, bottom) for e, r in zip(down, retired)
-            if r is not None and phi[r] != phi[bottom := _ends(phi, e)[1]]]
+    pts += [DiagramPoint(phi[r], phi[b], "Rel1", r, b) for b, r in zip(bottom, retired)
+            if r is not None and phi[r] != phi[b]]
     # Ext1: each closed cycle, a bit set of ascending ranks, reduced over Z/2
     # against the earlier ones; its latest edge is the birth. Two draws share
     # no edge, so a cycle only ever meets cycles of its own draw
     reduced = {}
-    for e, cycle in zip([e for e, r in zip(down, retired) if r is None], cycles):
+    for b, cycle in zip([b for b, r in zip(bottom, retired) if r is None], cycles):
         while (low := cycle.bit_length() - 1) in reduced:
             cycle ^= reduced[low]
         if low < 0:  # a graph's closed cycles are independent: only a broken sweep gets here
-            raise RuntimeError(f"the Ext1 cycle closed by edge {e} reduced to zero")
+            raise RuntimeError(f"the Ext1 cycle closed at node {b} reduced to zero")
         reduced[low] = cycle
-        top, bottom = _ends(phi, up[low])[0], _ends(phi, e)[1]
-        pts.append(DiagramPoint(phi[top], phi[bottom], "Ext1", top, bottom))
+        pts.append(DiagramPoint(phi[top[low]], phi[b], "Ext1", top[low], b))
     draw = _draw_of(fg.graph).tolist()
     pts.sort(key=lambda p: (draw[p.birth_node], p.cls, p.birth, p.death, p.birth_node))
     return tuple(pts)
@@ -172,9 +175,7 @@ def regular_persistence(fg: FilteredGraph) -> tuple[DiagramPoint, ...]:
     several draws, each draw's diagram in turn, each pairing with its own
     draw's maximum."""
     phi = fg.node_values.tolist()
-    if not phi:
-        return ()
-    pts, _, find = _ascending(fg.graph, phi, "H0")
+    pts, _, _, find = _ascending(fg, "H0")
     top = _tops(fg.node_values, fg.graph.draws).tolist()
     pts += [DiagramPoint(phi[v], phi[top[v]], "H0", v, top[v])
             for v in range(len(phi)) if find(v) == v]

@@ -11,17 +11,19 @@ from softmapper.persistence import map_pers_filtration
 
 def graph_of(members, cover=None, edges=None):
     """The graph whose node k has the members members[k], the cover index
-    cover[k] (1 when left out) and the given edges (none when left out)."""
+    cover[k] (1 when left out) and the given {(u, v): w} edges, u < v (none
+    when left out)."""
     indptr = np.zeros(len(members) + 1, dtype=np.intp)
     np.cumsum([len(m) for m in members], out=indptr[1:])
     flat = np.array([i for m in members for i in m], dtype=np.intp)
     cover = np.ones(len(members), dtype=np.intp) if cover is None else np.asarray(cover, np.intp)
-    return MapperGraph(indptr, flat, cover, {} if edges is None else edges)
+    links = np.array([(u, v, w) for (u, v), w in sorted((edges or {}).items())], dtype=np.intp)
+    return MapperGraph(indptr, flat, cover, links.reshape(-1, 3).T)
 
 
 def n_components(graph) -> int:
     """The number of connected components of the graph, counted by scipy."""
-    u, v = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2).T
+    u, v, _ = graph.links
     adj = sparse.coo_matrix((np.ones(u.size), (u, v)), shape=(graph.n_nodes, graph.n_nodes))
     return sparse.csgraph.connected_components(adj, directed=False)[0]
 

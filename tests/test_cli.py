@@ -210,6 +210,22 @@ def test_overflowing_noise_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)"),
+     "out of memory: Unable to allocate 745. GiB for an array with shape (100000000000,)\n"),
+    (MemoryError(), "out of memory\n"),
+])
+def test_running_out_of_memory_exits_two(tmp_path, capsys, monkeypatch, exc, message):
+    """As ``synth --n 100000000000`` would, without allocating anything."""
+    def synth(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "synth", synth)
+    assert main(["synth", "--shape", "circle", "--n", "100000000000",
+                 "--out", str(tmp_path / "cloud.csv")]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["build"]) == 1  # no dataset
     assert main(["build", "--shape", "hexagon"]) == 1

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -93,6 +94,29 @@ def test_an_extent_past_the_largest_double_raises(threshold):
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="extent of the points overflows"):
             cluster(SingleLinkageClusterer(threshold), wide, [0, 1])
+
+
+@pytest.mark.parametrize("n, threshold", [(50, 12.0), (400, 5.0)])
+def test_scaling_by_a_power_of_two_keeps_the_partition(n, threshold):
+    """Scaling a cloud and its threshold by 2**k, -1000 <= k <= 1000, changes
+    no partition, on the all-pairs branch (n = 50) and the grid's (n = 400):
+    the coordinates are multiples of 2**-6 below 2**6, so every scaling is
+    exact, though the squares of the distances would overflow or underflow
+    at most of these scales."""
+    pts = np.random.default_rng(n).integers(-2 ** 12, 2 ** 12, (n, 2)) / 2 ** 6
+    want = [p.tolist() for p in cluster(SingleLinkageClusterer(threshold), PointCloud(pts),
+                                        range(n))]
+    assert 1 < len(want) < n
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-1000, 1001):
+            parts = cluster(SingleLinkageClusterer(math.ldexp(threshold, k)),
+                            PointCloud(np.ldexp(pts, k)), range(n))
+            assert [p.tolist() for p in parts] == want, k
+        # a threshold whose scaled value would overflow is capped, and links all
+        parts = cluster(SingleLinkageClusterer(1.7e308), PointCloud(np.ldexp(pts, -1000)),
+                        range(n))
+        assert len(parts) == 1
 
 
 def test_extent_rule_runs_once_per_cloud_and_threshold(monkeypatch):

@@ -11,6 +11,7 @@ order included.
 import gc
 import json
 import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -41,10 +42,15 @@ from softmapper.cover import (
 )
 from softmapper.data import PointCloud
 from softmapper.filters import LinearFilter
-from softmapper.export import graph_from_json, graph_to_json
+from softmapper.export import export_dot, graph_from_json, graph_to_json
 from softmapper.mapper import LinkageEpoch, MapperGraph, map_comp, node_means
 from softmapper.optimize import OptimConfig, optimize
-from softmapper.persistence import loss_and_subgradient
+from softmapper.persistence import (
+    extended_persistence,
+    loss_and_subgradient,
+    map_pers_filtration,
+    regular_persistence,
+)
 from softmapper.synthetic import generate_synthetic
 
 
@@ -568,19 +574,33 @@ def test_array_form_matches_nodes(case, seed):
                               np.reshape(want, (g.n_nodes, *values.shape[1:])))
 
 
-def test_loss_and_subgradient_builds_no_node_objects(monkeypatch):
-    """The per-draw path reads the graph's arrays; MapperNode records are
-    built only when a caller reads ``nodes``."""
-    reads, nodes = [], MapperGraph.nodes.func
-    monkeypatch.setattr(MapperGraph, "nodes", property(lambda g: reads.append(g) or nodes(g)))
+def test_a_draw_builds_no_node_or_edge_objects(monkeypatch):
+    """The per-draw path, the sweeps and both graph writers read the
+    graph's arrays; the MapperNode records and the edge dict are built only
+    when a caller reads ``nodes`` or ``edges``, once per graph."""
+    builds = {"nodes": [], "edges": []}
+    for name, log in builds.items():
+        view = cached_property(lambda g, build=getattr(MapperGraph, name).func, log=log:
+                               log.append(g) or build(g))
+        view.__set_name__(MapperGraph, name)
+        monkeypatch.setattr(MapperGraph, name, view)
     cloud, scheme, threshold = smooth_case(1)
     cl = SingleLinkageClusterer(threshold)
     epoch = LinkageEpoch(cloud, scheme.probs, cl)
-    e = sample_assignment(scheme, 0)
+    e = np.stack([sample_assignment(scheme, seed) for seed in range(3)])
     theta = np.array([0.6, 0.8, 0.0])
-    loss_and_subgradient(cloud, e, LinearFilter(), theta, cl, "extended", epoch)
-    assert reads == []
-    assert len(map_comp(cloud, e, cl, epoch).nodes) > 0 and len(reads) == 1
+    fv = LinearFilter().evaluate(cloud, theta)
+    for mode in ("extended", "regular"):
+        loss_and_subgradient(cloud, e, LinearFilter(), theta, cl, mode, epoch, fv=fv)
+    g = map_comp(cloud, e[0], cl, epoch)
+    fg = map_pers_filtration(g, fv)
+    extended_persistence(fg), regular_persistence(fg)
+    graph_from_json(graph_to_json(g, fg.node_values))
+    export_dot(g, fg.node_values)
+    assert g.n_edges > 0 and builds == {"nodes": [], "edges": []}
+    assert len(g.nodes) == g.n_nodes and len(g.edges) == g.n_edges
+    assert g.nodes is g.nodes and g.edges is g.edges
+    assert builds == {"nodes": [g], "edges": [g]}
 
 
 def epoch_runs():
@@ -714,12 +734,11 @@ def test_kmeans_reuses_unchanged_columns(builds):
 
 
 def assert_draws_match_a_fresh_cloud(epoch, cloud, probs, cl):
-    """Four draws of probs (one n x r scheme or a stack of them) have the
-    graphs under the epoch that they have under an epoch on a fresh cloud."""
+    """Four draws of the scheme probs have the graphs under the epoch that
+    they have under an epoch on a fresh cloud."""
     fresh = LinkageEpoch(PointCloud(cloud.points), probs, cl)
     for seed in range(4):
-        e = np.stack([sample_assignment(AssignmentScheme(p), seed) for p in probs.reshape(
-            -1, *probs.shape[-2:])])
+        e = sample_assignment(AssignmentScheme(probs), seed)
         assert_same_graph(epoch.graph(e), fresh.graph(e))
 
 
@@ -742,7 +761,7 @@ def test_a_repeated_support_reuses_the_whole_epoch(builds):
 
 
 def test_another_support_clusterer_or_cloud_builds_anew(builds):
-    """One entry flipped between core and margin, another stack depth,
+    """One entry flipped between core and margin, another element count,
     another clusterer or another cloud: the epoch is built, not reused."""
     cloud, scheme, threshold = smooth_case(1)
     cloud, cl, probs = PointCloud(cloud.points), SingleLinkageClusterer(threshold), scheme.probs
@@ -750,7 +769,8 @@ def test_another_support_clusterer_or_cloud_builds_anew(builds):
     to_margin.flat[np.flatnonzero(probs == 1)[0]] = 0.5
     to_core.flat[np.flatnonzero((probs > 0) & (probs < 1))[0]] = 1.0
     for other_cloud, other, other_cl in [
-            (cloud, to_margin, cl), (cloud, to_core, cl), (cloud, np.stack([probs, probs]), cl),
+            (cloud, to_margin, cl), (cloud, to_core, cl),
+            (cloud, np.pad(probs, ((0, 0), (0, 1))), cl),
             (cloud, probs, SingleLinkageClusterer(1.5 * threshold)),
             (PointCloud(cloud.points), probs, cl)]:
         LinkageEpoch(cloud, probs, cl)  # the memo of (cloud, cl) holds probs' support

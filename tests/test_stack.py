@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from softmapper import mapper
 from softmapper.clustering import KMeansClusterer, SingleLinkageClusterer
-from softmapper.cover import AssignmentScheme, sample_assignment
+from softmapper.cover import sample_assignment
 from softmapper.data import PointCloud
 from softmapper.filters import LinearFilter
 from softmapper.mapper import LinkageEpoch, MapperGraph, map_comp
@@ -29,9 +29,10 @@ def draw_of(graph, m):
     """Draw m's graph, cut out of a union, with its node ids from 0."""
     lo, hi = graph.draws[m], graph.draws[m + 1]
     start, stop = graph.indptr[lo], graph.indptr[hi]
+    u, v, w = graph.links
+    keep = (lo <= u) & (u < hi)
     return MapperGraph(graph.indptr[lo:hi + 1] - start, graph.members[start:stop],
-                       graph.cover[lo:hi],
-                       {(u - lo, v - lo): w for (u, v), w in graph.edges.items() if lo <= u < hi})
+                       graph.cover[lo:hi], np.stack([u[keep] - lo, v[keep] - lo, w[keep]]))
 
 
 def bits(diagram, shift=0):
@@ -123,22 +124,6 @@ def test_a_kmeans_stack_clusters_what_its_draws_cluster_in_turn(monkeypatch):
     assert len(runs[0]) < np.count_nonzero(e.any(axis=1))
 
 
-def test_an_epoch_of_stacked_schemes_with_margins():
-    """Two schemes with margins in one epoch: draws 2t and 2t + 1 of a
-    stack come from the first and the second scheme."""
-    cloud, scheme, threshold = smooth_case(5)
-    cl = SingleLinkageClusterer(threshold)
-    probs = [scheme.probs, scheme.probs[:, ::-1]]
-    both = LinkageEpoch(cloud, np.stack(probs), cl)
-    alone = [LinkageEpoch(cloud, p, cl) for p in probs]
-    e = np.stack([sample_assignment(AssignmentScheme(probs[k % 2]), k) for k in range(4)])
-    union = both.graph(e)
-    for k, draw in enumerate(e):
-        assert_same_graph(draw_of(union, k), alone[k % 2].graph(draw))
-    with pytest.raises(ValueError, match="not a draw"):
-        both.graph(e[[1, 0]])
-
-
 def test_a_stack_of_one_is_the_draws_graph():
     cloud, scheme, threshold = smooth_case(3)
     cl = SingleLinkageClusterer(threshold)
@@ -169,13 +154,12 @@ def test_a_stack_with_a_foreign_matrix_is_rejected():
         with pytest.raises(ValueError, match="not a draw"):
             loss_and_subgradient(cloud, bad, LinearFilter(), np.ones(cloud.dim), cl,
                                  epoch=epoch)
-    with pytest.raises(ValueError, match="assignment must be"):
-        epoch.graph(e[:, :, :-1])
-    # an epoch of two stacked schemes takes stacks of an even length only
-    two = LinkageEpoch(cloud, e[:2] != 0, cl)
-    assert two.graph(e[:2]).draws.size == 3
-    with pytest.raises(ValueError, match="multiple of 2"):
-        two.graph(e[:3])
+    for bad in (e[:, :, :-1], e[None], e[0, 0]):
+        with pytest.raises(ValueError, match="assignment must be"):
+            epoch.graph(bad)
+    # an epoch serves one scheme: a stack of schemes is rejected
+    with pytest.raises(ValueError, match="scheme must have .* rows and r columns"):
+        LinkageEpoch(cloud, e[:2] != 0, cl)
 
 
 @given(st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, np.inf, -np.inf, np.nan]),
