@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -233,8 +234,7 @@ def _write_build_outputs(out_dir: Path, cloud, fam, theta, clusterer, args, samp
             e = sample_assignment(smooth_scheme(fv, cover, delta), sampled_seed)
             graph = map_comp(cloud, e, clusterer)
         else:
-            # unnamed, so the float scheme is freed once map_comp has read it into a mask
-            graph = map_comp(cloud, standard_scheme(fv, cover).probs, clusterer)
+            graph = map_comp(cloud, standard_scheme(fv, cover), clusterer)  # its own draw
         fg = map_pers_filtration(graph, fv)
         diagram = extended_persistence(fg) if args.mode == "extended" else regular_persistence(fg)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -311,13 +311,22 @@ def cmd_export(args) -> int:
 _COMMANDS = {"build": cmd_build, "optimize": cmd_optimize, "synth": cmd_synth, "export": cmd_export}
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser with the built-in defaults, built on first use;
+    nothing may change its defaults."""
+    return build_parser()[0]
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = build_parser()
+    parser = _parser()
     try:
         try:
             args = parser.parse_args(argv)
-            if getattr(args, "config", None) is not None:  # its values become defaults
+            if getattr(args, "config", None) is not None:
+                # its values become the defaults of a parser of this call's own
+                parser, commands = build_parser()
                 _apply_config(commands, _read_config(args.config))
                 args = parser.parse_args(argv)
         except SystemExit as exc:  # argparse printed the help, the version or a usage error

@@ -99,14 +99,19 @@ def _within(cols, i, j, threshold: float) -> np.ndarray:
 def _cells_across(extent: np.ndarray, threshold: float) -> tuple[float, float]:
     """The side threshold / (2 sqrt(d)) of the exact grid's cells, and the
     number of whole cells across the widest coordinate of ``extent`` (a
-    cloud's largest less least coordinates, one per dimension).
+    cloud's largest less least coordinates, one per dimension): 0 when the
+    points coincide, whatever the side, and infinite when the side
+    underflows to 0 and they do not.
 
     ``CellIndex`` rejects 2**50 cells or more, where a cell could no longer
     be told apart in floating point, once per cloud and threshold, whichever
     way its sets are linked, so the outcome never depends on set size.
     """
     side = threshold / (2 * math.sqrt(extent.size))
-    return side, np.floor(extent.max() / side)
+    widest = float(extent.max())
+    if widest == 0:  # coincident points, even where the side underflows to 0
+        return side, 0.0
+    return side, float(np.floor(widest / side)) if side > 0 else math.inf
 
 
 def range_pairs(sa, na, sb, nb):
@@ -166,14 +171,15 @@ class CellIndex:
             raise FloatingPointError("the extent of the points overflows a double")
         self.points = np.ldexp(points, -exp)
         self.side, self.across = _cells_across(np.ldexp(extent, -exp), self.limit)
-        if self.across >= 2.0 ** 50:
+        if self.limit == 0 or self.across >= 2.0 ** 50:  # a limit of 0 underflowed
             raise ValueError(f"threshold {threshold} is too small for the extent of the points")
         self.id = None
 
     def bin(self) -> None:
         n = self.points.shape[0]
         shifted = self.points - self.points.min(axis=0)
-        key = np.floor(shifted.T / self.side)  # per point: cell coordinates
+        # per point: cell coordinates; with no whole cell across, all are 0
+        key = np.floor(shifted.T / self.side) if self.across else np.zeros_like(shifted.T)
         order = np.lexsort(key[::-1])
         key = key[:, order]
         new = np.ones(n, dtype=bool)

@@ -1,13 +1,15 @@
 """Interval covers of the filter range and stochastic cover assignment schemes.
 
-An assignment scheme is an n x r matrix of Bernoulli success probabilities;
-sampling it yields a binary cover assignment matrix, one column per cover
-element. All shipped schemes have conditionally independent coordinates.
+An assignment scheme is an n x r matrix of Bernoulli success probabilities,
+held as its nonzero entries; sampling it yields a binary cover assignment
+matrix, one column per cover element. All shipped schemes have conditionally
+independent coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -38,19 +40,43 @@ class IntervalCover:
         return self.intervals.shape[0]
 
 
-@dataclass(frozen=True)
 class AssignmentScheme:
-    """Bernoulli success probabilities p_{i,j} for point i vs cover element j."""
+    """Bernoulli success probabilities p_{i,j} for point i vs cover element j,
+    held as their nonzero entries.
 
-    probs: np.ndarray
+    ``AssignmentScheme(probs)`` takes a dense n x r matrix; ``shape`` is its
+    (n, r), ``flat`` the flat indices of its nonzero entries, ascending, as
+    ``np.flatnonzero`` gives them, and ``values`` those entries. ``probs``
+    is the dense matrix again, read-only, built on first read. An entry
+    outside [0, 1] or NaN raises ValueError.
+    """
 
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+    def __init__(self, probs):
+        p = np.asarray(probs)
         if p.ndim != 2:
             raise ValueError("probs must be an n x r matrix")
-        if p.size and not (p.min() >= 0 and p.max() <= 1):  # NaN fails both
-            raise ValueError("probabilities must lie in [0,1]")
-        object.__setattr__(self, "probs", p)
+        flat = np.flatnonzero(p)
+        self._hold(p.shape, flat, p.ravel()[flat].astype(float))
+
+    @classmethod
+    def from_entries(cls, shape: tuple, flat: np.ndarray, values: np.ndarray) -> AssignmentScheme:
+        """The scheme of the given nonzero entries, ``flat`` ascending."""
+        scheme = cls.__new__(cls)
+        scheme._hold(shape, flat, values)
+        return scheme
+
+    def _hold(self, shape, flat, values):
+        if not np.all((values > 0) & (values <= 1)):  # NaN fails both
+            raise ValueError("probabilities must lie in [0, 1]")
+        flat.flags.writeable = values.flags.writeable = False
+        self.shape, self.flat, self.values = tuple(shape), flat, values
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        p = np.zeros(self.shape)
+        p.ravel()[self.flat] = self.values
+        p.flags.writeable = False
+        return p
 
 
 def uniform_cover(values, r: int, g: float) -> IntervalCover:
@@ -135,9 +161,12 @@ def _bump(t: np.ndarray) -> np.ndarray:
 
 
 def _bump_scheme(v: np.ndarray, cover: IntervalCover, delta: float):
-    """The probabilities of ``smooth_scheme`` at width delta >= 0, and how
-    many widened intervals hold each value. At delta = 0 every entry lies in
-    its interval, so no bump is evaluated: these are the standard scheme's.
+    """The scheme ``smooth_scheme`` gives at width delta >= 0, and how many
+    widened intervals hold each value. At delta = 0 every entry lies in its
+    interval, so no bump is evaluated: this is the standard scheme.
+
+    ``_runs`` gives the entries point-major, so their flat indices ascend; a
+    bump of exactly 0, at the margin's edge or where it underflows, is no entry.
     """
     a, b = cover.intervals.T
     rows, cols, count = _runs(v, a - delta, b + delta)
@@ -147,19 +176,19 @@ def _bump_scheme(v: np.ndarray, cover: IntervalCover, delta: float):
     q[left] = _bump((aj[left] - vi[left]) / delta)
     right = vi > bj
     q[right] = _bump((vi[right] - bj[right]) / delta)
-    probs = np.zeros((v.size, cover.resolution))
-    probs[rows, cols] = q
-    return probs, count
+    kept = q != 0
+    flat = (rows * cover.resolution + cols)[kept]
+    return AssignmentScheme.from_entries((v.size, cover.resolution), flat, q[kept]), count
 
 
 def standard_scheme(values, cover: IntervalCover) -> AssignmentScheme:
     """Degenerate scheme: p_{i,j} = 1 iff the value lies in the closed interval j."""
     v = _as_values(values)
-    probs, count = _bump_scheme(v, cover, 0.0)
+    scheme, count = _bump_scheme(v, cover, 0.0)
     if not count.all():
         bad = int(np.flatnonzero(count == 0)[0])
         raise ValueError(f"value {v[bad]} at index {bad} lies outside the cover")
-    return AssignmentScheme(probs)
+    return scheme
 
 
 def smooth_scheme(values, cover: IntervalCover, delta: float) -> AssignmentScheme:
@@ -170,7 +199,7 @@ def smooth_scheme(values, cover: IntervalCover, delta: float) -> AssignmentSchem
     """
     if not 0 < delta < np.inf:
         raise ValueError(f"delta must be finite and > 0, got {delta}")
-    return AssignmentScheme(_bump_scheme(_as_values(values), cover, delta)[0])
+    return _bump_scheme(_as_values(values), cover, delta)[0]
 
 
 def sample_assignment(scheme: AssignmentScheme, seed: int) -> np.ndarray:

@@ -36,7 +36,8 @@ class FilterValues:
 
 
 class LinearFilter:
-    """x -> <x, theta>; the Jacobian row for point i is x_i itself."""
+    """x -> <x, theta>; the Jacobian row for point i is x_i itself. Values
+    that overflow raise FloatingPointError."""
 
     def param_dim(self, cloud: PointCloud) -> int:
         return cloud.dim
@@ -49,7 +50,8 @@ class LinearFilter:
             )
         if not np.all(np.isfinite(theta)):
             raise ValueError("non-finite parameters")
-        return FilterValues(cloud.points @ theta, cloud.points)
+        with np.errstate(over="raise", invalid="raise"):  # FloatingPointError, not a warning
+            return FilterValues(cloud.points @ theta, cloud.points)
 
 
 class FixedFilter:

@@ -17,7 +17,7 @@ from .clustering import (
     merge_components,
     range_pairs,
 )
-from .cover import _spread
+from .cover import AssignmentScheme, _spread
 from .data import PointCloud
 
 
@@ -176,8 +176,9 @@ class LinkageEpoch:
     units are the core clusters of j and its drawn margin points. Its edges,
     built once here, join units exactly when the radius graph does in every
     draw. ``graph(e)`` equals the Mapper graph of e clustered from scratch.
-    The scheme is one n x r matrix; an entry outside [0, 1] (or NaN) raises
-    ValueError.
+    The scheme is an ``AssignmentScheme``, whose entries are read as they
+    are, or a dense n x r matrix, which goes through ``AssignmentScheme``;
+    an entry outside [0, 1] (or NaN) raises ValueError.
 
     Units run element by element, and within an element by smallest member,
     core clusters and margin points alike. An element's core clusters depend
@@ -208,17 +209,18 @@ class LinkageEpoch:
     and any other clusterer raises ValueError.
     """
 
-    def __init__(self, cloud: PointCloud, probs, clusterer: Clusterer):
-        p = np.asarray(probs)
-        if p.ndim != 2 or p.shape[0] != cloud.n:
-            raise ValueError(f"scheme must have {cloud.n} rows and r columns, got {p.shape}")
+    def __init__(self, cloud: PointCloud, scheme: AssignmentScheme | np.ndarray,
+                 clusterer: Clusterer):
+        shape = scheme.shape if isinstance(scheme, AssignmentScheme) else np.shape(scheme)
+        if len(shape) != 2 or shape[0] != cloud.n:
+            raise ValueError(f"scheme must have {cloud.n} rows and r columns, got {shape}")
+        if not isinstance(scheme, AssignmentScheme):
+            scheme = AssignmentScheme(scheme)
         self.cloud, self.clusterer = cloud, clusterer
-        self._shape = n, r = p.shape
-        flat = np.flatnonzero(p.astype(bool, copy=False))  # NaN and negatives too
-        kept = p.ravel()[flat]
-        core, margin = kept == 1, (kept > 0) & (kept < 1)
-        if np.count_nonzero(core) + np.count_nonzero(margin) != flat.size:
-            raise ValueError("scheme entries must lie in [0, 1]")
+        self._shape = n, r = scheme.shape
+        flat = scheme.flat
+        core = scheme.values == 1
+        margin = ~core
         if margin.any() and not isinstance(clusterer, SingleLinkageClusterer):
             raise ValueError("a scheme with margin entries (0 < p < 1) needs single linkage")
         memo = cloud._epochs.get(clusterer)
@@ -361,31 +363,44 @@ class LinkageEpoch:
         keys = _distinct(np.concatenate(keys))
         return np.stack(_divmod(keys, n_units)).astype(np.int32)
 
-    def graph(self, e) -> MapperGraph:
+    def graph(self, e=None) -> MapperGraph:
         """The Mapper graph of the draw e (n x r, nonzero = assigned), or the
         disjoint union of the graphs of a stack of draws (M x n x r), with
-        draw m's node range in ``draws``.
+        draw m's node range in ``draws``. With e left out, the graph of the
+        scheme itself, which must have no margin entries: it is its own only
+        draw, and no draw is read or checked.
 
         Each draw's nodes run in (cover_index, smallest member) order, its
         edges in ascending (u, v) order. Draw m's units and entries are the
         epoch's shifted by m times their counts, so one components call, one
         membership sort and one pass over the shared unit pairs build all draws.
         """
+        if e is None:
+            if self._margin_flat.size:
+                raise ValueError("a scheme with margin entries (0 < p < 1) is not a draw")
+            return self._graph(np.empty((1, 0), dtype=bool))
         e = np.asarray(e)
         n, r = self._shape
         if e.ndim not in (2, 3) or e.shape[-2:] != (n, r):
             raise ValueError(f"assignment must be {(n, r)} or a stack of them, got {e.shape}")
-        n_draws, n_units = e.shape[0] if e.ndim == 3 else 1, self._unit_elem.size
+        n_draws = e.shape[0] if e.ndim == 3 else 1
         flat = e.reshape(-1)
-        draw = np.arange(n_draws)[:, None]
-        entry, shift = draw * (n * r), draw * n_units
-        drawn = flat[(entry + self._margin_flat).ravel()] != 0
+        entry = np.arange(n_draws)[:, None] * (n * r)
+        drawn = flat[entry + self._margin_flat] != 0
         # a draw assigns every core entry, and beyond them only drawn margin
         # entries; a draw holds at least those, so equal totals make each equal
         if (not np.all(flat[(entry + self._core_flat).ravel()])
                 or np.count_nonzero(flat)
                 != n_draws * self._core_flat.size + np.count_nonzero(drawn)):
             raise ValueError("assignment is not a draw of this epoch's scheme")
+        return self._graph(drawn)
+
+    def _graph(self, drawn: np.ndarray) -> MapperGraph:
+        """The graphs of the draws whose margin entries ``drawn`` (M x
+        margin entries, in the epoch's order) marks, as ``graph`` returns them."""
+        n, n_draws, n_units = self._shape[0], drawn.shape[0], self._unit_elem.size
+        shift = np.arange(n_draws)[:, None] * n_units
+        drawn = drawn.ravel()
         present = np.ones(n_draws * n_units, dtype=bool)
         present[(shift + self._margin_unit).ravel()[~drawn]] = False
         a, b = (self._edges[:, None] + shift).reshape(2, -1)
@@ -424,7 +439,7 @@ class LinkageEpoch:
 
 
 def map_comp(
-    cloud: PointCloud, e: np.ndarray, clusterer: Clusterer, epoch: LinkageEpoch | None = None
+    cloud: PointCloud, e, clusterer: Clusterer, epoch: LinkageEpoch | None = None
 ) -> MapperGraph:
     """Cluster each cover element's point set and take the nerve.
 
@@ -440,15 +455,18 @@ def map_comp(
     epoch built once for the scheme e was drawn from; leave it out, as for
     k-means, to treat e as its own scheme, which clusters every nonempty
     column once. A stack then builds one epoch per draw, each taking the
-    element records of the draw before it, and joins their graphs.
+    element records of the draw before it, and joins their graphs. e may
+    also be an ``AssignmentScheme`` with no margin entries, such as a
+    standard scheme, which is its own draw: its graph is built from its
+    entries, with no n x r matrix.
     """
-    e = np.asarray(e)
     if epoch is None:
-        e = e != 0  # one pass over e; the epoch and the draw check read only this mask
-        if e.ndim == 3:
-            return _union([LinkageEpoch(cloud, d, clusterer).graph(d) for d in e])
-        epoch = LinkageEpoch(cloud, e, clusterer)
-    elif epoch.cloud is not cloud or epoch.clusterer != clusterer:
+        if not isinstance(e, AssignmentScheme):
+            e = np.asarray(e) != 0  # the scheme of a draw: its assigned entries, all 1
+            if e.ndim == 3:
+                return _union([LinkageEpoch(cloud, d, clusterer).graph() for d in e])
+        return LinkageEpoch(cloud, e, clusterer).graph()
+    if epoch.cloud is not cloud or epoch.clusterer != clusterer:
         raise ValueError("epoch was built for another cloud or clusterer")
     return epoch.graph(e)
 

@@ -112,7 +112,7 @@ def _sample_losses(cloud, filter_family, theta, clusterer, config, base_seed):
     fv = filter_family.evaluate(cloud, theta)
     scheme = _build_scheme(fv, config)
     # every sample shares the linkage clustering of the scheme's deterministic core
-    epoch = (LinkageEpoch(cloud, scheme.probs, clusterer)
+    epoch = (LinkageEpoch(cloud, scheme, clusterer)
              if isinstance(clusterer, SingleLinkageClusterer) else None)
     e = np.stack([sample_assignment(scheme, base_seed + m) for m in range(config.mc_samples)])
     losses, grads = loss_and_subgradient(cloud, e, filter_family, theta, clusterer,
@@ -153,7 +153,7 @@ def optimize(
     theta = np.asarray(theta0, dtype=float).copy()
     if theta.ndim != 1 or theta.size != filter_family.param_dim(cloud):
         raise ValueError("theta0 must be a vector of the filter family's parameter dimension")
-    noise_rng = np.random.default_rng(config.seed)
+    noise_rng = np.random.default_rng(config.seed) if config.noise_std > 0 else None
     trace = Trace()
     for epoch in range(config.epochs):
         t0 = time.perf_counter()

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from conftest import n_components
 from softmapper import cli
 from softmapper.cli import build_parser, main
+from softmapper.cover import AssignmentScheme
 from softmapper.export import graph_from_json
 from softmapper.optimize import OptimConfig
 from softmapper.synthetic import generate_synthetic
@@ -35,6 +37,24 @@ def test_build_circle_recovers_loop(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["seed"] == 1
     assert len(summary["config_hash"]) == 16
+
+
+def test_a_standard_build_never_fills_the_dense_scheme(tmp_path, monkeypatch):
+    """The benchmark's circle build (n = 4000, r = 400) reads its scheme as
+    entries only; a sampled build reads the dense view once, to compare it
+    with its uniforms."""
+    built = []
+    dense = AssignmentScheme.probs.func
+    spy = functools.cached_property(lambda s: built.append(s.shape) or dense(s))
+    spy.__set_name__(AssignmentScheme, "probs")
+    monkeypatch.setattr(AssignmentScheme, "probs", spy)
+    argv = ["build", "--shape", "circle", "--n", "4000", "--filter", "coord",
+            "--resolution", "400", "--gain", "0.3", "--clusterer", "linkage",
+            "--threshold", "0.05", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert built == []
+    assert main(argv + ["--sample"]) == 0
+    assert built == [(4000, 400)]
 
 
 def test_build_is_reproducible(tmp_path):
@@ -153,6 +173,25 @@ def test_config_file_defaults_and_override(tmp_path, config_flag):
     graph = graph_from_json((tmp_path / "out" / "mapper.json").read_text())
     members = {i for nd in graph.nodes for i in nd.members}
     assert max(members) == 99  # the flag overrides the config value 80
+
+
+def test_config_defaults_last_one_call(tmp_path, monkeypatch, capsys):
+    """The process keeps one parser; a --config call parses with a fresh one,
+    so its defaults do not reach the calls after it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"resolution": 7, "threshold": 0.8}))
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "build", lambda args: seen.append(args) or 0)
+    assert main(["build", "--config", str(cfg)]) == 0
+    assert main(["build"]) == 0
+    assert (seen[0].resolution, seen[0].threshold) == (7, 0.8)
+    assert (seen[1].resolution, seen[1].threshold) == (10, None)
+    assert cli._parser() is cli._parser()
+    for _ in range(2):  # a parse that exits leaves the shared parser usable
+        assert main(["build", "--resolution", "x"]) == 1
+        assert main(["--version"]) == 0
+        assert main(["build", "--help"]) == 0
+    capsys.readouterr()
 
 
 def test_config_unknown_key(tmp_path, capsys):

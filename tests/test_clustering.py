@@ -96,6 +96,32 @@ def test_an_extent_past_the_largest_double_raises(threshold):
             cluster(SingleLinkageClusterer(threshold), wide, [0, 1])
 
 
+@pytest.mark.parametrize("n", [2, 200])
+@pytest.mark.parametrize("at, threshold, parts", [
+    (1.0, 5e-324, None),  # the scaled threshold underflows to 0: too small
+    (1.0, 1e-323, 1),
+    (0.0, 5e-324, 1),  # the cell side underflows, but the points coincide
+])
+def test_an_underflowing_threshold_is_the_same_on_both_branches(n, at, threshold, parts):
+    """Coincident points with a threshold at the bottom of the doubles: the
+    all-pairs branch (n = 2) and the grid's (n = 200) agree, and nothing warns."""
+    cloud = PointCloud(np.full((n, 2), at))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if parts is None:
+            with pytest.raises(ValueError, match="too small"):
+                cluster(SingleLinkageClusterer(threshold), cloud, range(n))
+            with pytest.raises(ValueError, match="too small"):
+                _grid_labels(cell_index(cloud, threshold), np.arange(n))
+        else:
+            assert len(cluster(SingleLinkageClusterer(threshold), cloud, range(n))) == parts
+            assert np.all(_grid_labels(cell_index(cloud, threshold), np.arange(n)) == 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="too small"):  # no point coincides
+            cluster(SingleLinkageClusterer(threshold), PointCloud([[0.0], [1.0]]), [0, 1])
+
+
 @pytest.mark.parametrize("n, threshold", [(50, 12.0), (400, 5.0)])
 def test_scaling_by_a_power_of_two_keeps_the_partition(n, threshold):
     """Scaling a cloud and its threshold by 2**k, -1000 <= k <= 1000, changes

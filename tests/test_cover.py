@@ -280,7 +280,7 @@ def test_interval_cover_rejects_endpoints_out_of_order():
 def test_assignment_scheme_rejects_probabilities_outside_unit_interval(bad):
     probs = np.full((2, 3), 0.5)
     probs[1, 2] = bad
-    with pytest.raises(ValueError, match=r"\[0,1\]"):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
         AssignmentScheme(probs)
 
 

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
 
 from conftest import graph_of, n_components
-from softmapper.clustering import SingleLinkageClusterer
-from softmapper.cover import standard_scheme, uniform_cover
+from softmapper.clustering import KMeansClusterer, SingleLinkageClusterer
+from softmapper.cover import (
+    AssignmentScheme,
+    sample_assignment,
+    smooth_scheme,
+    standard_scheme,
+    uniform_cover,
+)
 from softmapper.data import PointCloud
-from softmapper.mapper import map_comp, node_means
+from softmapper.mapper import LinkageEpoch, map_comp, node_means
 
 
 def trivial_clusterer():
@@ -127,3 +135,64 @@ def test_every_assigned_point_appears(rng):
     covered = {i for nd in g.nodes for i in nd.members}
     assert covered == set(np.nonzero(e.sum(axis=1))[0].tolist())
     assert all(w >= 1 for w in g.edges.values())
+
+
+def _entries_match_view(scheme):
+    """The scheme's entries are flatnonzero of its dense view, in values and
+    order, and the view is read-only."""
+    p = scheme.probs
+    assert not p.flags.writeable and p.shape == scheme.shape
+    assert np.array_equal(scheme.flat, np.flatnonzero(p))
+    assert scheme.values.dtype == p.dtype == np.float64
+    assert scheme.values.tobytes() == p.ravel()[scheme.flat].tobytes()
+    again = AssignmentScheme(p)
+    assert np.array_equal(again.flat, scheme.flat)
+    assert again.values.tobytes() == scheme.values.tobytes()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from([0.05, 0.3, 0.5, 0.8]),
+       st.sampled_from([1e-300, 1e-12, 1e-4, 0.02, 0.3, 3.0]))
+@settings(max_examples=80, deadline=None)
+def test_a_scheme_is_its_entries(seed, r, gain, delta_rel):
+    """Smooth and standard schemes over values that hit the endpoints and the
+    margins' edges: their entries equal flatnonzero of their dense views,
+    and LinkageEpoch and map_comp build equal graphs from a scheme and from
+    its dense matrix."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 120))
+    pts = rng.uniform(-1, 1, (n, 2))
+    cover = uniform_cover(pts[:, 0], r, gain)
+    delta = delta_rel * float(np.ptp(pts[:, 0]) or 1.0)
+    edges = np.concatenate([cover.intervals.ravel() - delta, cover.intervals.ravel() + delta])
+    lo, hi = cover.intervals[0, 0], cover.intervals[-1, 1]
+    pts[: min(n, edges.size), 0] = rng.permutation(np.clip(edges, lo, hi))[:n]
+    v = pts[:, 0]
+    cl = SingleLinkageClusterer(float(rng.choice([0.05, 0.3, 3.0])))
+    standard, smooth = standard_scheme(v, cover), smooth_scheme(v, cover, delta)
+    for scheme in (standard, smooth):
+        _entries_match_view(scheme)
+    # a fresh cloud for each build, so no epoch reuses another's memo
+    want = map_comp(PointCloud(pts), standard.probs.astype(np.uint8), cl)
+    assert map_comp(PointCloud(pts), standard, cl) == want
+    assert LinkageEpoch(PointCloud(pts), standard, cl).graph() == want
+    assert LinkageEpoch(PointCloud(pts), standard.probs, cl).graph(standard.probs) == want
+    e = np.stack([sample_assignment(smooth, s) for s in range(3)])
+    want = LinkageEpoch(PointCloud(pts), smooth.probs, cl).graph(e)
+    assert LinkageEpoch(PointCloud(pts), smooth, cl).graph(e) == want
+
+
+def test_a_scheme_with_margin_entries_is_no_draw():
+    cloud = PointCloud(np.arange(3.0)[:, None])
+    scheme = AssignmentScheme([[1, 0], [0.5, 1], [0, 1]])
+    cl = SingleLinkageClusterer(1.5)
+    with pytest.raises(ValueError, match="not a draw"):
+        map_comp(cloud, scheme, cl)
+    with pytest.raises(ValueError, match="not a draw"):
+        LinkageEpoch(cloud, scheme, cl).graph()
+    with pytest.raises(ValueError, match="single linkage"):
+        map_comp(cloud, scheme, KMeansClusterer(1))
+    core = AssignmentScheme.from_entries((3, 2), np.array([0, 3, 5]), np.ones(3))
+    assert map_comp(cloud, core, KMeansClusterer(1)) == map_comp(
+        cloud, core.probs, KMeansClusterer(1))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        AssignmentScheme.from_entries((3, 2), np.array([0, 3]), np.array([1.0, np.nan]))
