@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -55,16 +56,39 @@ class PointCloud:
 def load_csv(path, has_header: bool = False) -> PointCloud:
     """Load a point cloud from a comma-separated file, one point per row.
 
-    With ``has_header`` the first line names the columns; header names are
-    not interpreted (all columns become coordinates).
+    With ``has_header`` the first non-blank line names the columns; header
+    names are not interpreted (all columns become coordinates). Blank and
+    whitespace-only lines are skipped; a cell is anything ``float`` reads.
+
+    Lines split as iterating the file splits them, at newlines only (not
+    ``str.splitlines``, which also splits at form feeds and separators).
+    numpy's C reader parses the rows; it converts each cell as ``float``
+    does, but rejects some cells ``float`` reads, such as ``1_0``, so any
+    input it rejects goes through ``_parse_rows``, which also names the
+    faulty line. So does a file holding one of the ASCII separators U+001C
+    to U+001F: numpy strips them around a cell, ``float`` does not.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = [ln.strip() for ln in fh]
-    linenos = [i for i, ln in enumerate(lines, 1) if ln]
+        text = fh.read()
+    lines = list(map(str.strip, text.split("\n")))
+    rows = list(filter(None, lines))
     if has_header:
-        linenos = linenos[1:]
-    if not linenos:
+        del rows[:1]
+    if not rows:  # checked first: numpy's reader warns on empty input
         raise FormatError(f"{path}: no data rows")
+    pts = None
+    if not any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+        with suppress(ValueError):
+            pts = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+    return PointCloud(_parse_rows(path, lines, has_header) if pts is None else pts)
+
+
+def _parse_rows(path, lines: list, has_header: bool) -> np.ndarray:
+    """The points of the stripped ``lines`` of a file holding at least one
+    data row, cell by cell through ``float``; raises FormatError at the
+    first line with a non-numeric cell or a column count unlike the first
+    data row's, whichever comes first."""
+    linenos = [i for i, ln in enumerate(lines, 1) if ln][int(has_header):]
     rows = [lines[i - 1] for i in linenos]
     commas = np.fromiter(map(str.count, rows, repeat(",")), int, len(rows))
     ragged = np.flatnonzero(commas != commas[0])
@@ -81,7 +105,7 @@ def load_csv(path, has_header: bool = False) -> PointCloud:
         raise FormatError(
             f"{path}: line {linenos[n]} has {commas[n] + 1} columns, expected {commas[0] + 1}"
         )
-    return PointCloud(cells.reshape(n, -1))
+    return cells.reshape(n, -1)
 
 
 def load_off_vertices(path) -> PointCloud:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Clusterer
+from .cover import AssignmentScheme
 from .data import PointCloud
 from .filters import FilterValues
 from .mapper import LinkageEpoch, MapperGraph, map_comp, node_means
@@ -56,6 +57,7 @@ def map_pers_filtration(graph: MapperGraph, filter_values: FilterValues) -> Filt
 def _kruskal(key: list, edges: Iterable, labels: list) -> tuple[list, list, Callable[[int], int]]:
     """Add ``edges`` in order to a union-find over the nodes of ``key``; at
     each merge the root with the smaller key survives (the elder rule).
+    A root's path xor is 0, so a root needs no ``find``.
 
     Each node also holds the xor of the int ``labels`` of the forest edges
     between it and its parent, which ``find`` keeps as it compresses paths,
@@ -84,7 +86,8 @@ def _kruskal(key: list, edges: Iterable, labels: list) -> tuple[list, list, Call
 
     retired, cycles = [], []
     for (u, v), label in zip(edges, labels):
-        elder, younger = find(u), find(v)
+        elder = u if parent[u] == u else find(u)
+        younger = v if parent[v] == v else find(v)
         # the xor from one root down to u, across the edge and up from v to the
         # other: the cycle if the roots are one, else the label of their link
         x = label ^ path[u] ^ path[v]
@@ -104,19 +107,26 @@ def _sweep(fg: FilteredGraph, sign: float, rank: np.ndarray | None = None) -> tu
     (sign * value, id), edges by (sign * value, u, v) of the endpoint realizing
     their max, or with sign -1 their min (ties to u, the smaller id). Returns
     the edge order, those endpoints in that order and ``_kruskal``'s results,
-    each edge labelled by the bit of its ``rank`` entry, if given."""
+    each edge labelled by the bit of its ``rank`` entry, if given. Each
+    node's elder key is its place in (sign * value, id) order, an int; with
+    no NaN value (see ``_ascending``) the ints order as the pairs do."""
     phi, (u, v, _) = sign * fg.node_values, fg.graph.links
     end = np.where(phi[v] > phi[u], v, u)
     order = np.lexsort((v, u, phi[end]))
     labels = [0] * order.size if rank is None else [1 << i for i in rank[order].tolist()]
-    return order, end[order].tolist(), *_kruskal(list(zip(phi.tolist(), range(phi.size))),
+    key = np.empty(phi.size, dtype=np.intp)
+    key[np.argsort(phi, kind="stable")] = np.arange(phi.size)
+    return order, end[order].tolist(), *_kruskal(key.tolist(),
                                                  zip(u[order].tolist(), v[order].tolist()), labels)
 
 
 def _ascending(fg: FilteredGraph, cls: str) -> tuple[list, np.ndarray, list, Callable]:
     """The sublevel sweep: one ``cls`` point per merge off the diagonal, the
     edge order and each edge's top endpoint in that order (see ``_sweep``),
-    and the final ``find``, whose roots are their components' minima."""
+    and the final ``find``, whose roots are their components' minima. A NaN
+    node value, which orders against nothing, raises ValueError."""
+    if (nan := np.flatnonzero(np.isnan(fg.node_values))).size:
+        raise ValueError(f"node {nan[0]} has a NaN value")
     phi = fg.node_values.tolist()
     up, top, retired, _, find = _sweep(fg, 1.0)
     pts = [DiagramPoint(phi[r], phi[t], cls, r, t) for t, r in zip(top, retired)
@@ -212,7 +222,9 @@ def loss_and_subgradient(
 ) -> tuple:
     """Total persistence of the Mapper graph of e under f_theta, and one
     subgradient element w.r.t. theta; for a stack e of M draws (M x n x r),
-    the M losses and the M x p subgradients.
+    the M losses and the M x p subgradients. e may also be an
+    ``AssignmentScheme`` with no margin entries, which is its own one draw
+    (see ``map_comp``).
 
     The graph depends only on (cloud, e, clusterer), so the chain rule runs
     through node means and the recorded realizing endpoints: each diagram
@@ -236,7 +248,8 @@ def loss_and_subgradient(
     elif fv.values.shape[0] != cloud.n:
         raise ValueError(f"fv must hold one value per point ({cloud.n}),"
                          f" got {fv.values.shape[0]}")
-    e = np.asarray(e)
+    if not isinstance(e, AssignmentScheme):
+        e = np.asarray(e)
     graph = map_comp(cloud, e, clusterer, epoch)
     with raising("non-finite loss or subgradient"):
         fg = map_pers_filtration(graph, fv)
@@ -260,4 +273,4 @@ def loss_and_subgradient(
                       coef * node_means(graph, fv.jacobian)[nodes[at].ravel()])
     if not (np.all(np.isfinite(losses)) and np.all(np.isfinite(grads))):
         raise FloatingPointError("non-finite loss or subgradient")
-    return (float(losses[0]), grads[0]) if e.ndim == 2 else (losses, grads)
+    return (float(losses[0]), grads[0]) if len(e.shape) == 2 else (losses, grads)

@@ -3,8 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+import csv_reference
+from softmapper import data
 from softmapper.data import (
     FormatError,
     PointCloud,
@@ -118,6 +122,82 @@ def test_load_csv_deterministic(tmp_path):
     f.write_text("0.125,3\n-1,2\n")
     a, b = load_csv(f), load_csv(f)
     assert np.array_equal(a.points, b.points)
+
+
+def test_load_csv_reads_only_newlines_as_line_ends(tmp_path):
+    # str.splitlines would also split at the form feed and the separators,
+    # giving two rows where iterating the file gives one faulty line
+    f = tmp_path / "pts.csv"
+    for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        f.write_text(f"0,1\n2,3{sep}4,5\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 2 has 3 columns, expected 2"):
+            load_csv(f)
+    f.write_bytes(b"\xef\xbb\xbfx,y\r\n\r\n0,1\r2,3\r\n")
+    assert load_csv(f, has_header=True).points.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
+
+def test_load_csv_checks_finiteness_once(tmp_path, monkeypatch):
+    """A non-finite cell is PointCloud's error, not a reason to parse again."""
+    fallback = []
+    monkeypatch.setattr(data, "_parse_rows", lambda *args: fallback.append(args))
+    f = tmp_path / "pts.csv"
+    f.write_text("0,1\ninf,2\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        load_csv(f)
+    assert fallback == []
+
+
+def _outcome(load, path, has_header):
+    """The points' shape and bytes, or the error's type and message."""
+    try:
+        pts = load(path, has_header).points
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return pts.shape, pts.tobytes()
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308]
+# \x1c-\x1f strip as whitespace in numpy's reader but not in float()
+_pads = st.text(alphabet=" \t\x1c\x1f\xa0", max_size=2)
+_cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(_EDGE_FLOATS).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    # float() reads these, numpy's reader does not
+    st.sampled_from(["1_0", "-2_5.0_1", "\uff11", "\u0663.5", "1e1_0"]),
+    st.sampled_from(["", "x", "1e", "--1", "1 2", "0x1p3", "nan", "inf", "-Infinity", "1,"]),
+)
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text mostly of k-column rows of repr floats padded with spaces and
+    tabs, with blank and whitespace-only lines, an optional header, BOM and
+    CR, CRLF or LF line ends, and now and then a ragged row or a cell that
+    only float() reads or that nothing reads."""
+    k = draw(st.integers(1, 4))
+    row = st.lists(st.tuples(_pads, _cells, _pads).map("".join), min_size=k, max_size=k)
+    ragged = st.lists(st.tuples(_pads, _cells, _pads).map("".join), min_size=1, max_size=5)
+    rows = st.one_of(row, row, row, ragged).map(",".join)
+    blank = st.text(alphabet=" \t\x0b\x0c\x1c\x85\u2028", max_size=3)
+    lines = draw(st.lists(st.one_of(rows, rows, rows, blank), max_size=12))
+    has_header = draw(st.booleans())
+    if has_header:
+        lines.insert(draw(st.integers(0, len(lines))), ",".join("xyzw"[:k]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text, has_header
+
+
+@given(csv_files())
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_csv_matches_the_line_by_line_parser(tmp_path, file):
+    text, has_header = file
+    f = tmp_path / "pts.csv"
+    f.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_csv, f, has_header) == _outcome(csv_reference.load_csv, f, has_header)
 
 
 def test_load_off(tmp_path):

@@ -8,9 +8,12 @@ import coned_reduction
 from conftest import graph_of, make_filtered_graph, random_filtered_graph
 from softmapper import persistence
 from softmapper.clustering import SingleLinkageClusterer
+from softmapper.cover import standard_scheme, uniform_cover
 from softmapper.data import PointCloud
 from softmapper.filters import FilterValues, FixedFilter, LinearFilter
+from softmapper.mapper import map_comp
 from softmapper.persistence import (
+    FilteredGraph,
     extended_persistence,
     loss_and_subgradient,
     map_pers_filtration,
@@ -142,6 +145,27 @@ def test_sweeps_match_coned_reduction_exactly(chunk):
     for trial, fg in enumerate(graphs):
         assert extended_persistence(fg) == coned_reduction.extended_persistence(fg), trial
         assert regular_persistence(fg) == coned_reduction.regular_persistence(fg), trial
+
+
+def test_sweeps_match_coned_reduction_at_signed_zeros_and_infinities():
+    """-0.0 ties 0.0 and goes to the smaller id; ±inf orders as any value."""
+    rng = np.random.default_rng(61100)
+    levels = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf])
+    for trial in range(300):
+        n = int(rng.integers(1, 25))
+        edges = {(u, v): 1 for u in range(n) for v in range(u + 1, n) if rng.random() < 0.25}
+        fg = FilteredGraph(graph_of([(i,) for i in range(n)], edges=edges),
+                           rng.choice(levels, n))
+        assert extended_persistence(fg) == coned_reduction.extended_persistence(fg), trial
+        assert regular_persistence(fg) == coned_reduction.regular_persistence(fg), trial
+
+
+def test_a_nan_node_value_is_rejected():
+    fg = FilteredGraph(graph_of([(0,), (1,), (2,)], edges={(0, 1): 1, (1, 2): 1}),
+                       np.array([0.0, np.nan, 1.0]))
+    for diagram in (extended_persistence, regular_persistence):
+        with pytest.raises(ValueError, match="node 1 has a NaN value"):
+            diagram(fg)
 
 
 # --- independent oracle: merge trees via union-find, no matrix reduction ---
@@ -284,6 +308,20 @@ def test_loss_single_node_graph():
     with pytest.raises(ValueError, match="mode must be 'regular' or 'extended'"):
         loss_and_subgradient(cloud, e, LinearFilter(), np.array([1.0, 0.0]),
                              SingleLinkageClusterer(1.0), "ordinary")
+
+
+@pytest.mark.parametrize("mode", ["regular", "extended"])
+def test_a_margin_free_scheme_is_its_own_draw(mode):
+    cloud = PointCloud(np.c_[np.cos(np.linspace(0, 6, 50)), np.sin(np.linspace(0, 6, 50))])
+    theta, cl = np.array([1.0, 0.3]), SingleLinkageClusterer(0.5)
+    fv = LinearFilter().evaluate(cloud, theta)
+    scheme = standard_scheme(fv, uniform_cover(fv.values, 4, 0.3))
+    assert map_comp(cloud, scheme, cl).n_nodes == 6
+    loss, grad = loss_and_subgradient(cloud, scheme, LinearFilter(), theta, cl, mode)
+    want = loss_and_subgradient(cloud, scheme.probs.astype(np.uint8), LinearFilter(), theta,
+                                cl, mode)
+    assert type(loss) is float and grad.shape == (2,)
+    assert (loss, grad.tolist()) == (want[0], want[1].tolist())
 
 
 @pytest.mark.parametrize("mode", ["regular", "extended"])
