@@ -303,7 +303,7 @@ def cmd_export(args) -> int:
     if not Path(args.graph).exists():
         raise ConfigError(f"graph file not found: {args.graph}")
     graph = graph_from_json(Path(args.graph).read_text())
-    colors = np.diff(graph.indptr).astype(float)
+    colors = graph.sizes.astype(float)
     Path(args.out).write_text(export_dot(graph, colors))
     return 0
 

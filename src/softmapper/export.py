@@ -43,7 +43,7 @@ def export_dot(graph: MapperGraph, colors) -> str:
              else [4] * graph.n_nodes)
     out = ["graph mapper {", "  node [style=filled];"]
     out += [f'  n{k} [label="{k}", tooltip="{size}", fillcolor="{_RAMP[step]}"];'
-            for k, (size, step) in enumerate(zip(np.diff(graph.indptr).tolist(), steps))]
+            for k, (size, step) in enumerate(zip(graph.sizes.tolist(), steps))]
     out += [f"  n{u} -- n{v} [weight={w}];" for u, v, w in zip(*graph.links.tolist())]
     out.append("}")
     return "\n".join(out) + "\n"

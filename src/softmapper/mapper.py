@@ -42,12 +42,55 @@ class MapperGraph:
     draw m has the nodes draws[m]:draws[m + 1], no edge joins two draws, and
     each draw's nodes and edges come in the order its own graph gives them.
     ``draws`` defaults to [0, n_nodes], a single draw.
+
+    A graph's nodes are unions of units, disjoint point sets: ``_units``
+    (ptr, pts) lists unit u's points pts[ptr[u]:ptr[u + 1]], ascending, and
+    ``_node_units`` (ptr, unit) lists node k's units unit[ptr[k]:ptr[k + 1]],
+    ascending. A graph given by its members has one unit per node, the node
+    itself. ``LinkageEpoch`` builds its graphs from its own units instead
+    (``_of_units``), and then ``indptr`` and ``members`` are views listed on
+    first read, as ``nodes`` is. ``sizes`` holds each node's member count.
     """
 
     def __init__(self, indptr: np.ndarray, members: np.ndarray, cover: np.ndarray,
                  links: np.ndarray, draws: np.ndarray | None = None):
         self.indptr, self.members, self.cover, self.links = indptr, members, cover, links
         self.draws = np.array([0, cover.size]) if draws is None else draws
+
+    @classmethod
+    def _of_units(cls, units: tuple, node_units: tuple, cover: np.ndarray, links: np.ndarray,
+                  draws: np.ndarray) -> MapperGraph:
+        graph = cls.__new__(cls)
+        graph._units, graph._node_units = units, node_units
+        graph.cover, graph.links, graph.draws = cover, links, draws
+        return graph
+
+    @cached_property
+    def _units(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.indptr, self.members
+
+    @cached_property
+    def _node_units(self) -> tuple[np.ndarray, np.ndarray]:
+        k = np.arange(self.n_nodes + 1)
+        return k, k[:-1]
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        (ptr, _), (at, unit) = self._units, self._node_units
+        return np.add.reduceat(np.diff(ptr)[unit], at[:-1])
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        return np.cumsum(_cat([[0], self.sizes]))
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        (ptr, pts), (_, unit) = self._units, self._node_units
+        pts = pts[_spread(ptr[unit], np.diff(ptr)[unit])[1]]
+        # each node's units in turn, each unit's points ascending, so a stable
+        # sort by (node, point) merges runs
+        node = np.repeat(np.arange(self.n_nodes), self.sizes) * (int(pts.max(initial=0)) + 1)
+        return np.sort(node + pts, kind="stable") - node
 
     @cached_property
     def nodes(self) -> tuple[MapperNode, ...]:
@@ -178,7 +221,8 @@ class LinkageEpoch:
     draw. ``graph(e)`` equals the Mapper graph of e clustered from scratch.
     The scheme is an ``AssignmentScheme``, whose entries are read as they
     are, or a dense n x r matrix, which goes through ``AssignmentScheme``;
-    an entry outside [0, 1] (or NaN) raises ValueError.
+    an entry outside [0, 1] (or NaN) raises ValueError. ``scheme`` holds the
+    ``AssignmentScheme`` either way.
 
     Units run element by element, and within an element by smallest member,
     core clusters and margin points alike. An element's core clusters depend
@@ -196,13 +240,15 @@ class LinkageEpoch:
     cloud's first epoch has no memo; the memo holds no reference to it.
 
     The epoch also keeps what no draw decides: the flat indices of the core
-    and margin entries, through which ``graph(e)`` checks a draw, and the unit
-    pairs that share points, with their shared counts, from one ``_nerve``
-    pass over the entries in the point-major order ``flatnonzero`` gives them.
-    A node is the union of its component's units; its smallest unit, the
-    component's root, holds its smallest member, so the roots already run in
-    node order. Two units of one element share no point, so ``graph(e)``
-    weighs each edge by summing the present unit pairs between its two nodes.
+    and margin entries, through which ``graph(e)`` checks a draw, each unit's
+    points, and the unit pairs that share points, with their shared counts,
+    from one ``_nerve`` pass over the entries in the point-major order
+    ``flatnonzero`` gives them. A node is the union of its component's units;
+    its smallest unit, the component's root, holds its smallest member, so
+    the roots already run in node order. A draw's graph holds each node as
+    its units (see ``MapperGraph``) and lists no member. Two units of one
+    element share no point, so ``graph(e)`` weighs each edge by summing the
+    present unit pairs between its two nodes.
 
     Any clusterer serves a scheme without margin entries (a single draw, as
     ``map_comp`` builds for k-means); a scheme with them needs single linkage,
@@ -216,7 +262,7 @@ class LinkageEpoch:
             raise ValueError(f"scheme must have {cloud.n} rows and r columns, got {shape}")
         if not isinstance(scheme, AssignmentScheme):
             scheme = AssignmentScheme(scheme)
-        self.cloud, self.clusterer = cloud, clusterer
+        self.cloud, self.scheme, self.clusterer = cloud, scheme, clusterer
         self._shape = n, r = scheme.shape
         flat = scheme.flat
         core = scheme.values == 1
@@ -263,6 +309,13 @@ class LinkageEpoch:
         self._core_unit = np.repeat(rank[:len(parts)], sizes)
         self._margin_unit = rank[len(parts):]
         self._unit_elem = elem[by_min]
+        # each unit's points, ascending: a cluster's members ascend, and a
+        # stable sort by unit keeps them so (the units come in long runs,
+        # which numpy's stable sort of intp merges faster than a radix sort)
+        unit = np.concatenate([self._core_unit, self._margin_unit])
+        order = np.argsort(unit, kind="stable")
+        self._unit_pts = np.concatenate([self._core_pt, self._margin_pt])[order]
+        self._unit_ptr = np.searchsorted(unit[order], np.arange(n_units + 1))
         off = np.searchsorted(self._unit_elem, np.arange(r + 1))  # element j's units
         # each entry's unit, point-major as flatnonzero gave them, so units
         # ascend within a point; the core's (element, point) keys, in part
@@ -373,7 +426,8 @@ class LinkageEpoch:
         Each draw's nodes run in (cover_index, smallest member) order, its
         edges in ascending (u, v) order. Draw m's units and entries are the
         epoch's shifted by m times their counts, so one components call, one
-        membership sort and one pass over the shared unit pairs build all draws.
+        sort of the present units by node and one pass over the shared unit
+        pairs build all draws.
         """
         if e is None:
             if self._margin_flat.size:
@@ -398,7 +452,7 @@ class LinkageEpoch:
     def _graph(self, drawn: np.ndarray) -> MapperGraph:
         """The graphs of the draws whose margin entries ``drawn`` (M x
         margin entries, in the epoch's order) marks, as ``graph`` returns them."""
-        n, n_draws, n_units = self._shape[0], drawn.shape[0], self._unit_elem.size
+        n_draws, n_units = drawn.shape[0], self._unit_elem.size
         shift = np.arange(n_draws)[:, None] * n_units
         drawn = drawn.ravel()
         present = np.ones(n_draws * n_units, dtype=bool)
@@ -414,14 +468,10 @@ class LinkageEpoch:
         node = np.empty(present.size, dtype=np.intp)
         node[by_node] = np.arange(k)
         node = node[root]
-        # memberships by (node, point); a point is in a node at most once, and
-        # each core cluster's members ascend, so a stable sort merges runs
-        pts = np.concatenate([np.tile(self._core_pt, n_draws),
-                              np.tile(self._margin_pt, n_draws)[drawn]])
-        units = np.concatenate([(shift + self._core_unit).ravel(),
-                                (shift + self._margin_unit).ravel()[drawn]])
-        col, pts = _divmod(np.sort(node[units] * n + pts, kind="stable"), n)
-        indptr = np.searchsorted(col, np.arange(k + 1))
+        # each node's units: the present (draw, unit) slots, by node and then unit
+        slots = np.flatnonzero(present)
+        slots = slots[np.argsort(node[slots], kind="stable")]
+        at = np.searchsorted(node[slots], np.arange(k + 1))
         # a node's points are its units', and two units of one element share
         # none, so a node pair's weight sums those of its present unit pairs
         u, v, w = self._pairs
@@ -434,8 +484,10 @@ class LinkageEpoch:
         links = np.stack([*_divmod(keys[first], k),
                           np.add.reduceat(w, first) if first.size else first])
         # draw m's units are m n_units to (m + 1) n_units
-        return MapperGraph(indptr, pts, self._unit_elem[by_node % n_units] + 1, links,
-                           np.searchsorted(by_node, n_units * np.arange(n_draws + 1)))
+        return MapperGraph._of_units(
+            (self._unit_ptr, self._unit_pts), (at, slots % n_units),
+            self._unit_elem[by_node % n_units] + 1, links,
+            np.searchsorted(by_node, n_units * np.arange(n_draws + 1)))
 
 
 def map_comp(
@@ -458,7 +510,9 @@ def map_comp(
     element records of the draw before it, and joins their graphs. e may
     also be an ``AssignmentScheme`` with no margin entries, such as a
     standard scheme, which is its own draw: its graph is built from its
-    entries, with no n x r matrix.
+    entries, with no n x r matrix. With an epoch, the only scheme taken is
+    the one the epoch was built from, which gives ``epoch.graph()``; any
+    other ``AssignmentScheme`` raises ValueError.
     """
     if epoch is None:
         if not isinstance(e, AssignmentScheme):
@@ -468,12 +522,22 @@ def map_comp(
         return LinkageEpoch(cloud, e, clusterer).graph()
     if epoch.cloud is not cloud or epoch.clusterer != clusterer:
         raise ValueError("epoch was built for another cloud or clusterer")
+    if isinstance(e, AssignmentScheme):
+        if e is not epoch.scheme:
+            raise ValueError("a scheme passed with an epoch must be the epoch's own")
+        return epoch.graph()
     return epoch.graph(e)
 
 
 def node_means(graph: MapperGraph, values) -> np.ndarray:
     """Each node's mean of ``values`` (one value or row per point) over its
-    members, one row per node in id order, summed in member order."""
-    sums = np.add.reduceat(np.asarray(values, dtype=float).take(graph.members, axis=0),
-                           graph.indptr[:-1], axis=0)
-    return (sums.T / (graph.indptr[1:] - graph.indptr[:-1])).T
+    members, one row per node in id order.
+
+    Each unit's values are summed once, in member order, and each node adds
+    up its units' sums in unit order (see ``MapperGraph``). A node of one
+    unit takes that unit's sum as it is, so a graph given by its members
+    sums each node in member order, and keeps a sum of -0.0."""
+    (ptr, pts), (at, unit) = graph._units, graph._node_units
+    sums = np.add.reduceat(np.asarray(values, dtype=float).take(pts, axis=0), ptr[:-1], axis=0)
+    sums = np.add.reduceat(sums.take(unit, axis=0), at[:-1], axis=0)
+    return (sums.T / graph.sizes).T

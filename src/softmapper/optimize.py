@@ -8,7 +8,10 @@ error, and takes one step along the mean subgradient. The M draws go, as one
 stack, through one ``loss_and_subgradient`` call with the epoch's filter
 values (its ``fv``): one ``map_comp`` builds their graphs as one disjoint
 union whose ``draws`` bounds give each draw's nodes, and one filtration and
-one diagram of that union give each draw's loss and subgradient. Cover
+one diagram of that union give each draw's loss and subgradient. A draw's
+nodes are unions of the epoch's units (core clusters and drawn margin
+points), so each unit's filter values and Jacobian rows are summed once per
+epoch and each node adds up its units' sums; no draw lists its members. Cover
 endpoints are treated as constants inside an epoch: they enter through
 sampling only, not through the per-sample chain rule. An overflow in an
 epoch's means or step raises FloatingPointError; the recorded gradient norm
@@ -149,6 +152,9 @@ def optimize(
     """Run N epochs of M-sample stochastic subgradient descent from theta0.
 
     Epoch k draws its samples with seeds ``config.seed + 1 + k * M`` onwards.
+    Its node values and their gradients are summed unit by unit (see
+    ``mapper.node_means``), so a node of several units can differ in its last
+    bits from the sum over its members in member order.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     if theta.ndim != 1 or theta.size != filter_family.param_dim(cloud):

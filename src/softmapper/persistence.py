@@ -50,7 +50,8 @@ class DiagramPoint:
 
 
 def map_pers_filtration(graph: MapperGraph, filter_values: FilterValues) -> FilteredGraph:
-    """Node value = mean filter value over members; edge value = max endpoint."""
+    """Node value = mean filter value over members (``node_means``, unit by
+    unit); edge value = max endpoint."""
     return FilteredGraph(graph, node_means(graph, filter_values.values))
 
 
@@ -230,7 +231,7 @@ def loss_and_subgradient(
     through node means and the recorded realizing endpoints: each diagram
     point contributes sign(birth - death) * (grad birth - grad death), with
     sign(0) = 0; the gradient of a node value averages the Jacobian rows of
-    its members. ``epoch`` is the reusable Mapper of the scheme e was drawn
+    its members, summed unit by unit as its value is (see ``node_means``). ``epoch`` is the reusable Mapper of the scheme e was drawn
     from (see ``map_comp``). ``fv`` is ``filter_family.evaluate(cloud,
     theta)`` when the caller holds it already, as an epoch's draws share it;
     without it the filter is evaluated here.

@@ -603,6 +603,77 @@ def test_a_draw_builds_no_node_or_edge_objects(monkeypatch):
     assert builds == {"nodes": [g], "edges": [g]}
 
 
+def test_an_optimize_epoch_lists_no_members(monkeypatch):
+    """An epoch's graphs hold their nodes as the epoch's units, and an
+    optimize epoch reads only those: ``indptr`` and ``members`` are views
+    listed on first read, which no optimize epoch reads."""
+    listed = []
+    for name in ("indptr", "members"):
+        view = cached_property(lambda g, build=getattr(MapperGraph, name).func:
+                               listed.append(g) or build(g))
+        view.__set_name__(MapperGraph, name)
+        monkeypatch.setattr(MapperGraph, name, view)
+    cloud = generate_synthetic("y_shape", n=200, noise=0.02, seed=0)
+    for mode in ("extended", "regular"):
+        optimize(cloud, LinearFilter(), np.ones(3) / np.sqrt(3), SingleLinkageClusterer(0.2),
+                 OptimConfig(epochs=5, mc_samples=4, mode=mode, seed=2))
+    assert listed == []
+    cloud, scheme, threshold = smooth_case(1)
+    g = LinkageEpoch(cloud, scheme, SingleLinkageClusterer(threshold)).graph(
+        sample_assignment(scheme, 0))
+    assert g.members is g.members and g.indptr is g.indptr
+    assert listed == [g, g]
+
+
+def member_order_means(graph, values):
+    """Each node's mean over its listed members, summed in member order, and
+    each node's mean of |values|."""
+    x, size = values.take(graph.members, axis=0), np.diff(graph.indptr)
+    return ((np.add.reduceat(x, graph.indptr[:-1], axis=0).T / size).T,
+            (np.add.reduceat(np.abs(x), graph.indptr[:-1], axis=0).T / size).T)
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_epoch_node_means_lie_within_ulps_of_member_sums(case):
+    """An epoch's draws sum each node unit by unit. A node of several units
+    then lies within 4 ulps of its mean |value| of the sum over its listed
+    members in member order; a node of one unit equals that sum bit for bit."""
+    cloud, scheme, threshold = smooth_case(case)
+    g = LinkageEpoch(cloud, scheme, SingleLinkageClusterer(threshold)).graph(
+        np.stack([sample_assignment(scheme, 1000 * case + m) for m in range(6)]))
+    one = np.diff(g._node_units[0]) == 1
+    fv = LinearFilter().evaluate(cloud, np.random.default_rng(case).standard_normal(cloud.dim))
+    for values in (fv.values, fv.jacobian):
+        got = node_means(g, values)
+        want, scale = member_order_means(g, values)
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+        assert got[one].tobytes() == want[one].tobytes()
+    if case == 1:
+        assert not one.all()  # the draws have nodes of several units
+
+
+@pytest.mark.parametrize("case", range(0, 12, 3))
+def test_nodes_of_one_unit_keep_their_member_sums_bit_for_bit(case):
+    """Graphs whose nodes are one unit each (a margin-free scheme's, a draw's
+    without an epoch, one given by its members) give the member-order means
+    bit for bit, a sum of -0.0 included."""
+    cloud, scheme, threshold = smooth_case(case)
+    cl = SingleLinkageClusterer(threshold)
+    draw = sample_assignment(scheme, case)
+    g = LinkageEpoch(cloud, scheme.probs == 1, cl).graph()
+    graphs = [g, map_comp(cloud, draw, cl),
+              graph_of([nd.members for nd in g.nodes], g.cover, g.edges)]
+    rng = np.random.default_rng(case)
+    values = np.where(rng.random(cloud.n) < 0.5, -0.0, rng.standard_normal(cloud.n))
+    for graph in graphs:
+        assert np.array_equal(graph._node_units[1], np.arange(graph.n_nodes))
+        for v in (values, np.c_[values, -0.0 * values, rng.standard_normal(cloud.n)],
+                  np.full(cloud.n, -0.0)):
+            want, _ = member_order_means(graph, v)
+            assert node_means(graph, v).tobytes() == want.tobytes()
+    assert np.signbit(node_means(g, np.full(cloud.n, -0.0))).all()
+
+
 def epoch_runs():
     """Schemes at each epoch's theta of two optimize runs: 40 epochs on a
     2000-point y-shape at M = 3, and 40 on a noisy circle, with the run's

@@ -7,7 +7,14 @@ import pytest
 from softmapper.clustering import CellIndex, KMeansClusterer, SingleLinkageClusterer
 from softmapper.data import PointCloud
 from softmapper.filters import FixedFilter, LinearFilter
-from softmapper.optimize import OptimConfig, _scaled, direction_correlation, optimize
+from softmapper.mapper import LinkageEpoch
+from softmapper.optimize import (
+    OptimConfig,
+    _scaled,
+    _standard_error,
+    direction_correlation,
+    optimize,
+)
 from softmapper.cover import sample_assignment, smooth_scheme, smoothing_width, uniform_cover
 from softmapper.persistence import loss_and_subgradient
 from softmapper.synthetic import generate_synthetic
@@ -147,10 +154,20 @@ def test_fixed_filter_keeps_its_risk():
     cloud = generate_synthetic("circle", n=60, noise=0.0, seed=0)
     fam = FixedFilter(cloud.points[:, 1])
     cfg = OptimConfig(epochs=2, delta_rel=0.2)
-    theta, trace = optimize(cloud, fam, np.zeros(0), SingleLinkageClusterer(0.5), cfg)
+    cl = SingleLinkageClusterer(0.5)
+    theta, trace = optimize(cloud, fam, np.zeros(0), cl, cfg)
     assert theta.shape == (0,)
-    assert trace.risks[0] == 21.306585386418607
-    assert trace.risk_ses[0] == 0.6113934896480924
+    # epoch 0's draws, one call each through the scheme's epoch
+    fv = fam.evaluate(cloud, theta)
+    delta = smoothing_width(fv, cfg.resolution, cfg.delta_rel)
+    scheme = smooth_scheme(fv, uniform_cover(fv.values, cfg.resolution, cfg.gain), delta)
+    epoch = LinkageEpoch(cloud, scheme, cl)
+    losses = [loss_and_subgradient(cloud, sample_assignment(scheme, cfg.seed + 1 + m), fam,
+                                   theta, cl, cfg.mode, epoch, fv=fv)[0]
+              for m in range(cfg.mc_samples)]
+    assert np.ptp(losses) > 0
+    assert trace.risks[0] == np.mean(losses)
+    assert trace.risk_ses[0] == _standard_error(losses)
     assert trace.grad_norms == [0.0, 0.0]
     with pytest.raises(ValueError, match="parameter dimension"):
         optimize(cloud, fam, np.zeros(1), SingleLinkageClusterer(0.5), cfg)

@@ -8,10 +8,10 @@ import coned_reduction
 from conftest import graph_of, make_filtered_graph, random_filtered_graph
 from softmapper import persistence
 from softmapper.clustering import SingleLinkageClusterer
-from softmapper.cover import standard_scheme, uniform_cover
+from softmapper.cover import smooth_scheme, standard_scheme, uniform_cover
 from softmapper.data import PointCloud
 from softmapper.filters import FilterValues, FixedFilter, LinearFilter
-from softmapper.mapper import map_comp
+from softmapper.mapper import LinkageEpoch, map_comp
 from softmapper.persistence import (
     FilteredGraph,
     extended_persistence,
@@ -322,6 +322,40 @@ def test_a_margin_free_scheme_is_its_own_draw(mode):
                                 cl, mode)
     assert type(loss) is float and grad.shape == (2,)
     assert (loss, grad.tolist()) == (want[0], want[1].tolist())
+
+
+@pytest.mark.parametrize("mode", ["regular", "extended"])
+def test_an_epochs_own_margin_free_scheme_is_its_draw(mode):
+    """Passed with the epoch built for it, a margin-free scheme gives the
+    epoch's own graph and what the call without the epoch gives."""
+    cloud = PointCloud(np.c_[np.cos(np.linspace(0, 6, 50)), np.sin(np.linspace(0, 6, 50))])
+    theta, cl = np.array([1.0, 0.3]), SingleLinkageClusterer(0.5)
+    fv = LinearFilter().evaluate(cloud, theta)
+    scheme = standard_scheme(fv, uniform_cover(fv.values, 4, 0.3))
+    epoch = LinkageEpoch(cloud, scheme, cl)
+    assert map_comp(cloud, scheme, cl, epoch) == map_comp(cloud, scheme, cl) == epoch.graph()
+    loss, grad = loss_and_subgradient(cloud, scheme, LinearFilter(), theta, cl, mode, epoch)
+    want = loss_and_subgradient(cloud, scheme, LinearFilter(), theta, cl, mode)
+    assert type(loss) is float and grad.shape == (2,)
+    assert (loss, grad.tolist()) == (want[0], want[1].tolist())
+
+
+def test_a_scheme_not_the_epochs_own_is_rejected():
+    """With an epoch, the only scheme map_comp takes is the epoch's own: an
+    equal scheme held in another object is no draw of it, and the epoch's
+    own scheme with margin entries is no draw at all."""
+    cloud = PointCloud(np.c_[np.cos(np.linspace(0, 6, 50)), np.sin(np.linspace(0, 6, 50))])
+    cl = SingleLinkageClusterer(0.5)
+    fv = LinearFilter().evaluate(cloud, np.array([1.0, 0.3]))
+    cover = uniform_cover(fv.values, 4, 0.3)
+    scheme, smooth = standard_scheme(fv, cover), smooth_scheme(fv, cover, 0.2)
+    for other, epoch in ((standard_scheme(fv, cover), LinkageEpoch(cloud, scheme, cl)),
+                         (smooth, LinkageEpoch(cloud, scheme, cl)),
+                         (scheme, LinkageEpoch(cloud, smooth, cl))):
+        with pytest.raises(ValueError, match="epoch's own"):
+            map_comp(cloud, other, cl, epoch)
+    with pytest.raises(ValueError, match="not a draw"):
+        map_comp(cloud, smooth, cl, LinkageEpoch(cloud, smooth, cl))
 
 
 @pytest.mark.parametrize("mode", ["regular", "extended"])

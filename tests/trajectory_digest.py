@@ -19,6 +19,10 @@ two checkouts can be compared for bit-identity:
   byte-order mark, blank lines before its header, whitespace-only lines
   among its rows and CRLF line ends.
 
+Next to each optimize run's digests it prints the final theta and the last
+risk to 10 significant digits, so a change whose digests move shows whether
+it moved only the last bits.
+
 Run from a checkout: ``PYTHONPATH=src python tests/trajectory_digest.py``.
 pytest does not collect this file.
 """
@@ -98,6 +102,8 @@ def main():
                             SingleLinkageClusterer(0.2), config)
         for field in ("thetas", "risks", "risk_ses"):
             print(f"{name} {field} {digest(getattr(trace, field))}")
+        print(f"{name} final theta", *(f"{x:.10g}" for x in trace.thetas[-1]))
+        print(f"{name} last risk {trace.risks[-1]:.10g}")
     for name, argv in BUILDS.items():
         build(name, argv)
     for name, (text, argv) in CSV_BUILDS.items():
