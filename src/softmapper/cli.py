@@ -106,7 +106,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
             p.add_argument("--mc-samples", type=int, default=10)
             p.add_argument("--step-size", type=float, default=0.1)
             p.add_argument("--schedule", choices=["constant", "robbins_monro"], default="constant")
-            p.add_argument("--noise-std", type=float, default=0.0)
             p.add_argument("--maximize", action="store_true")
             p.add_argument("--scheme", choices=["smooth", "standard"], default="smooth")
             p.add_argument("--reference-direction",

@@ -19,6 +19,10 @@ _KMEANS_ITER = 100  # Lloyd iterations at most
 
 @dataclass(frozen=True)
 class KMeansClusterer:
+    """Lloyd's k-means from a k-means++ start drawn with ``seed``, so the
+    clusters are deterministic; ``k`` >= 1 and ``seed`` >= 0 are integers
+    (numpy integers included)."""
+
     k: int
     seed: int = 0
 
@@ -31,6 +35,9 @@ class KMeansClusterer:
 
 @dataclass(frozen=True)
 class SingleLinkageClusterer:
+    """Clusters are the connected components of the graph linking points at
+    distance <= ``threshold``, which is finite and > 0 (see ``cluster``)."""
+
     threshold: float
 
     def __post_init__(self):
@@ -136,7 +143,9 @@ class CellIndex:
     on ``points``, the cloud's times the power of two 2**-e that brings their
     largest |coordinate| into [1/2, 1), where no square overflows, against
     ``limit``, the caller's ``threshold`` times 2**-e capped at 4 sqrt(d),
-    past which every pair links. The scaling is exact (``optimize._scaled``).
+    past which every pair links. The scaling is exact (``optimize._scaled``),
+    so scaling a cloud and its threshold by 2**k, for k from -1000 to 1000,
+    changes no partition.
 
     Construction only applies the extent rule (``_cells_across``) to the
     cloud's extent; an extent past the largest double raises

@@ -47,8 +47,9 @@ class AssignmentScheme:
     ``AssignmentScheme(probs)`` takes a dense n x r matrix; ``shape`` is its
     (n, r), ``flat`` the flat indices of its nonzero entries, ascending, as
     ``np.flatnonzero`` gives them, and ``values`` those entries. ``probs``
-    is the dense matrix again, read-only, built on first read. An entry
-    outside [0, 1] or NaN raises ValueError.
+    is the dense matrix again, read-only, built on first read, which
+    ``sample_assignment`` and ``log_prob`` read. An entry outside [0, 1] or
+    NaN raises ValueError, whichever constructor takes it.
     """
 
     def __init__(self, probs):

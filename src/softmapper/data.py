@@ -58,7 +58,8 @@ def load_csv(path, has_header: bool = False) -> PointCloud:
 
     With ``has_header`` the first non-blank line names the columns; header
     names are not interpreted (all columns become coordinates). Blank and
-    whitespace-only lines are skipped; a cell is anything ``float`` reads.
+    whitespace-only lines are skipped, and so is a UTF-8 byte-order mark; a
+    cell is anything ``float`` reads.
 
     Lines split as iterating the file splits them, at newlines only (not
     ``str.splitlines``, which also splits at form feeds and separators).
@@ -66,7 +67,8 @@ def load_csv(path, has_header: bool = False) -> PointCloud:
     does, but rejects some cells ``float`` reads, such as ``1_0``, so any
     input it rejects goes through ``_parse_rows``, which also names the
     faulty line. So does a file holding one of the ASCII separators U+001C
-    to U+001F: numpy strips them around a cell, ``float`` does not.
+    to U+001F: numpy strips them around a cell, ``float`` does not. Either
+    way the points are the same, bit for bit.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
@@ -109,7 +111,8 @@ def _parse_rows(path, lines: list, has_header: bool) -> np.ndarray:
 
 
 def load_off_vertices(path) -> PointCloud:
-    """Read the vertex coordinates of an ASCII OFF mesh; faces are discarded."""
+    """Read the vertex coordinates of an ASCII OFF mesh; faces are discarded,
+    and so is a UTF-8 byte-order mark."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         tokens_lines = [
             ln.split("#", 1)[0].strip() for ln in fh

@@ -21,10 +21,12 @@ _MAX_INDEX = np.iinfo(np.intp).max
 
 
 def export_dot(graph: MapperGraph, colors) -> str:
-    """Render the graph as DOT; node fill colors follow the color ramp.
+    """Render the graph as DOT; node fill colors follow the 8-step color
+    ramp, taking step min(7, int(8 t)) at t = (color - min) / (max - min).
 
     Non-finite colors and colors spanning an infinite range raise
-    ValueError; equal colors fill every node with the middle of the ramp.
+    ValueError naming the first such node; equal colors fill every node with
+    the middle of the ramp.
     """
     colors = np.asarray(colors, dtype=float)
     if colors.shape != (graph.n_nodes,):
@@ -38,7 +40,6 @@ def export_dot(graph: MapperGraph, colors) -> str:
     span = hi - lo
     if span == np.inf:
         raise ValueError("node colors span an infinite range")
-    # ramp step min(7, int(8 t)) at t = (color - lo) / span in [0, 1], or t = 1/2
     steps = (np.minimum((colors - lo) / span * 8, 7).astype(np.intp).tolist() if span > 0
              else [4] * graph.n_nodes)
     out = ["graph mapper {", "  node [style=filled];"]
@@ -57,7 +58,13 @@ def _tokens(xs: list) -> list[str]:
 def graph_to_json(graph: MapperGraph, values=None) -> str:
     """The graph as one line of JSON, written as ``json.dumps(doc, sort_keys=True)``
     writes it; each node's "value" and "color" are its entry of ``values``
-    (zeros when left out)."""
+    (zeros when left out).
+
+    The document is ``{"edges": [{"source", "target", "weight"}, ...],
+    "nodes": [{"color", "cover_index", "id", "members", "value"}, ...]}``,
+    edges in ascending (source, target) order and every number as
+    ``json.dumps`` writes it, ``NaN`` and ``Infinity`` included.
+    """
     values = np.zeros(graph.n_nodes) if values is None else np.asarray(values, dtype=float)
     if values.shape != (graph.n_nodes,):
         raise ValueError(f"need one value per node, got {values.shape}")

@@ -205,7 +205,7 @@ class _Memo(NamedTuple):
     shape: tuple  # the scheme's (n, r)
     flat: np.ndarray  # flat indices of its nonzero entries
     core: np.ndarray  # mask of those entries equal to 1
-    state: dict  # the epoch's arrays derived from that support, by attribute, read-only
+    state: dict  # the arrays graph(e) reads (LinkageEpoch._STATE), by attribute, read-only
     elements: list  # the _Element record of each element of its last scheme
 
 
@@ -255,6 +255,11 @@ class LinkageEpoch:
     and any other clusterer raises ValueError.
     """
 
+    # the arrays graph(e) reads, which the memo keeps; the rest of a rebuild
+    # is dropped when it returns
+    _STATE = ("_core_flat", "_margin_flat", "_margin_unit", "_unit_elem", "_unit_ptr",
+              "_unit_pts", "_pairs", "_edges")
+
     def __init__(self, cloud: PointCloud, scheme: AssignmentScheme | np.ndarray,
                  clusterer: Clusterer):
         shape = scheme.shape if isinstance(scheme, AssignmentScheme) else np.shape(scheme)
@@ -280,14 +285,13 @@ class LinkageEpoch:
         del memo
         pt, elem = _divmod(flat, r)
         core_at, margin_at = np.flatnonzero(core), np.flatnonzero(margin)
-        core_order, core_pt, self._core_elem, cb = _by_element(pt[core_at], elem[core_at], r)
-        margin_order, self._margin_pt, self._margin_elem, mb = _by_element(
-            pt[margin_at], elem[margin_at], r)
+        core_order, core_pt, core_elem, cb = _by_element(pt[core_at], elem[core_at], r)
+        margin_order, margin_pt, margin_elem, mb = _by_element(pt[margin_at], elem[margin_at], r)
         core_at, margin_at = core_at[core_order], margin_at[margin_order]  # in element order
         self._core_flat, self._margin_flat = flat[core_at], flat[margin_at]
         elements = []
         for j in range(r):
-            c, m = core_pt[cb[j]:cb[j + 1]], self._margin_pt[mb[j]:mb[j + 1]]
+            c, m = core_pt[cb[j]:cb[j + 1]], margin_pt[mb[j]:mb[j + 1]]
             prev = last[j] if j < len(last) else None
             same = prev is not None and np.array_equal(c, prev.core)
             parts = prev.parts if same else cluster(clusterer, cloud, c) if c.size else []
@@ -296,25 +300,25 @@ class LinkageEpoch:
         parts = [part for el in elements for part in el.parts]
         n_parts = np.array([len(el.parts) for el in elements], dtype=np.intp)
         n_margin = np.diff(mb)
-        self._core_pt = _cat(parts)
+        core_pt = _cat(parts)  # the core entries again, cluster by cluster
         sizes = np.array([part.size for part in parts], dtype=np.intp)
         # number the units, listed core clusters first, by (element, smallest
         # member); a cluster's members ascend
-        elem = np.concatenate([np.repeat(np.arange(r), n_parts), self._margin_elem])
+        elem = np.concatenate([np.repeat(np.arange(r), n_parts), margin_elem])
         by_min = np.argsort(elem * cloud.n + np.concatenate(
-            [self._core_pt[np.cumsum(sizes) - sizes], self._margin_pt]))
+            [core_pt[np.cumsum(sizes) - sizes], margin_pt]))
         n_units = by_min.size
         rank = np.empty(n_units, dtype=np.intp)
         rank[by_min] = np.arange(n_units)
-        self._core_unit = np.repeat(rank[:len(parts)], sizes)
+        core_unit = np.repeat(rank[:len(parts)], sizes)
         self._margin_unit = rank[len(parts):]
         self._unit_elem = elem[by_min]
         # each unit's points, ascending: a cluster's members ascend, and a
         # stable sort by unit keeps them so (the units come in long runs,
         # which numpy's stable sort of intp merges faster than a radix sort)
-        unit = np.concatenate([self._core_unit, self._margin_unit])
+        unit = np.concatenate([core_unit, self._margin_unit])
         order = np.argsort(unit, kind="stable")
-        self._unit_pts = np.concatenate([self._core_pt, self._margin_pt])[order]
+        self._unit_pts = np.concatenate([core_pt, margin_pt])[order]
         self._unit_ptr = np.searchsorted(unit[order], np.arange(n_units + 1))
         off = np.searchsorted(self._unit_elem, np.arange(r + 1))  # element j's units
         # each entry's unit, point-major as flatnonzero gave them, so units
@@ -322,26 +326,28 @@ class LinkageEpoch:
         # order, come in one sorted run per cluster, which a stable sort merges
         unit = np.empty(flat.size, dtype=np.intp)
         unit[margin_at] = self._margin_unit
-        by_elem = np.argsort(self._core_elem * cloud.n + self._core_pt, kind="stable")
-        unit[core_at] = self._core_unit[by_elem]
+        by_elem = np.argsort(core_elem * cloud.n + core_pt, kind="stable")
+        unit[core_at] = core_unit[by_elem]
         self._pairs = np.stack(_nerve(pt, unit, n_units))
         rebuild = np.array([el.edges is None for el in elements], dtype=bool) & (n_margin > 0)
-        edges = self._margin_edges(rebuild)
+        edges = self._margin_edges(rebuild, (margin_pt, margin_elem, self._margin_unit),
+                                   (core_pt, core_elem, core_unit))
         at = np.searchsorted(edges[0], off).tolist()  # the pass's edges run by element
         for j in np.flatnonzero(rebuild).tolist():
             elements[j] = elements[j]._replace(edges=edges[:, at[j]:at[j + 1]] - int(off[j]))
         pieces = [elements[j].edges + int(off[j]) for j in np.flatnonzero(n_margin).tolist()]
         self._edges = np.concatenate(pieces, axis=1) if pieces else edges
-        state = {name: a for name, a in vars(self).items() if isinstance(a, np.ndarray)}
+        state = {name: getattr(self, name) for name in self._STATE}
         for a in (flat, core, *state.values()):
             a.flags.writeable = False  # later epochs share them
         cloud._epochs[clusterer] = _Memo(self._shape, flat, core, state, elements)
 
-    def _margin_edges(self, rebuild: np.ndarray) -> np.ndarray:
+    def _margin_edges(self, rebuild: np.ndarray, margin: tuple, core: tuple) -> np.ndarray:
         """Unit pairs (2 x E) of the elements the mask ``rebuild`` picks,
         whose components match the radius graph's in every draw, from one
         grid over those elements' supports, binned by the cloud's cell index;
-        they come ascending in their first unit.
+        they come ascending in their first unit. ``margin`` and ``core`` hold
+        the (point, element, unit) arrays of the margin and core entries.
 
         Margin entries are passed first, so the grid's stable sort puts them
         first in each cell, and a cell's core entries, which lie within 3/4
@@ -360,14 +366,12 @@ class LinkageEpoch:
         """
         if not rebuild.any():
             return np.empty((2, 0), dtype=np.int32)
-        margin = np.flatnonzero(rebuild[self._margin_elem])
-        core = np.flatnonzero(rebuild[self._core_elem])
-        n_margin = margin.size
-        pt = np.concatenate([self._margin_pt[margin], self._core_pt[core]])
-        is_core = np.arange(pt.size) >= n_margin
-        g = Grid(cell_index(self.cloud, self.clusterer.threshold), pt,
-                 np.concatenate([self._margin_elem[margin], self._core_elem[core]]))
-        unit = np.concatenate([self._margin_unit[margin], self._core_unit[core]])[g.order]
+        # the margin entries, then the core entries, of the rebuilt elements
+        at = [np.flatnonzero(rebuild[elem]) for _, elem, _ in (margin, core)]
+        pt, elem, unit = (np.concatenate([m[at[0]], c[at[1]]]) for m, c in zip(margin, core))
+        is_core = np.arange(pt.size) >= at[0].size
+        g = Grid(cell_index(self.cloud, self.clusterer.threshold), pt, elem)
+        unit = unit[g.order]
         s = g.start[:-1]
         m = np.add.reduceat((~is_core[g.order]).astype(np.intp), s)
         c = np.diff(g.start) - m

@@ -14,15 +14,15 @@ points), so each unit's filter values and Jacobian rows are summed once per
 epoch and each node adds up its units' sums; no draw lists its members. Cover
 endpoints are treated as constants inside an epoch: they enter through
 sampling only, not through the per-sample chain rule. An overflow in an
-epoch's means or step raises FloatingPointError; the recorded gradient norm
-is taken at an exact power-of-two scale, so it is finite wherever the
-gradient is. The cloud keeps one memo of the previous epoch's
-``LinkageEpoch`` (see ``mapper.LinkageEpoch``). An epoch whose scheme has
-the same support (the same nonzero entries, the same ones equal to 1) takes
-that whole epoch and clusters nothing, as most epochs do once theta
-settles; any other epoch clusters again only the cover elements whose point
-sets differ from their record's. Either way the results are those of a
-rebuild from scratch.
+epoch's means or step raises FloatingPointError naming the epoch; the
+recorded gradient norm is taken at an exact power-of-two scale, so it is
+finite wherever the gradient is. The cloud keeps one memo of the previous
+epoch's ``LinkageEpoch`` (see ``mapper.LinkageEpoch``). An epoch whose
+scheme has the same support (the same nonzero entries, the same ones equal
+to 1) takes that whole epoch and clusters nothing, as most epochs do once
+theta settles; any other epoch clusters again only the cover elements whose
+point sets differ from their record's. Either way the results are those of
+a rebuild from scratch.
 """
 
 from __future__ import annotations
@@ -42,11 +42,14 @@ from .persistence import loss_and_subgradient, raising
 
 @dataclass(frozen=True)
 class OptimConfig:
+    """The settings of an ``optimize`` run; a value out of range raises
+    ValueError. ``epochs``, ``mc_samples``, ``resolution`` and ``seed`` are
+    integers (numpy integers included), the first three >= 1, ``seed`` >= 0."""
+
     epochs: int = 200
     mc_samples: int = 10
     step_size: float = 0.1
     schedule: str = "constant"  # constant | robbins_monro (alpha_i = a0/(1+i))
-    noise_std: float = 0.0
     seed: int = 0
     mode: str = "extended"  # regular | extended
     delta_rel: float = 1e-2  # smoothing width as a fraction of the filter range
@@ -64,8 +67,6 @@ class OptimConfig:
             raise ValueError("step_size must be finite and >= 0")
         if self.schedule not in ("constant", "robbins_monro"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if not 0 <= self.noise_std < np.inf:
-            raise ValueError("noise_std must be finite and >= 0")
         if self.mode not in ("regular", "extended"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.scheme not in ("smooth", "standard"):
@@ -159,7 +160,6 @@ def optimize(
     theta = np.asarray(theta0, dtype=float).copy()
     if theta.ndim != 1 or theta.size != filter_family.param_dim(cloud):
         raise ValueError("theta0 must be a vector of the filter family's parameter dimension")
-    noise_rng = np.random.default_rng(config.seed) if config.noise_std > 0 else None
     trace = Trace()
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
@@ -172,10 +172,8 @@ def optimize(
             # makes their means or the step non-finite
             with raising("non-finite risk or gradient"):
                 y, risk = np.mean(grads, axis=0), float(np.mean(losses))
-            xi = (noise_rng.normal(0.0, config.noise_std, size=theta.shape)
-                  if config.noise_std > 0 else 0.0)
             with raising("the step made the parameters non-finite"):
-                theta = theta - config.learning_rate(epoch) * (y + xi)
+                theta = theta - config.learning_rate(epoch) * y
         except FloatingPointError as exc:
             raise FloatingPointError(f"epoch {epoch}: {exc}") from exc
         trace.append(theta, risk, _standard_error(losses), _scaled(np.linalg.norm, y),

@@ -231,16 +231,18 @@ def loss_and_subgradient(
     through node means and the recorded realizing endpoints: each diagram
     point contributes sign(birth - death) * (grad birth - grad death), with
     sign(0) = 0; the gradient of a node value averages the Jacobian rows of
-    its members, summed unit by unit as its value is (see ``node_means``). ``epoch`` is the reusable Mapper of the scheme e was drawn
-    from (see ``map_comp``). ``fv`` is ``filter_family.evaluate(cloud,
-    theta)`` when the caller holds it already, as an epoch's draws share it;
-    without it the filter is evaluated here.
+    its members, summed unit by unit as its value is (see ``node_means``).
+    ``epoch`` is the reusable Mapper of the scheme e was drawn from (see
+    ``map_comp``). ``fv`` is ``filter_family.evaluate(cloud, theta)`` when
+    the caller holds it already, as an epoch's draws share it; without it
+    the filter is evaluated here. An ``fv`` whose length is not the cloud's
+    point count raises ValueError.
 
     A stack goes through one ``map_comp`` call, one filtration and one
     diagram of the union of its draws' graphs. Each draw's loss sums its own
     diagram's points in order and its subgradient adds their terms in order,
-    so every draw gets what a call on it alone gives. An overflow or a
-    non-finite result raises FloatingPointError.
+    so every draw gets, bit for bit, what a call on it alone gives. An
+    overflow or a non-finite result raises FloatingPointError.
     """
     if mode not in ("regular", "extended"):
         raise ValueError(f"mode must be 'regular' or 'extended', got {mode!r}")

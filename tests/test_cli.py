@@ -101,7 +101,7 @@ def test_build_reads_a_csv_with_a_byte_order_mark(tmp_path):
 def test_optimize_is_reproducible(tmp_path):
     argv = ["optimize", "--shape", "y_shape", "--n", "200", "--noise", "0.02", "--seed", "3",
             "--threshold", "0.2", "--maximize", "--epochs", "3", "--mc-samples", "3",
-            "--delta-rel", "0.1", "--noise-std", "0.01"]
+            "--delta-rel", "0.1"]
     assert main(argv + ["--out-dir", str(tmp_path / "a")]) == 0
     # a switch set in a config file acts as the flag, and the hash ignores the config path
     cfg = tmp_path / "cfg.json"
@@ -202,6 +202,21 @@ def test_config_unknown_key(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+def test_optimize_takes_no_noise(tmp_path, capsys):
+    """The step is the plain subgradient step: neither a --noise-std flag nor
+    a noise_std config key exists."""
+    out = tmp_path / "out"
+    argv = ["optimize", "--shape", "circle", "--n", "60", "--theta", "0.6,0.8", "--epochs", "1",
+            "--mc-samples", "1", "--threshold", "0.8", "--out-dir", str(out)]
+    assert main(argv + ["--noise-std", "0.01"]) == 1
+    assert "--noise-std" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise_std": 0.01}))
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert "noise_std" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", [{"epochs": 2.5}, {"maximize": 1}, {"scheme": "rough"},
                                     {"theta": [1, 0]}, ["epochs", 2]])
 def test_config_values_are_checked_like_flags(tmp_path, capsys, config):
@@ -290,8 +305,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path / "cloud.csv")]) == 1
     optimize = ["optimize", "--shape", "circle", "--n", "60", "--theta", "0.6,0.8",
                 "--epochs", "1", "--mc-samples", "1", "--threshold", "0.8"]
-    for flag, value in [("--noise-std", "nan"), ("--noise-std", "inf"), ("--step-size", "inf"),
-                        ("--delta-rel", "inf")]:
+    for flag, value in [("--step-size", "inf"), ("--delta-rel", "inf")]:
         out = tmp_path / f"optimize {flag} {value}"
         assert main(optimize + [flag, value, "--out-dir", str(out)]) == 1
         assert not out.exists()

@@ -717,9 +717,9 @@ def builds(monkeypatch):
         log["grid"].append(np.unique(owner).tolist())
         return real_grid(cells, idx, owner)
 
-    def counted_edges(epoch, rebuild):
+    def counted_edges(epoch, rebuild, *entries):
         log["edges"].append(np.flatnonzero(rebuild).tolist())
-        return real_edges(epoch, rebuild)
+        return real_edges(epoch, rebuild, *entries)
 
     monkeypatch.setattr(mapper, "cluster", counted_cluster)
     monkeypatch.setattr(mapper, "Grid", counted_grid)
@@ -862,7 +862,9 @@ def test_the_memo_is_read_only_and_dies_with_its_cloud():
     again = LinkageEpoch(cloud, scheme.probs, cl)
     assert all(getattr(again, name) is a for name, a in memo.state.items())
     arrays = [memo.flat, memo.core, *memo.state.values()]
-    assert {"_pairs", "_edges", "_core_unit", "_margin_unit"} <= memo.state.keys()
+    # only what graph(e) reads: a rebuild's other arrays die with it
+    assert memo.state.keys() == {"_core_flat", "_margin_flat", "_margin_unit", "_unit_elem",
+                                 "_unit_ptr", "_unit_pts", "_pairs", "_edges"}
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         epoch._edges[...] = 0

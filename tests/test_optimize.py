@@ -186,7 +186,7 @@ def test_zero_step_size_keeps_theta():
 
 def test_optimize_deterministic():
     cloud, fam, cl = _setup()
-    cfg = OptimConfig(epochs=4, mc_samples=3, step_size=0.05, seed=11, noise_std=0.01)
+    cfg = OptimConfig(epochs=4, mc_samples=3, step_size=0.05, seed=11)
     t1, tr1 = optimize(cloud, fam, np.array([1.0, 0.0]), cl, cfg)
     t2, tr2 = optimize(cloud, fam, np.array([1.0, 0.0]), cl, cfg)
     assert np.array_equal(t1, t2)
@@ -196,18 +196,15 @@ def test_optimize_deterministic():
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("noise_std", [0.0, 0.01])
-def test_the_noise_generator_is_made_only_for_noise(monkeypatch, noise_std):
-    """The draws seed their generators with seed + 1 onwards; only a run
-    with noise makes one from the seed itself."""
+def test_generators_are_made_only_for_the_draws(monkeypatch):
+    """The draws seed their generators with seed + 1 onwards, and a run
+    makes no other generator."""
     cloud, fam, cl = _setup()
     seeds = []
     real = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed=None: seeds.append(seed) or real(seed))
-    optimize(cloud, fam, np.array([1.0, 0.0]), cl,
-             OptimConfig(epochs=2, mc_samples=2, seed=11, noise_std=noise_std))
-    assert seeds.count(11) == (noise_std > 0)
-    assert sorted(s for s in seeds if s != 11) == [12, 13, 14, 15]
+    optimize(cloud, fam, np.array([1.0, 0.0]), cl, OptimConfig(epochs=2, mc_samples=2, seed=11))
+    assert sorted(seeds) == [12, 13, 14, 15]
 
 
 def test_optimize_moves_theta():

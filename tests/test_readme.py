@@ -1,5 +1,7 @@
-"""The README's quick-starts run as written."""
+"""The README's quick-starts run as written, and its API table covers the
+package in one short row per module."""
 
+import ast
 import contextlib
 import io
 import re
@@ -8,7 +10,10 @@ from pathlib import Path
 
 from softmapper import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+PACKAGE = ROOT / "src" / "softmapper"
+ROW_WORDS = 60
 
 
 def python_blocks():
@@ -54,3 +59,29 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
     written += [f"run/{build}/{name}" for build in ("initial", "final")
                 for name in ("mapper.json", "mapper.dot", "diagram.csv")]
     assert [name for name in written if not (tmp_path / name).is_file()] == []
+
+
+def api_rows():
+    """The API table's rows as (module, row text), in README order."""
+    rows = re.findall(r"^\| `softmapper\.(\w+)` \|(.*)\|$", README.read_text(encoding="utf-8"),
+                      re.M)
+    return [(module, text.strip()) for module, text in rows]
+
+
+def test_the_api_table_has_one_short_row_per_module():
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    rows = api_rows()
+    assert sorted(module for module, _ in rows) == modules
+    words = {module: 1 + len(text.split()) for module, text in rows}  # 1 for the name cell
+    assert {module: n for module, n in words.items() if n > ROW_WORDS} == {}
+
+
+def test_every_export_is_named_in_its_modules_row():
+    rows = dict(api_rows())
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exports = {alias.name: node.module for node in tree.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert exports
+    named = {module: set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`", text))))
+             for module, text in rows.items()}
+    assert sorted(name for name, module in exports.items() if name not in named[module]) == []
