@@ -3,11 +3,14 @@
 An assignment scheme is an n x r matrix of Bernoulli success probabilities,
 held as its nonzero entries; sampling it yields a binary cover assignment
 matrix, one column per cover element. All shipped schemes have conditionally
-independent coordinates.
+independent coordinates, so draws differ only at the margin entries
+(0 < p < 1): ``MarginDraws`` holds a stack of draws as those entries alone,
+and a draw of ``margin_scheme`` is one such stack.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
@@ -203,11 +206,48 @@ def smooth_scheme(values, cover: IntervalCover, delta: float) -> AssignmentSchem
     return _bump_scheme(_as_values(values), cover, delta)[0]
 
 
-def sample_assignment(scheme: AssignmentScheme, seed: int) -> np.ndarray:
-    """Draw one binary assignment matrix; deterministic for a fixed seed."""
+def sample_assignment(scheme: AssignmentScheme, seed: int | Sequence[int]) -> np.ndarray:
+    """Draw one binary assignment matrix; deterministic for a fixed seed,
+    which may be an int or a sequence of ints, as ``np.random.default_rng``
+    takes it."""
     rng = np.random.default_rng(seed)
     u = rng.random(scheme.probs.shape)
     return (u < scheme.probs).view(np.uint8)
+
+
+def margin_scheme(scheme: AssignmentScheme, n_draws: int) -> AssignmentScheme:
+    """The n_draws x m scheme each of whose rows holds the m margin
+    probabilities (0 < p < 1) of ``scheme``, in its entry order. Its draw
+    marks the margin entries of n_draws independent draws of ``scheme``,
+    which ``MarginDraws`` holds; the draws of ``scheme`` it gives have the
+    law that ``sample_assignment(scheme, seed)`` draws from."""
+    return AssignmentScheme(np.tile(scheme.values[scheme.values < 1], (n_draws, 1)))
+
+
+class MarginDraws:
+    """A stack of draws of one scheme, held as their margin entries.
+
+    ``drawn`` (M x m, bool) marks which of the scheme's m margin entries
+    (0 < p < 1), taken in its entry order, draw k assigns; every draw also
+    assigns every entry with p = 1, and none with p = 0. A ``drawn`` of
+    another width raises ValueError. ``dense()`` lists the M x n x r draws.
+    """
+
+    def __init__(self, scheme: AssignmentScheme, drawn):
+        drawn = np.asarray(drawn)
+        m = np.count_nonzero(scheme.values < 1)
+        if drawn.ndim != 2 or drawn.shape[1] != m:
+            raise ValueError(f"drawn must be an M x {m} block, got {drawn.shape}")
+        self.scheme, self.drawn = scheme, drawn != 0
+
+    def dense(self) -> np.ndarray:
+        """The draws as an M x n x r 0/1 array, as ``sample_assignment`` gives each."""
+        flat, values = self.scheme.flat, self.scheme.values
+        e = np.zeros((self.drawn.shape[0], self.scheme.shape[0] * self.scheme.shape[1]),
+                     dtype=np.uint8)
+        e[:, flat[values == 1]] = 1
+        e[:, flat[values < 1]] = self.drawn
+        return e.reshape(-1, *self.scheme.shape)
 
 
 def log_prob(scheme: AssignmentScheme, e: np.ndarray) -> float:

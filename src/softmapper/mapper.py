@@ -17,7 +17,7 @@ from .clustering import (
     merge_components,
     range_pairs,
 )
-from .cover import AssignmentScheme, _spread
+from .cover import AssignmentScheme, MarginDraws, _spread
 from .data import PointCloud
 
 
@@ -257,8 +257,8 @@ class LinkageEpoch:
 
     # the arrays graph(e) reads, which the memo keeps; the rest of a rebuild
     # is dropped when it returns
-    _STATE = ("_core_flat", "_margin_flat", "_margin_unit", "_unit_elem", "_unit_ptr",
-              "_unit_pts", "_pairs", "_edges")
+    _STATE = ("_core_flat", "_margin_flat", "_margin_perm", "_margin_unit", "_unit_elem",
+              "_unit_ptr", "_unit_pts", "_pairs", "_edges")
 
     def __init__(self, cloud: PointCloud, scheme: AssignmentScheme | np.ndarray,
                  clusterer: Clusterer):
@@ -288,6 +288,7 @@ class LinkageEpoch:
         core_order, core_pt, core_elem, cb = _by_element(pt[core_at], elem[core_at], r)
         margin_order, margin_pt, margin_elem, mb = _by_element(pt[margin_at], elem[margin_at], r)
         core_at, margin_at = core_at[core_order], margin_at[margin_order]  # in element order
+        self._margin_perm = margin_order  # each margin entry's MarginDraws column
         self._core_flat, self._margin_flat = flat[core_at], flat[margin_at]
         elements = []
         for j in range(r):
@@ -422,10 +423,11 @@ class LinkageEpoch:
 
     def graph(self, e=None) -> MapperGraph:
         """The Mapper graph of the draw e (n x r, nonzero = assigned), or the
-        disjoint union of the graphs of a stack of draws (M x n x r), with
-        draw m's node range in ``draws``. With e left out, the graph of the
-        scheme itself, which must have no margin entries: it is its own only
-        draw, and no draw is read or checked.
+        disjoint union of the graphs of a stack of draws (M x n x r, or a
+        ``MarginDraws`` of the epoch's own scheme, whose block is taken as it
+        is), with draw m's node range in ``draws``. With e left out, the
+        graph of the scheme itself, which must have no margin entries: it is
+        its own only draw, and no draw is read or checked.
 
         Each draw's nodes run in (cover_index, smallest member) order, its
         edges in ascending (u, v) order. Draw m's units and entries are the
@@ -437,6 +439,10 @@ class LinkageEpoch:
             if self._margin_flat.size:
                 raise ValueError("a scheme with margin entries (0 < p < 1) is not a draw")
             return self._graph(np.empty((1, 0), dtype=bool))
+        if isinstance(e, MarginDraws):
+            if e.scheme is not self.scheme:
+                raise ValueError("the draws are of another scheme than the epoch's")
+            return self._graph(e.drawn[:, self._margin_perm])
         e = np.asarray(e)
         n, r = self._shape
         if e.ndim not in (2, 3) or e.shape[-2:] != (n, r):
@@ -504,21 +510,25 @@ def map_comp(
     cluster) order. Every node pair sharing a point gets an edge, whatever
     their cover indices.
 
-    A stack of draws e (M x n x r) gives the disjoint union of their graphs,
-    draw m's nodes in ``draws[m]:draws[m + 1]`` (see ``MapperGraph``).
+    A stack of draws e (M x n x r, or a ``MarginDraws``) gives the disjoint
+    union of their graphs, draw m's nodes in ``draws[m]:draws[m + 1]`` (see
+    ``MapperGraph``).
 
     The graph comes from ``epoch.graph(e)``. For single linkage, pass the
     epoch built once for the scheme e was drawn from; leave it out, as for
     k-means, to treat e as its own scheme, which clusters every nonempty
-    column once. A stack then builds one epoch per draw, each taking the
-    element records of the draw before it, and joins their graphs. e may
-    also be an ``AssignmentScheme`` with no margin entries, such as a
-    standard scheme, which is its own draw: its graph is built from its
-    entries, with no n x r matrix. With an epoch, the only scheme taken is
-    the one the epoch was built from, which gives ``epoch.graph()``; any
-    other ``AssignmentScheme`` raises ValueError.
+    column once. A stack, a ``MarginDraws`` listed as its dense draws, then
+    builds one epoch per draw, each taking the element records of the draw
+    before it, and joins their graphs. e may also be an ``AssignmentScheme``
+    with no margin entries, such as a standard scheme, which is its own
+    draw: its graph is built from its entries, with no n x r matrix. With an
+    epoch, the only scheme taken is the one the epoch was built from, which
+    gives ``epoch.graph()``; any other ``AssignmentScheme`` raises
+    ValueError, as a ``MarginDraws`` of another scheme does.
     """
     if epoch is None:
+        if isinstance(e, MarginDraws):
+            e = e.dense()
         if not isinstance(e, AssignmentScheme):
             e = np.asarray(e) != 0  # the scheme of a draw: its assigned entries, all 1
             if e.ndim == 3:

@@ -3,26 +3,30 @@ Monte-Carlo estimate of the soft-Mapper risk.
 
 Each epoch evaluates the filter once, rebuilds the interval cover and the
 smoothing width from those values (their range moves with theta), draws M
-independent assignment matrices, records the mean loss and its standard
-error, and takes one step along the mean subgradient. The M draws go, as one
-stack, through one ``loss_and_subgradient`` call with the epoch's filter
-values (its ``fv``): one ``map_comp`` builds their graphs as one disjoint
-union whose ``draws`` bounds give each draw's nodes, and one filtration and
-one diagram of that union give each draw's loss and subgradient. A draw's
-nodes are unions of the epoch's units (core clusters and drawn margin
-points), so each unit's filter values and Jacobian rows are summed once per
-epoch and each node adds up its units' sums; no draw lists its members. Cover
-endpoints are treated as constants inside an epoch: they enter through
-sampling only, not through the per-sample chain rule. An overflow in an
-epoch's means or step raises FloatingPointError naming the epoch; the
-recorded gradient norm is taken at an exact power-of-two scale, so it is
-finite wherever the gradient is. The cloud keeps one memo of the previous
-epoch's ``LinkageEpoch`` (see ``mapper.LinkageEpoch``). An epoch whose
-scheme has the same support (the same nonzero entries, the same ones equal
-to 1) takes that whole epoch and clusters nothing, as most epochs do once
-theta settles; any other epoch clusters again only the cover elements whose
-point sets differ from their record's. Either way the results are those of
-a rebuild from scratch.
+independent assignments, records the mean loss and its standard error, and
+takes one step along the mean subgradient. The draws differ only at the
+scheme's m margin entries (0 < p < 1), so epoch k draws them as one M x m
+block from one generator, ``sample_assignment(margin_scheme(scheme, M),
+[config.seed, k])``, and single linkage never lists an n x r matrix; k-means
+clusters each draw's n x r matrix, expanded from the same block. The block
+goes, as one ``MarginDraws``, through one ``loss_and_subgradient`` call with
+the epoch's filter values (its ``fv``): one ``map_comp`` builds the M graphs
+as one disjoint union whose ``draws`` bounds give each draw's nodes, and one
+filtration and one diagram of that union give each draw's loss and
+subgradient. A draw's nodes are unions of the epoch's units (core clusters
+and drawn margin points), so each unit's filter values and Jacobian rows are
+summed once per epoch and each node adds up its units' sums; no draw lists
+its members. Cover endpoints are treated as constants inside an epoch: they
+enter through sampling only, not through the per-sample chain rule. An
+overflow in an epoch's means or step raises FloatingPointError naming the
+epoch; the recorded gradient norm is taken at an exact power-of-two scale,
+so it is finite wherever the gradient is. The cloud keeps one memo of the
+previous epoch's ``LinkageEpoch`` (see ``mapper.LinkageEpoch``). An epoch
+whose scheme has the same support (the same nonzero entries, the same ones
+equal to 1) takes that whole epoch and clusters nothing, as most epochs do
+once theta settles; any other epoch clusters again only the cover elements
+whose point sets differ from their record's. Either way the results are
+those of a rebuild from scratch.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from numbers import Integral
 import numpy as np
 
 from .clustering import Clusterer, SingleLinkageClusterer
-from .cover import sample_assignment, smooth_scheme, smoothing_width, standard_scheme, uniform_cover
+from .cover import (MarginDraws, margin_scheme, sample_assignment, smooth_scheme, smoothing_width,
+                    standard_scheme, uniform_cover)
 from .data import PointCloud
 from .mapper import LinkageEpoch
 from .persistence import loss_and_subgradient, raising
@@ -112,14 +117,14 @@ def _build_scheme(fv, config: OptimConfig):
 
 
 @np.errstate(over="raise", invalid="raise")  # too long a step overflows the filter or the graph
-def _sample_losses(cloud, filter_family, theta, clusterer, config, base_seed):
+def _sample_losses(cloud, filter_family, theta, clusterer, config, seed):
     fv = filter_family.evaluate(cloud, theta)
     scheme = _build_scheme(fv, config)
     # every sample shares the linkage clustering of the scheme's deterministic core
     epoch = (LinkageEpoch(cloud, scheme, clusterer)
              if isinstance(clusterer, SingleLinkageClusterer) else None)
-    e = np.stack([sample_assignment(scheme, base_seed + m) for m in range(config.mc_samples)])
-    losses, grads = loss_and_subgradient(cloud, e, filter_family, theta, clusterer,
+    draws = MarginDraws(scheme, sample_assignment(margin_scheme(scheme, config.mc_samples), seed))
+    losses, grads = loss_and_subgradient(cloud, draws, filter_family, theta, clusterer,
                                          config.mode, epoch, fv=fv)
     sign = -1.0 if config.maximize else 1.0
     return sign * losses, sign * grads
@@ -152,10 +157,12 @@ def optimize(
 ) -> tuple[np.ndarray, Trace]:
     """Run N epochs of M-sample stochastic subgradient descent from theta0.
 
-    Epoch k draws its samples with seeds ``config.seed + 1 + k * M`` onwards.
-    Its node values and their gradients are summed unit by unit (see
-    ``mapper.node_means``), so a node of several units can differ in its last
-    bits from the sum over its members in member order.
+    Epoch k draws its M samples as one block over its scheme's margin
+    entries, from one generator seeded ``[config.seed, k]``:
+    ``sample_assignment(margin_scheme(scheme, M), [config.seed, k])`` (see
+    ``cover.MarginDraws``). Its node values and their gradients are summed
+    unit by unit (see ``mapper.node_means``), so a node of several units can
+    differ in its last bits from the sum over its members in member order.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     if theta.ndim != 1 or theta.size != filter_family.param_dim(cloud):
@@ -163,10 +170,9 @@ def optimize(
     trace = Trace()
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
-        base_seed = config.seed + 1 + epoch * config.mc_samples
         try:
             losses, grads = _sample_losses(
-                cloud, filter_family, theta, clusterer, config, base_seed
+                cloud, filter_family, theta, clusterer, config, [config.seed, epoch]
             )
             # the losses and subgradients are finite, so only an overflow
             # makes their means or the step non-finite

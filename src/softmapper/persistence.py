@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Clusterer
-from .cover import AssignmentScheme
+from .cover import AssignmentScheme, MarginDraws
 from .data import PointCloud
 from .filters import FilterValues
 from .mapper import LinkageEpoch, MapperGraph, map_comp, node_means
@@ -222,10 +222,10 @@ def loss_and_subgradient(
     fv: FilterValues | None = None,
 ) -> tuple:
     """Total persistence of the Mapper graph of e under f_theta, and one
-    subgradient element w.r.t. theta; for a stack e of M draws (M x n x r),
-    the M losses and the M x p subgradients. e may also be an
-    ``AssignmentScheme`` with no margin entries, which is its own one draw
-    (see ``map_comp``).
+    subgradient element w.r.t. theta; for a stack e of M draws (M x n x r,
+    or a ``MarginDraws``), the M losses and the M x p subgradients. e may
+    also be an ``AssignmentScheme`` with no margin entries, which is its own
+    one draw (see ``map_comp``).
 
     The graph depends only on (cloud, e, clusterer), so the chain rule runs
     through node means and the recorded realizing endpoints: each diagram
@@ -251,7 +251,7 @@ def loss_and_subgradient(
     elif fv.values.shape[0] != cloud.n:
         raise ValueError(f"fv must hold one value per point ({cloud.n}),"
                          f" got {fv.values.shape[0]}")
-    if not isinstance(e, AssignmentScheme):
+    if not isinstance(e, (AssignmentScheme, MarginDraws)):
         e = np.asarray(e)
     graph = map_comp(cloud, e, clusterer, epoch)
     with raising("non-finite loss or subgradient"):
@@ -276,4 +276,6 @@ def loss_and_subgradient(
                       coef * node_means(graph, fv.jacobian)[nodes[at].ravel()])
     if not (np.all(np.isfinite(losses)) and np.all(np.isfinite(grads))):
         raise FloatingPointError("non-finite loss or subgradient")
-    return (float(losses[0]), grads[0]) if len(e.shape) == 2 else (losses, grads)
+    if isinstance(e, MarginDraws) or len(e.shape) == 3:
+        return losses, grads
+    return float(losses[0]), grads[0]

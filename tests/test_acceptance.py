@@ -18,7 +18,9 @@ from test_persistence import _ext1_values_match, _oracle_extended
 from conftest import n_components, random_filtered_graph
 from softmapper.clustering import SingleLinkageClusterer, cluster
 from softmapper.cover import (
+    MarginDraws,
     log_prob,
+    margin_scheme,
     sample_assignment,
     smooth_scheme,
     standard_scheme,
@@ -142,11 +144,18 @@ def test_criterion_3_betti_counting_1000_graphs():
 
 
 def test_criterion_4_monte_carlo_unbiasedness():
+    """Ten Monte-Carlo means, each of 20,000 draws from its own block of
+    seeds, against the exact risk over all 256 assignments. The threshold
+    0.4 lies above the points' 0.3 spacing, so clusters merge and the losses
+    differ across draws (0, 0.15, 0.3, 0.45 or 0.75). An epoch's draws are
+    one block over the scheme's margin entries: the block's law is checked
+    against the scheme's by exact enumeration, and optimize's first epoch
+    must average exactly the losses of that block's draws."""
     points = np.array([[0.05], [0.35], [0.65], [0.95]])
     cloud = PointCloud(points)
     fam = LinearFilter()
     theta = np.array([1.0])
-    cl = SingleLinkageClusterer(0.2)
+    cl = SingleLinkageClusterer(0.4)
     fv = fam.evaluate(cloud, theta)
     cover = uniform_cover(fv.values, 2, 0.3)
     span = float(fv.values.max() - fv.values.min())
@@ -156,35 +165,42 @@ def test_criterion_4_monte_carlo_unbiasedness():
         graph = map_comp(cloud, e, cl)
         return total_persistence(extended_persistence(map_pers_filtration(graph, fv)))
 
-    cache = {}
+    cache, law = {}, {}
     exact = 0.0
     for bits in itertools.product((0, 1), repeat=8):
         e = np.array(bits, dtype=np.uint8).reshape(4, 2)
-        w = np.exp(log_prob(scheme, e))
+        logp = log_prob(scheme, e)
         loss = loss_of(e)
         cache[e.tobytes()] = loss
-        exact += w * loss
+        exact += np.exp(logp) * loss
+        if logp > -np.inf:
+            law[e.tobytes()] = logp
+    # each pattern of the block's m margin entries is one assignment of the
+    # scheme, with the scheme's probability, and together they are all of them
+    block = margin_scheme(scheme, 1)
+    drawn = {}
+    for bits in itertools.product((0, 1), repeat=block.shape[1]):
+        b = np.array([bits], dtype=np.uint8)
+        drawn[MarginDraws(scheme, b).dense()[0].tobytes()] = log_prob(block, b)
+    same_law = len(drawn) == 2 ** block.shape[1] and drawn == law
 
     M = 20000
-    passes = 0
+    z = []
     for seed in range(10):
-        losses = np.array(
-            [cache[sample_assignment(scheme, seed + 1 + m).tobytes()] for m in range(M)]
-        )
-        se = losses.std(ddof=1) / np.sqrt(M)
-        if se == 0:
-            passes += losses.mean() == exact
-        else:
-            passes += abs(losses.mean() - exact) <= 3 * se
-    # cross-check that optimize's first epoch uses the same seed stream
+        losses = np.array([cache[sample_assignment(scheme, 10**6 * (seed + 1) + m).tobytes()]
+                           for m in range(M)])
+        z.append((losses.mean() - exact) / (losses.std(ddof=1) / np.sqrt(M)))
+    passes = int(np.sum(np.abs(z) <= 3))
+    # optimize's first epoch averages the losses of its margin block's draws
     cfg = OptimConfig(epochs=1, mc_samples=64, seed=0, scheme="smooth", delta_rel=0.6,
                       resolution=2, gain=0.3)
     risk = optimize(cloud, fam, theta, cl, cfg)[1].risks[0]
-    manual = np.mean(
-        [cache[sample_assignment(scheme, 0 + 1 + m).tobytes()] for m in range(64)]
-    )
+    draws = MarginDraws(scheme, sample_assignment(margin_scheme(scheme, 64), [cfg.seed, 0]))
+    manual = np.mean([cache[e.tobytes()] for e in draws.dense()])
     _report(4, "Monte-Carlo risk is unbiased vs exact 256-assignment enumeration",
-            passes >= 9 and risk == manual, f"{passes}/10 seeds within 3 SE")
+            passes >= 9 and same_law and risk == manual and exact > 0,
+            f"{passes}/10 seed blocks within 3 SE of {exact:.5f}, z {min(z):.2f} to {max(z):.2f};"
+            f" block law {'equals' if same_law else 'differs from'} the scheme's")
 
 
 def test_criterion_5_smooth_scheme_degenerates_to_standard():

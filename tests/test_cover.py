@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from softmapper.cover import (
     AssignmentScheme,
     IntervalCover,
+    MarginDraws,
     _bump,
     log_prob,
+    margin_scheme,
     sample_assignment,
     smooth_scheme,
     standard_scheme,
@@ -171,6 +173,42 @@ def test_sample_zero_probs_and_seed_determinism(rng):
     assert not sample_assignment(zero, 5).any()
     scheme = AssignmentScheme(rng.random((6, 3)))
     assert np.array_equal(sample_assignment(scheme, 42), sample_assignment(scheme, 42))
+
+
+def test_a_seed_may_be_a_sequence_of_ints(rng):
+    scheme = AssignmentScheme(rng.random((6, 3)))
+    assert np.array_equal(sample_assignment(scheme, [4, 2]), sample_assignment(scheme, (4, 2)))
+    assert not np.array_equal(sample_assignment(scheme, [4, 2]), sample_assignment(scheme, [4, 3]))
+
+
+def test_a_margin_block_expands_to_draws_of_its_scheme(rng):
+    """Each row of a margin block marks the margin entries, in entry order, of
+    one draw that also holds every p = 1 entry and no p = 0 entry."""
+    probs = rng.random((7, 3))
+    probs[rng.random((7, 3)) < 0.3] = 0.0
+    probs[rng.random((7, 3)) < 0.3] = 1.0
+    scheme = AssignmentScheme(probs)
+    margin = (probs > 0) & (probs < 1)
+    block = margin_scheme(scheme, 5)
+    assert block.shape == (5, np.count_nonzero(margin))
+    assert np.array_equal(block.probs, np.tile(probs[margin], (5, 1)))
+    draws = MarginDraws(scheme, sample_assignment(block, [3, 1]))
+    e = draws.dense()
+    assert e.shape == (5, 7, 3) and e.dtype == np.uint8
+    assert np.array_equal(e[:, margin], draws.drawn)
+    assert np.all(e[:, probs == 1] == 1) and not e[:, probs == 0].any()
+    assert all(log_prob(scheme, row) > -np.inf for row in e)
+    with pytest.raises(ValueError, match=f"M x {block.shape[1]} block"):
+        MarginDraws(scheme, draws.drawn[:, 1:])
+    with pytest.raises(ValueError, match="block"):
+        MarginDraws(scheme, draws.drawn[0])
+
+
+def test_a_margin_free_scheme_has_an_empty_block():
+    scheme = standard_scheme(np.linspace(0, 1, 9), uniform_cover(np.linspace(0, 1, 9), 3, 0.3))
+    draws = MarginDraws(scheme, sample_assignment(margin_scheme(scheme, 4), 0))
+    assert draws.drawn.shape == (4, 0)
+    assert np.array_equal(draws.dense(), np.tile(scheme.probs, (4, 1, 1)).astype(np.uint8))
 
 
 def test_log_prob_standard():

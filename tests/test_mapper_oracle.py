@@ -35,6 +35,8 @@ from softmapper.clustering import (
 )
 from softmapper.cover import (
     AssignmentScheme,
+    MarginDraws,
+    margin_scheme,
     sample_assignment,
     smooth_scheme,
     smoothing_width,
@@ -160,6 +162,31 @@ def test_epoch_matches_oracle_on_every_sample(case):
         assert_same_graph(map_comp(cloud, e, cl), want)
         if m < 2:
             assert_same_graph(map_comp(cloud, e, km), oracle_map_comp(cloud, e, km))
+
+
+@pytest.mark.parametrize("case", range(0, 12, 3))
+def test_a_margin_block_gives_the_graphs_of_its_dense_draws(case):
+    """A ``MarginDraws`` block, whose columns run in the scheme's entry
+    order, gives the graphs of its dense draws, with its epoch or without
+    one, and an epoch takes only a block of its own scheme."""
+    cloud, scheme, threshold = smooth_case(case)
+    cl = SingleLinkageClusterer(threshold)
+    epoch = LinkageEpoch(cloud, scheme, cl)
+    # a repeated support takes the memo's arrays, the column order among them
+    again = LinkageEpoch(cloud, smooth_case(case)[1], cl)
+    assert again._margin_perm is epoch._margin_perm
+    draws = MarginDraws(scheme, sample_assignment(margin_scheme(scheme, 5), [case, 0]))
+    assert draws.drawn.any(axis=0).sum() > 1  # more than one margin entry is drawn
+    e = draws.dense()
+    want = map_comp(cloud, e, cl, epoch)
+    assert_same_graph(epoch.graph(draws), want)
+    assert_same_graph(map_comp(cloud, draws, cl, epoch), want)
+    assert_same_graph(again.graph(MarginDraws(again.scheme, draws.drawn)), want)
+    with pytest.raises(ValueError, match="another scheme"):
+        epoch.graph(MarginDraws(again.scheme, draws.drawn))
+    assert_same_graph(map_comp(cloud, draws, cl), want)
+    km = KMeansClusterer(3, seed=case)
+    assert_same_graph(map_comp(cloud, draws, km), map_comp(cloud, e, km))
 
 
 def test_threshold_past_the_extent_matches_oracle():
@@ -676,8 +703,8 @@ def test_nodes_of_one_unit_keep_their_member_sums_bit_for_bit(case):
 
 def epoch_runs():
     """Schemes at each epoch's theta of two optimize runs: 40 epochs on a
-    2000-point y-shape at M = 3, and 40 on a noisy circle, with the run's
-    own draw seeds; then a resolution sweep at one theta on an 800-point
+    2000-point y-shape at M = 3, and 40 on a noisy circle, each with its own
+    draw seeds; then a resolution sweep at one theta on an 800-point
     y-shape, whose epochs have more or fewer elements than the last."""
     def scheme(cloud, theta, resolution, config=OptimConfig()):
         fv = LinearFilter().evaluate(cloud, theta)
@@ -863,8 +890,8 @@ def test_the_memo_is_read_only_and_dies_with_its_cloud():
     assert all(getattr(again, name) is a for name, a in memo.state.items())
     arrays = [memo.flat, memo.core, *memo.state.values()]
     # only what graph(e) reads: a rebuild's other arrays die with it
-    assert memo.state.keys() == {"_core_flat", "_margin_flat", "_margin_unit", "_unit_elem",
-                                 "_unit_ptr", "_unit_pts", "_pairs", "_edges"}
+    assert memo.state.keys() == {"_core_flat", "_margin_flat", "_margin_perm", "_margin_unit",
+                                 "_unit_elem", "_unit_ptr", "_unit_pts", "_pairs", "_edges"}
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         epoch._edges[...] = 0

@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -15,7 +16,15 @@ from softmapper.optimize import (
     direction_correlation,
     optimize,
 )
-from softmapper.cover import sample_assignment, smooth_scheme, smoothing_width, uniform_cover
+from softmapper.cover import (
+    AssignmentScheme,
+    MarginDraws,
+    margin_scheme,
+    sample_assignment,
+    smooth_scheme,
+    smoothing_width,
+    uniform_cover,
+)
 from softmapper.persistence import loss_and_subgradient
 from softmapper.synthetic import generate_synthetic
 
@@ -94,6 +103,16 @@ def _first_epoch(cloud, fam, theta, cl, cfg):
     return trace.risks[0], trace.risk_ses[0]
 
 
+def _epoch_draws(cloud, fam, theta, cfg, k=0):
+    """The filter values at theta, and the draws epoch k of optimize makes
+    there: one block over the scheme's margin entries, seeded [seed, k]."""
+    fv = fam.evaluate(cloud, theta)
+    delta = smoothing_width(fv, cfg.resolution, cfg.delta_rel)
+    scheme = smooth_scheme(fv, uniform_cover(fv.values, cfg.resolution, cfg.gain), delta)
+    return fv, MarginDraws(scheme, sample_assignment(margin_scheme(scheme, cfg.mc_samples),
+                                                     [cfg.seed, k]))
+
+
 def test_standard_scheme_risk_is_deterministic():
     cloud, fam, cl = _setup()
     cfg = OptimConfig(epochs=1, mc_samples=8, scheme="standard", seed=5, mode="extended")
@@ -137,12 +156,10 @@ def test_risk_se_is_the_sample_standard_error():
     cfg = OptimConfig(epochs=1, mc_samples=6, delta_rel=0.2, seed=5)
     theta = np.array([1.0, 0.3])
     risk, se = _first_epoch(cloud, fam, theta, cl, cfg)
-    # the losses of epoch 0, drawn with the seeds that optimize uses
-    fv = fam.evaluate(cloud, theta)
-    delta = smoothing_width(fv, cfg.resolution, cfg.delta_rel)
-    scheme = smooth_scheme(fv, uniform_cover(fv.values, cfg.resolution, cfg.gain), delta)
-    losses = [loss_and_subgradient(cloud, sample_assignment(scheme, cfg.seed + 1 + m), fam,
-                                   theta, cl, cfg.mode)[0] for m in range(cfg.mc_samples)]
+    # the losses of epoch 0's draws, each expanded to n x r and taken alone
+    _, draws = _epoch_draws(cloud, fam, theta, cfg)
+    losses = [loss_and_subgradient(cloud, e, fam, theta, cl, cfg.mode)[0]
+              for e in draws.dense()]
     assert np.ptp(losses) > 0
     assert risk == np.mean(losses)
     assert se == pytest.approx(np.std(losses, ddof=1) / np.sqrt(6), rel=1e-12, abs=0)
@@ -157,14 +174,12 @@ def test_fixed_filter_keeps_its_risk():
     cl = SingleLinkageClusterer(0.5)
     theta, trace = optimize(cloud, fam, np.zeros(0), cl, cfg)
     assert theta.shape == (0,)
-    # epoch 0's draws, one call each through the scheme's epoch
-    fv = fam.evaluate(cloud, theta)
-    delta = smoothing_width(fv, cfg.resolution, cfg.delta_rel)
-    scheme = smooth_scheme(fv, uniform_cover(fv.values, cfg.resolution, cfg.gain), delta)
-    epoch = LinkageEpoch(cloud, scheme, cl)
-    losses = [loss_and_subgradient(cloud, sample_assignment(scheme, cfg.seed + 1 + m), fam,
-                                   theta, cl, cfg.mode, epoch, fv=fv)[0]
-              for m in range(cfg.mc_samples)]
+    # epoch 0's draws, each expanded to n x r, one call each through the
+    # scheme's epoch
+    fv, draws = _epoch_draws(cloud, fam, theta, cfg)
+    epoch = LinkageEpoch(cloud, draws.scheme, cl)
+    losses = [loss_and_subgradient(cloud, e, fam, theta, cl, cfg.mode, epoch, fv=fv)[0]
+              for e in draws.dense()]
     assert np.ptp(losses) > 0
     assert trace.risks[0] == np.mean(losses)
     assert trace.risk_ses[0] == _standard_error(losses)
@@ -196,15 +211,44 @@ def test_optimize_deterministic():
         assert np.array_equal(a, b)
 
 
-def test_generators_are_made_only_for_the_draws(monkeypatch):
-    """The draws seed their generators with seed + 1 onwards, and a run
-    makes no other generator."""
-    cloud, fam, cl = _setup()
+def _record_seeds(monkeypatch) -> list:
+    """The seeds of the generators made from here on."""
     seeds = []
     real = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed=None: seeds.append(seed) or real(seed))
+    return seeds
+
+
+def test_generators_are_made_only_for_the_draws(monkeypatch):
+    """Epoch k's draws come from one generator seeded [seed, k], and a run
+    makes no other generator."""
+    cloud, fam, cl = _setup()
+    seeds = _record_seeds(monkeypatch)
     optimize(cloud, fam, np.array([1.0, 0.0]), cl, OptimConfig(epochs=2, mc_samples=2, seed=11))
-    assert sorted(seeds) == [12, 13, 14, 15]
+    assert seeds == [[11, 0], [11, 1]]
+
+
+@pytest.mark.parametrize("clusterer", [SingleLinkageClusterer(0.8), KMeansClusterer(3, seed=7)])
+def test_a_run_draws_only_the_margin(clusterer, monkeypatch):
+    """An epoch reads no n x r ``probs`` of its scheme: it reads the M x m
+    block of the margin probabilities, once, and draws it from one
+    generator. k-means, which makes its own generators from its seed,
+    clusters the dense draws expanded from that block."""
+    cloud, fam, _ = _setup()
+    read = []
+    view = cached_property(lambda scheme, build=AssignmentScheme.probs.func:
+                           read.append(scheme.shape) or build(scheme))
+    view.__set_name__(AssignmentScheme, "probs")
+    monkeypatch.setattr(AssignmentScheme, "probs", view)
+    seeds = _record_seeds(monkeypatch)
+    cfg = OptimConfig(epochs=3, mc_samples=4, delta_rel=0.2, seed=5)
+    _, trace = optimize(cloud, fam, np.array([1.0, 0.3]), clusterer, cfg)
+    # one M x m block per epoch (M = 4, n = 40), never the n x r scheme
+    assert [M for M, _ in read] == [cfg.mc_samples] * cfg.epochs
+    assert all(m > 0 for _, m in read)
+    assert [s for s in seeds if not isinstance(s, int)] == [[5, 0], [5, 1], [5, 2]]
+    assert {s for s in seeds if isinstance(s, int)} <= {7}
+    assert max(trace.risk_ses) > 0  # the draws differ
 
 
 def test_optimize_moves_theta():

@@ -1,4 +1,4 @@
-"""Print the sha256 of the theta, risk and risk-SE trajectories of four
+"""Print the sha256 of the theta, risk and risk-SE trajectories of five
 optimize runs, and of the files four ``softmapper build`` runs write, so that
 two checkouts can be compared for bit-identity:
 
@@ -10,6 +10,8 @@ two checkouts can be compared for bit-identity:
 - the README configuration for 600 epochs, long enough for theta to settle:
   over half its epochs repeat the previous epoch's scheme support and so
   reuse that whole ``LinkageEpoch``, which no shorter run here does;
+- a 300-point y-shape clustered by 3-means on the smooth scheme, 10 epochs
+  at M = 3, whose draws are the margin blocks expanded to n x r matrices;
 - a build of the benchmark's circle-build configuration (4000-point circle,
   coordinate filter, 400 intervals, linkage threshold 0.05);
 - a sampled build of a 600-point y-shape;
@@ -34,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from softmapper import (
+    KMeansClusterer,
     LinearFilter,
     OptimConfig,
     SingleLinkageClusterer,
@@ -43,15 +46,19 @@ from softmapper import (
 )
 from softmapper.cli import main as cli_main
 
+LINKAGE = SingleLinkageClusterer(0.2)
 RUNS = {
-    "readme-600": (600, OptimConfig(epochs=50, mc_samples=10, step_size=0.1,
-                                    mode="extended", maximize=True, seed=0)),
-    "yshape-10k": (10_000, OptimConfig(epochs=20, mc_samples=2, step_size=0.1,
-                                       mode="extended", maximize=True, seed=0)),
-    "regular-600": (600, OptimConfig(epochs=30, mc_samples=10, step_size=0.1,
-                                     mode="regular", maximize=True, seed=0)),
-    "steady-600": (600, OptimConfig(epochs=600, mc_samples=10, step_size=0.1,
-                                    mode="extended", maximize=True, seed=0)),
+    "readme-600": (600, LINKAGE, OptimConfig(epochs=50, mc_samples=10, step_size=0.1,
+                                             mode="extended", maximize=True, seed=0)),
+    "yshape-10k": (10_000, LINKAGE, OptimConfig(epochs=20, mc_samples=2, step_size=0.1,
+                                                mode="extended", maximize=True, seed=0)),
+    "regular-600": (600, LINKAGE, OptimConfig(epochs=30, mc_samples=10, step_size=0.1,
+                                              mode="regular", maximize=True, seed=0)),
+    "steady-600": (600, LINKAGE, OptimConfig(epochs=600, mc_samples=10, step_size=0.1,
+                                             mode="extended", maximize=True, seed=0)),
+    "kmeans-300": (300, KMeansClusterer(3), OptimConfig(epochs=10, mc_samples=3, step_size=0.1,
+                                                        mode="extended", maximize=True,
+                                                        scheme="smooth", seed=0)),
 }
 BUILDS = {
     "circle-build": ["--shape", "circle", "--n", "4000", "--filter", "coord",
@@ -96,10 +103,9 @@ def digest(values) -> str:
 
 
 def main():
-    for name, (n, config) in RUNS.items():
+    for name, (n, clusterer, config) in RUNS.items():
         cloud = generate_synthetic("y_shape", n=n, noise=0.02, seed=0)
-        _, trace = optimize(cloud, LinearFilter(), diagonal_init(3),
-                            SingleLinkageClusterer(0.2), config)
+        _, trace = optimize(cloud, LinearFilter(), diagonal_init(3), clusterer, config)
         for field in ("thetas", "risks", "risk_ses"):
             print(f"{name} {field} {digest(getattr(trace, field))}")
         print(f"{name} final theta", *(f"{x:.10g}" for x in trace.thetas[-1]))
