@@ -14,6 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,9 +52,12 @@ class AssignmentScheme:
     (n, r), ``flat`` the flat indices of its nonzero entries, ascending, as
     ``np.flatnonzero`` gives them, and ``values`` those entries. ``probs``
     is the dense matrix again, read-only, built on first read, which
-    ``sample_assignment`` and ``log_prob`` read. An entry outside [0, 1] or
-    NaN raises ValueError, whichever constructor takes it.
+    ``sample_assignment`` and ``log_prob`` read; ``margin`` marks the margin
+    entries (0 < p < 1), read-only, also built on first read. An entry
+    outside [0, 1] or NaN raises ValueError, whichever constructor takes it.
     """
+
+    _runs = None  # what the build of a standard or smooth scheme keeps (see _Runs)
 
     def __init__(self, probs):
         p = np.asarray(probs)
@@ -82,12 +86,20 @@ class AssignmentScheme:
         p.flags.writeable = False
         return p
 
+    @cached_property
+    def margin(self) -> np.ndarray:
+        m = self.values < 1
+        m.flags.writeable = False
+        return m
+
 
 def uniform_cover(values, r: int, g: float) -> IntervalCover:
     """Cover [min, max] of the values with r equal intervals overlapping by g.
 
     The interval length L solves (r - (r-1) g) L = max - min, the unique
     uniform solution; consecutive intervals share a segment of length g*L.
+    Intervals that collapse in floating point, over a range too narrow for
+    r of them, raise FloatingPointError.
     """
     values = np.asarray(values, dtype=float)
     if not isinstance(r, Integral) or r < 1:
@@ -105,7 +117,10 @@ def uniform_cover(values, r: int, g: float) -> IntervalCover:
     iv = np.column_stack([a, a + length])
     iv[0, 0] = lo
     iv[-1, 1] = hi  # exact in real arithmetic; pin down rounding
-    return IntervalCover(iv)
+    try:
+        return IntervalCover(iv)
+    except ValueError as exc:  # the range is too narrow for r intervals in doubles
+        raise FloatingPointError(f"{r} intervals cannot cover [{lo}, {hi}]: {exc}") from exc
 
 
 def _as_values(values) -> np.ndarray:
@@ -121,7 +136,7 @@ def smoothing_width(values, resolution: int, delta_rel: float) -> float:
     Raises ValueError unless ``delta_rel`` is finite and > 0, and
     FloatingPointError for constant values and ``resolution`` > 1, since no
     cover of more than one interval fits a single value, and when the width
-    overflows.
+    overflows or underflows to 0.
     """
     if not 0 < delta_rel < np.inf:
         raise ValueError(f"delta_rel must be finite and > 0, got {delta_rel}")
@@ -133,6 +148,8 @@ def smoothing_width(values, resolution: int, delta_rel: float) -> float:
     delta = delta_rel * span if span > 0 else delta_rel
     if delta == np.inf:
         raise FloatingPointError(f"the smoothing width {delta_rel} * {span} overflows")
+    if delta == 0:
+        raise FloatingPointError(f"the smoothing width {delta_rel} * {span} underflows to 0")
     return delta
 
 
@@ -140,19 +157,6 @@ def _spread(start: np.ndarray, size: np.ndarray):
     """(k, i): for each k, every i in [start[k], start[k] + size[k])."""
     k = np.repeat(np.arange(size.size), size)
     return k, start[k] + np.arange(k.size) - np.repeat(np.cumsum(size) - size, size)
-
-
-def _runs(v: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """The (point, element) entries with lo_j <= v_i <= hi_j, and each point's count.
-
-    ``lo`` and ``hi`` are non-decreasing with lo_j < hi_j, so the elements that
-    contain v are one run: from the first j with v <= hi_j up to the last j
-    with lo_j <= v. Entries come out by point, then by element.
-    """
-    first = np.searchsorted(hi, v, side="left")
-    count = np.searchsorted(lo, v, side="right") - first
-    rows, cols = _spread(first, count)
-    return rows, cols, count
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
@@ -164,25 +168,94 @@ def _bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Runs(NamedTuple):
+    """What a scheme build computes on its way to the entries, kept with the
+    scheme so that the next build can check it still holds (``_reuse``)."""
+
+    first: np.ndarray  # each point's widened run [first, end) of elements
+    end: np.ndarray
+    rows: np.ndarray  # the run entries (point rows[k] in element cols[k]), point-major
+    cols: np.ndarray
+    kept: np.ndarray  # run entry k has p != 0, so it is an entry of the scheme
+
+
+def _probabilities(v: np.ndarray, cover: IntervalCover, delta: float, rows: np.ndarray,
+                   cols: np.ndarray) -> np.ndarray:
+    """Each run entry's probability. Entry (i, j) is core, with p = 1, when
+    max(a_j - v_i, v_i - b_j) <= 0, that is, when v_i lies in [a_j, b_j];
+    outside, exactly one of the two is positive, and over delta it is the
+    bump's argument. At delta = 0 every run entry is core, and no bump is
+    evaluated."""
+    a, b = cover.intervals.T
+    vi = v.take(rows)
+    d = np.maximum(a.take(cols) - vi, vi - b.take(cols))
+    q = np.ones(d.size)
+    out = np.flatnonzero(d > 0)
+    q[out] = _bump(d.take(out) / delta)
+    return q
+
+
 def _bump_scheme(v: np.ndarray, cover: IntervalCover, delta: float):
     """The scheme ``smooth_scheme`` gives at width delta >= 0, and how many
-    widened intervals hold each value. At delta = 0 every entry lies in its
-    interval, so no bump is evaluated: this is the standard scheme.
+    widened intervals hold each value. At delta = 0 this is the standard
+    scheme.
 
-    ``_runs`` gives the entries point-major, so their flat indices ascend; a
-    bump of exactly 0, at the margin's edge or where it underflows, is no entry.
+    The lo_j = a_j - delta and hi_j = b_j + delta are non-decreasing with
+    lo_j < hi_j, so the elements whose widened interval holds v are one run:
+    from first, the number of j with hi_j < v, up to end, the number of j
+    with lo_j <= v. Entries come out by point, then by element, so their flat
+    indices ascend; a bump of exactly 0, at the margin's edge or where it
+    underflows, is no entry. The scheme keeps the runs and which run entries
+    it kept (``_Runs``) when every value has a widened interval, so that no
+    reused standard scheme skips the error of a value outside the cover.
     """
     a, b = cover.intervals.T
-    rows, cols, count = _runs(v, a - delta, b + delta)
-    vi, aj, bj = v[rows], a[cols], b[cols]
-    q = np.ones(rows.size)
-    left = vi < aj
-    q[left] = _bump((aj[left] - vi[left]) / delta)
-    right = vi > bj
-    q[right] = _bump((vi[right] - bj[right]) / delta)
+    first = np.searchsorted(b + delta, v, side="left")
+    end = np.searchsorted(a - delta, v, side="right")
+    count = end - first
+    rows, cols = _spread(first, count)
+    q = _probabilities(v, cover, delta, rows, cols)
     kept = q != 0
     flat = (rows * cover.resolution + cols)[kept]
-    return AssignmentScheme.from_entries((v.size, cover.resolution), flat, q[kept]), count
+    scheme = AssignmentScheme.from_entries((v.size, cover.resolution), flat, q[kept])
+    if count.all():
+        runs = _Runs(first, end, rows, cols, kept)
+        for x in runs:
+            x.flags.writeable = False  # later schemes share them
+        scheme._runs = runs
+    return scheme, count
+
+
+def _reuse(prev: AssignmentScheme | None, values, cover: IntervalCover,
+           delta: float) -> AssignmentScheme | None:
+    """The scheme ``_bump_scheme`` builds from the values, the cover and
+    delta, if the scheme ``prev`` kept its runs and they still hold: each
+    value's widened run, and which run entries have p != 0, are those of
+    ``prev``. The entries are then ``prev``'s, and only the run entries'
+    probabilities are computed, bit for bit as a build computes them; else
+    None. A run [first, end) holds when hi_{first-1} < v <= hi_first and
+    lo_{end-1} <= v < lo_end, with the ends past either side infinite.
+    Which entries are core needs no check: it decides only a probability,
+    which is computed afresh either way.
+    """
+    runs = None if prev is None else prev._runs
+    v = _as_values(values)
+    if runs is None or prev.shape != (v.size, cover.resolution):
+        return None
+    a, b = cover.intervals.T
+    lo, hi, inf = a - delta, b + delta, np.array([np.inf])
+    first, end = runs.first, runs.end
+    if not np.all((np.concatenate([-inf, hi]).take(first) < v)
+                  & (v <= np.concatenate([hi, inf]).take(first))
+                  & (np.concatenate([-inf, lo]).take(end) <= v)
+                  & (v < np.concatenate([lo, inf]).take(end))):
+        return None
+    q = _probabilities(v, cover, delta, runs.rows, runs.cols)
+    if not np.array_equal(q != 0, runs.kept):
+        return None
+    scheme = AssignmentScheme.from_entries(prev.shape, prev.flat, q[runs.kept])
+    scheme._runs = runs
+    return scheme
 
 
 def standard_scheme(values, cover: IntervalCover) -> AssignmentScheme:
@@ -221,7 +294,9 @@ def margin_scheme(scheme: AssignmentScheme, n_draws: int) -> AssignmentScheme:
     marks the margin entries of n_draws independent draws of ``scheme``,
     which ``MarginDraws`` holds; the draws of ``scheme`` it gives have the
     law that ``sample_assignment(scheme, seed)`` draws from."""
-    return AssignmentScheme(np.tile(scheme.values[scheme.values < 1], (n_draws, 1)))
+    margin = scheme.values[scheme.margin]
+    values = np.tile(margin, n_draws)  # each nonzero, so each is an entry
+    return AssignmentScheme.from_entries((n_draws, margin.size), np.arange(values.size), values)
 
 
 class MarginDraws:
@@ -235,18 +310,18 @@ class MarginDraws:
 
     def __init__(self, scheme: AssignmentScheme, drawn):
         drawn = np.asarray(drawn)
-        m = np.count_nonzero(scheme.values < 1)
+        m = np.count_nonzero(scheme.margin)
         if drawn.ndim != 2 or drawn.shape[1] != m:
             raise ValueError(f"drawn must be an M x {m} block, got {drawn.shape}")
         self.scheme, self.drawn = scheme, drawn != 0
 
     def dense(self) -> np.ndarray:
         """The draws as an M x n x r 0/1 array, as ``sample_assignment`` gives each."""
-        flat, values = self.scheme.flat, self.scheme.values
+        flat, margin = self.scheme.flat, self.scheme.margin
         e = np.zeros((self.drawn.shape[0], self.scheme.shape[0] * self.scheme.shape[1]),
                      dtype=np.uint8)
-        e[:, flat[values == 1]] = 1
-        e[:, flat[values < 1]] = self.drawn
+        e[:, flat[~margin]] = 1
+        e[:, flat[margin]] = self.drawn
         return e.reshape(-1, *self.scheme.shape)
 
 

@@ -24,11 +24,14 @@ class PointCloud:
     private memos keep of it never goes stale: the exact grids that single
     linkage builds from it, one per threshold (see ``clustering.cell_index``),
     and, per clusterer, the last ``mapper.LinkageEpoch`` built on it: its
-    scheme's support, the read-only arrays it derived from that support, and
-    its record of each cover element of its last scheme (point sets, core
-    clusters, margin edges). The next epoch takes the whole epoch if its
-    support is the same, and otherwise each element whose point sets are.
-    Neither memo refers back to the cloud.
+    scheme, with what that scheme's build computed (each point's run of
+    widened intervals and which run entries it kept), the read-only arrays
+    the epoch derived from the scheme's support, and its record of each
+    cover element (point sets, core clusters, margin edges). The next
+    scheme build takes the last scheme's entries if those runs and entries
+    still hold (``cover._reuse``); the next epoch takes the whole epoch if
+    its support is the same, and otherwise each element whose point sets
+    are. Neither memo refers back to the cloud.
     """
 
     points: np.ndarray

@@ -202,9 +202,7 @@ class _Element(NamedTuple):
 class _Memo(NamedTuple):
     """What an epoch keeps for the next epoch on its (cloud, clusterer)."""
 
-    shape: tuple  # the scheme's (n, r)
-    flat: np.ndarray  # flat indices of its nonzero entries
-    core: np.ndarray  # mask of those entries equal to 1
+    scheme: AssignmentScheme  # the last epoch's, whose support ``state`` derives from
     state: dict  # the arrays graph(e) reads (LinkageEpoch._STATE), by attribute, read-only
     elements: list  # the _Element record of each element of its last scheme
 
@@ -228,16 +226,19 @@ class LinkageEpoch:
     core clusters and margin points alike. An element's core clusters depend
     only on its core point set and its edges only on its core and margin
     sets. The cloud keeps one memo per clusterer, written by the last epoch
-    built on it with that clusterer: that epoch's support (its shape, the
-    flat indices of its nonzero entries and which of them equal 1),
-    everything the epoch derived from it, and one record per element.
-    Everything ``graph(e)`` reads depends only on the cloud, the clusterer
-    and the support, so an epoch whose support equals the memo's takes the
-    memo's arrays, which are read-only, and builds nothing. Any other epoch
-    takes record j's clusters for element j if its core is unchanged, and
-    its edges if the margin is too; it clusters the other cores, searches
-    one margin grid over the other elements and replaces the memo. A
-    cloud's first epoch has no memo; the memo holds no reference to it.
+    built on it with that clusterer: that epoch's scheme, whose support is
+    its shape, the flat indices of its nonzero entries and which of them
+    equal 1, everything the epoch derived from the support, and one record
+    per element. Everything ``graph(e)`` reads depends only on the cloud,
+    the clusterer and the support, so an epoch whose support equals the
+    memo's takes the memo's arrays, which are read-only, builds nothing and
+    puts its own scheme in the memo. Any other epoch takes record j's
+    clusters for element j if its core is unchanged, and its edges if the
+    margin is too; it clusters the other cores, searches one margin grid
+    over the other elements and replaces the memo. A cloud's first epoch
+    has no memo; the memo holds no reference to it. ``last_scheme`` reads
+    the memo's scheme, whose build records let the next scheme build check
+    that its support repeats before computing it (``cover._reuse``).
 
     The epoch also keeps what no draw decides: the flat indices of the core
     and margin entries, through which ``graph(e)`` checks a draw, each unit's
@@ -269,22 +270,22 @@ class LinkageEpoch:
             scheme = AssignmentScheme(scheme)
         self.cloud, self.scheme, self.clusterer = cloud, scheme, clusterer
         self._shape = n, r = scheme.shape
-        flat = scheme.flat
-        core = scheme.values == 1
-        margin = ~core
+        flat, margin = scheme.flat, scheme.margin
         if margin.any() and not isinstance(clusterer, SingleLinkageClusterer):
             raise ValueError("a scheme with margin entries (0 < p < 1) needs single linkage")
         memo = cloud._epochs.get(clusterer)
-        if (memo is not None and memo.shape == self._shape and np.array_equal(memo.flat, flat)
-                and np.array_equal(memo.core, core)):
+        if (memo is not None and memo.scheme.shape == self._shape
+                and np.array_equal(memo.scheme.flat, flat)
+                and np.array_equal(memo.scheme.margin, margin)):
             vars(self).update(memo.state)  # the same support: everything below repeats
+            cloud._epochs[clusterer] = memo._replace(scheme=scheme)
             return
         # only the old records are read from here on: free the old arrays before
         # the new are built
         last = [] if memo is None else cloud._epochs.pop(clusterer).elements
         del memo
         pt, elem = _divmod(flat, r)
-        core_at, margin_at = np.flatnonzero(core), np.flatnonzero(margin)
+        core_at, margin_at = np.flatnonzero(~margin), np.flatnonzero(margin)
         core_order, core_pt, core_elem, cb = _by_element(pt[core_at], elem[core_at], r)
         margin_order, margin_pt, margin_elem, mb = _by_element(pt[margin_at], elem[margin_at], r)
         core_at, margin_at = core_at[core_order], margin_at[margin_order]  # in element order
@@ -339,9 +340,9 @@ class LinkageEpoch:
         pieces = [elements[j].edges + int(off[j]) for j in np.flatnonzero(n_margin).tolist()]
         self._edges = np.concatenate(pieces, axis=1) if pieces else edges
         state = {name: getattr(self, name) for name in self._STATE}
-        for a in (flat, core, *state.values()):
+        for a in state.values():
             a.flags.writeable = False  # later epochs share them
-        cloud._epochs[clusterer] = _Memo(self._shape, flat, core, state, elements)
+        cloud._epochs[clusterer] = _Memo(scheme, state, elements)
 
     def _margin_edges(self, rebuild: np.ndarray, margin: tuple, core: tuple) -> np.ndarray:
         """Unit pairs (2 x E) of the elements the mask ``rebuild`` picks,
@@ -498,6 +499,13 @@ class LinkageEpoch:
             (self._unit_ptr, self._unit_pts), (at, slots % n_units),
             self._unit_elem[by_node % n_units] + 1, links,
             np.searchsorted(by_node, n_units * np.arange(n_draws + 1)))
+
+
+def last_scheme(cloud: PointCloud, clusterer: Clusterer) -> AssignmentScheme | None:
+    """The scheme of the last ``LinkageEpoch`` built on the cloud with the
+    clusterer, or None if there is none."""
+    memo = cloud._epochs.get(clusterer)
+    return None if memo is None else memo.scheme
 
 
 def map_comp(

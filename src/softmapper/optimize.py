@@ -21,12 +21,17 @@ enter through sampling only, not through the per-sample chain rule. An
 overflow in an epoch's means or step raises FloatingPointError naming the
 epoch; the recorded gradient norm is taken at an exact power-of-two scale,
 so it is finite wherever the gradient is. The cloud keeps one memo of the
-previous epoch's ``LinkageEpoch`` (see ``mapper.LinkageEpoch``). An epoch
-whose scheme has the same support (the same nonzero entries, the same ones
-equal to 1) takes that whole epoch and clusters nothing, as most epochs do
-once theta settles; any other epoch clusters again only the cover elements
-whose point sets differ from their record's. Either way the results are
-those of a rebuild from scratch.
+previous epoch's ``LinkageEpoch`` (see ``mapper.LinkageEpoch``), its
+scheme included, with what that scheme's build computed: each point's run
+of widened cover elements and which run entries it kept. An epoch whose
+values leave every run and kept entry as they were takes the last scheme's
+entries and computes only their probabilities (``cover._reuse``); any
+other epoch builds its scheme. An epoch whose scheme has the same support
+(the same nonzero entries, the same ones equal to 1) takes that whole
+epoch and clusters nothing, as most epochs do once theta settles; any
+other epoch clusters again only the cover elements whose point sets differ
+from their record's. Either way the results are those of a rebuild from
+scratch.
 """
 
 from __future__ import annotations
@@ -38,10 +43,10 @@ from numbers import Integral
 import numpy as np
 
 from .clustering import Clusterer, SingleLinkageClusterer
-from .cover import (MarginDraws, margin_scheme, sample_assignment, smooth_scheme, smoothing_width,
-                    standard_scheme, uniform_cover)
+from .cover import (MarginDraws, _reuse, margin_scheme, sample_assignment, smooth_scheme,
+                    smoothing_width, standard_scheme, uniform_cover)
 from .data import PointCloud
-from .mapper import LinkageEpoch
+from .mapper import LinkageEpoch, last_scheme
 from .persistence import loss_and_subgradient, raising
 
 
@@ -108,18 +113,22 @@ class Trace:
         return len(self.risks)
 
 
-def _build_scheme(fv, config: OptimConfig):
+def _build_scheme(fv, config: OptimConfig, last):
+    """The epoch's scheme: ``last``'s entries with fresh probabilities if its
+    support still holds (``cover._reuse``), else a build."""
     delta = smoothing_width(fv, config.resolution, config.delta_rel)
     cover = uniform_cover(fv.values, config.resolution, config.gain)
-    if config.scheme == "standard":
-        return standard_scheme(fv, cover)
-    return smooth_scheme(fv, cover, delta)
+    standard = config.scheme == "standard"
+    scheme = _reuse(last, fv, cover, 0.0 if standard else delta)
+    if scheme is not None:
+        return scheme
+    return standard_scheme(fv, cover) if standard else smooth_scheme(fv, cover, delta)
 
 
 @np.errstate(over="raise", invalid="raise")  # too long a step overflows the filter or the graph
 def _sample_losses(cloud, filter_family, theta, clusterer, config, seed):
     fv = filter_family.evaluate(cloud, theta)
-    scheme = _build_scheme(fv, config)
+    scheme = _build_scheme(fv, config, last_scheme(cloud, clusterer))
     # every sample shares the linkage clustering of the scheme's deterministic core
     epoch = (LinkageEpoch(cloud, scheme, clusterer)
              if isinstance(clusterer, SingleLinkageClusterer) else None)

@@ -243,6 +243,10 @@ _OPTIMIZE = ["optimize", "--maximize", "--epochs", "3"]
     ["build", "--sample", "--delta-rel", "1.7e308"],  # the smoothing width overflows
     _OPTIMIZE + ["--delta-rel", "1.7e308"],
     ["build", "--theta", "0,0,1e308"],  # the node means overflow, the filter's range does not
+    _OPTIMIZE + ["--theta", "0,0,1e-310", "--delta-rel", "1e-20"],  # the width underflows
+    ["build", "--sample", "--theta", "0,0,1e-310", "--delta-rel", "1e-20"],
+    _OPTIMIZE + ["--theta", "0,0,1e-323", "--delta-rel", "0.5"],  # too narrow for 10
+    ["build", "--theta", "0,0,1e-323", "--delta-rel", "0.5"],
 ])
 def test_numeric_failures_exit_two(tmp_path, capsys, flags):
     rc = main(flags + ["--shape", "y_shape", "--n", "200", "--threshold", "0.2",

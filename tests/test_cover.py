@@ -11,10 +11,12 @@ from softmapper.cover import (
     IntervalCover,
     MarginDraws,
     _bump,
+    _reuse,
     log_prob,
     margin_scheme,
     sample_assignment,
     smooth_scheme,
+    smoothing_width,
     standard_scheme,
     uniform_cover,
 )
@@ -77,6 +79,17 @@ def test_uniform_cover_errors():
         uniform_cover([0, 1], 2, 1.2)
     with pytest.raises(ValueError):
         uniform_cover([1, 1], 2, 0.3)
+
+
+def test_a_collapsing_cover_or_width_is_a_numeric_failure():
+    """A range too narrow for r intervals in doubles, or a width that
+    underflows to 0, raises FloatingPointError, not a ValueError about the
+    intervals or the width."""
+    with pytest.raises(FloatingPointError, match="cannot cover"):
+        uniform_cover([0.0, 1e-323], 10, 0.3)
+    with pytest.raises(FloatingPointError, match="underflows"):
+        smoothing_width([0.0, 1e-310], 10, 1e-20)
+    assert smoothing_width([0.0, 1e-310], 10, 1e-2) == 1e-312
 
 
 def test_uniform_cover_needs_an_integer_resolution():
@@ -189,6 +202,8 @@ def test_a_margin_block_expands_to_draws_of_its_scheme(rng):
     probs[rng.random((7, 3)) < 0.3] = 1.0
     scheme = AssignmentScheme(probs)
     margin = (probs > 0) & (probs < 1)
+    assert np.array_equal(scheme.margin, margin.ravel()[scheme.flat])
+    assert scheme.margin is scheme.margin and not scheme.margin.flags.writeable
     block = margin_scheme(scheme, 5)
     assert block.shape == (5, np.count_nonzero(margin))
     assert np.array_equal(block.probs, np.tile(probs[margin], (5, 1)))
@@ -332,3 +347,79 @@ def test_scheme_and_draw_shapes_are_checked():
 def test_assignment_scheme_accepts_empty_and_endpoints():
     assert AssignmentScheme(np.zeros((0, 3))).probs.shape == (0, 3)
     assert AssignmentScheme(np.array([[0.0, 1.0]])).probs.tolist() == [[0.0, 1.0]]
+
+
+def fresh_scheme(v, cover, delta):
+    return standard_scheme(v, cover) if delta == 0 else smooth_scheme(v, cover, delta)
+
+
+def reused(prev, v, cover, delta):
+    """``_reuse``'s scheme, after checking that it is the fresh build, flat
+    and value bytes alike, or None."""
+    got, want = _reuse(prev, v, cover, delta), fresh_scheme(v, cover, delta)
+    if got is not None:
+        assert got.shape == want.shape
+        assert got.flat.tobytes() == want.flat.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+    return got
+
+
+@given(
+    st.integers(1, 12),
+    st.sampled_from([0.05, 0.3, 0.6]),
+    st.sampled_from([0.0, 1e-12, 1e-3, 0.02, 0.3]),
+    st.sampled_from([0.0, 1e-16, 1e-9, 1e-6, 1e-3]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_reused_scheme_is_the_fresh_build(r, gain, delta_rel, move, seed):
+    """Values moved a little, some across a widened or a core end: the last
+    scheme's runs give the fresh scheme or nothing, and an unmoved epoch
+    always reuses them."""
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-1, 1, 40)
+    cover = uniform_cover(v, r, gain)
+    a, b = cover.intervals.T
+    delta = delta_rel * np.ptp(v)
+    ends = np.concatenate([a, b, a - delta, b + delta])
+    v = np.clip(np.concatenate([v, ends, np.nextafter(ends, -np.inf),
+                                np.nextafter(ends, np.inf)]), v.min(), v.max())
+    prev = fresh_scheme(v, cover, delta)
+    assert reused(prev, v, cover, delta) is not None
+    moved = v + (rng.random(v.size) < 0.3) * rng.choice([-1, 1], v.size) * move * np.ptp(v)
+    for w in (moved, np.clip(moved, v.min(), v.max())):
+        reused(prev, w, uniform_cover(w, r, gain), delta_rel * np.ptp(w))
+
+
+def margin_case(*points):
+    """Values 0 and 1, which fix the cover [0, 1] at r = 2, g = 0.3, and the
+    given offsets below its second interval's start a_1, in widths of 0.05."""
+    cover = uniform_cover([0.0, 1.0], 2, 0.3)
+    a1, delta = cover.intervals[1, 0], 0.05
+    return np.array([0.0, 1.0, *(a1 - t * delta for t in points)]), cover, delta
+
+
+@pytest.mark.parametrize("before, after", [
+    (1.0001, 0.5), (0.5, 1.0001),  # across the widened end: an entry appears, or goes
+    (0.9995, 0.5), (0.5, 0.9995),  # its bump underflows to 0: dropped, then back
+])
+def test_a_changed_support_is_not_reused(before, after):
+    v, cover, delta = margin_case(before)
+    w, _, _ = margin_case(after)
+    prev = fresh_scheme(v, cover, delta)
+    assert fresh_scheme(w, cover, delta).flat.size != prev.flat.size
+    assert reused(prev, w, cover, delta) is None
+
+
+@pytest.mark.parametrize("before, after", [
+    (-0.5, 0.5), (0.5, -0.5),  # across the core end
+    (-0.5, 1e-10), (1e-10, 0.5),  # a margin bump that rounds to exactly 1.0
+])
+def test_a_moved_probability_on_the_same_support_is_reused(before, after):
+    v, cover, delta = margin_case(before)
+    w, _, _ = margin_case(after)
+    prev = fresh_scheme(v, cover, delta)
+    got = reused(prev, w, cover, delta)
+    assert got is not None and got.flat is prev.flat
+    if after == 1e-10:  # outside its interval, yet p = 1, as a fresh build gives it
+        assert w[2] < cover.intervals[1, 0] and got.probs[2, 1] == 1.0

@@ -9,6 +9,8 @@ order included.
 """
 
 import gc
+import importlib
+import itertools
 import json
 import weakref
 from functools import cached_property
@@ -45,7 +47,7 @@ from softmapper.cover import (
 from softmapper.data import PointCloud
 from softmapper.filters import LinearFilter
 from softmapper.export import export_dot, graph_from_json, graph_to_json
-from softmapper.mapper import LinkageEpoch, MapperGraph, map_comp, node_means
+from softmapper.mapper import LinkageEpoch, MapperGraph, last_scheme, map_comp, node_means
 from softmapper.optimize import OptimConfig, optimize
 from softmapper.persistence import (
     extended_persistence,
@@ -703,18 +705,19 @@ def test_nodes_of_one_unit_keep_their_member_sums_bit_for_bit(case):
 
 def epoch_runs():
     """Schemes at each epoch's theta of two optimize runs: 40 epochs on a
-    2000-point y-shape at M = 3, and 40 on a noisy circle, each with its own
-    draw seeds; then a resolution sweep at one theta on an 800-point
+    2000-point y-shape at M = 3, whose support never repeats, and 100 on a
+    noisy circle, whose support repeats in most of its last 50, each with
+    its own draw seeds; then a resolution sweep at one theta on an 800-point
     y-shape, whose epochs have more or fewer elements than the last."""
     def scheme(cloud, theta, resolution, config=OptimConfig()):
         fv = LinearFilter().evaluate(cloud, theta)
         cover = uniform_cover(fv.values, resolution, config.gain)
         return smooth_scheme(fv, cover, smoothing_width(fv, resolution, config.delta_rel))
 
-    for cloud, threshold, resolution in [
-            (generate_synthetic("y_shape", n=2000, noise=0.02, seed=3), 0.2, 10),
-            (generate_synthetic("circle", n=500, noise=0.02, seed=3), 0.1, 8)]:
-        config = OptimConfig(epochs=40, mc_samples=3, maximize=True, resolution=resolution,
+    for cloud, threshold, resolution, epochs in [
+            (generate_synthetic("y_shape", n=2000, noise=0.02, seed=3), 0.2, 10, 40),
+            (generate_synthetic("circle", n=500, noise=0.02, seed=3), 0.1, 8, 100)]:
+        config = OptimConfig(epochs=epochs, mc_samples=3, maximize=True, resolution=resolution,
                              seed=3)
         cl = SingleLinkageClusterer(threshold)
         theta0 = np.ones(cloud.dim) / np.sqrt(cloud.dim)
@@ -773,6 +776,32 @@ def test_reused_elements_match_a_rebuild_over_whole_runs(builds):
         margins = sum(np.count_nonzero(((s.probs > 0) & (s.probs < 1)).any(axis=0))
                       for s, _ in schemes)
         assert 0 < calls < cores and 0 < grids < margins  # some elements repeat, not all
+
+
+def test_a_scheme_reused_over_whole_runs_equals_a_fresh_build(monkeypatch):
+    """Every epoch of the optimize runs of ``epoch_runs`` gets the scheme a
+    build from scratch gives, bit for bit, and the circle run, whose support
+    settles, takes it from the last scheme's runs in most of its late epochs."""
+    optimize_module = importlib.import_module("softmapper.optimize")
+    real, reused = optimize_module._reuse, []
+
+    def checked(prev, fv, cover, delta):
+        scheme = real(prev, fv, cover, delta)
+        want = smooth_scheme(fv, cover, delta)
+        got = want if scheme is None else scheme
+        assert got.shape == want.shape
+        assert got.flat.tobytes() == want.flat.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+        reused.append(scheme is not None)
+        return scheme
+
+    monkeypatch.setattr(optimize_module, "_reuse", checked)
+    late = []
+    for _, _, schemes in itertools.islice(epoch_runs(), 2):  # the optimize runs
+        assert len(reused) == len(schemes)
+        late.append(np.mean(reused[len(reused) // 2:]))
+        reused.clear()
+    assert late[1] > 0.5  # the circle run's share of late epochs that reuse
 
 
 def rebuild_counts(builds, cloud, probs, cl):
@@ -886,9 +915,14 @@ def test_the_memo_is_read_only_and_dies_with_its_cloud():
     cloud, cl = PointCloud(cloud.points), SingleLinkageClusterer(threshold)
     epoch = LinkageEpoch(cloud, scheme.probs, cl)
     memo = cloud._epochs[cl]
-    again = LinkageEpoch(cloud, scheme.probs, cl)
+    assert memo.scheme is epoch.scheme and memo.scheme._runs is None  # built from a matrix
+    again = LinkageEpoch(cloud, scheme, cl)
     assert all(getattr(again, name) is a for name, a in memo.state.items())
-    arrays = [memo.flat, memo.core, *memo.state.values()]
+    # a reusing epoch's scheme, with the runs its build kept, replaces the last
+    memo = cloud._epochs[cl]
+    assert memo.scheme is scheme and last_scheme(cloud, cl) is scheme
+    arrays = [memo.scheme.flat, memo.scheme.values, memo.scheme.margin, *memo.scheme._runs,
+              *memo.state.values()]
     # only what graph(e) reads: a rebuild's other arrays die with it
     assert memo.state.keys() == {"_core_flat", "_margin_flat", "_margin_perm", "_margin_unit",
                                  "_unit_elem", "_unit_ptr", "_unit_pts", "_pairs", "_edges"}

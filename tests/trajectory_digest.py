@@ -1,4 +1,4 @@
-"""Print the sha256 of the theta, risk and risk-SE trajectories of five
+"""Print the sha256 of the theta, risk and risk-SE trajectories of six
 optimize runs, and of the files four ``softmapper build`` runs write, so that
 two checkouts can be compared for bit-identity:
 
@@ -12,6 +12,9 @@ two checkouts can be compared for bit-identity:
   reuse that whole ``LinkageEpoch``, which no shorter run here does;
 - a 300-point y-shape clustered by 3-means on the smooth scheme, 10 epochs
   at M = 3, whose draws are the margin blocks expanded to n x r matrices;
+- the README configuration on the standard scheme for 200 epochs, most
+  of whose last 50 schemes are checked against the previous epoch's runs
+  at width 0 and taken from them;
 - a build of the benchmark's circle-build configuration (4000-point circle,
   coordinate filter, 400 intervals, linkage threshold 0.05);
 - a sampled build of a 600-point y-shape;
@@ -59,6 +62,9 @@ RUNS = {
     "kmeans-300": (300, KMeansClusterer(3), OptimConfig(epochs=10, mc_samples=3, step_size=0.1,
                                                         mode="extended", maximize=True,
                                                         scheme="smooth", seed=0)),
+    "standard-600": (600, LINKAGE, OptimConfig(epochs=200, mc_samples=10, step_size=0.1,
+                                               mode="extended", maximize=True,
+                                               scheme="standard", seed=0)),
 }
 BUILDS = {
     "circle-build": ["--shape", "circle", "--n", "4000", "--filter", "coord",
