@@ -5,6 +5,7 @@ from .filters import FilterValues, LinearFilter, FixedFilter, diagonal_init
 from .cover import (
     IntervalCover,
     AssignmentScheme,
+    MarginDraws,
     uniform_cover,
     standard_scheme,
     smooth_scheme,
@@ -12,7 +13,7 @@ from .cover import (
     log_prob,
 )
 from .clustering import KMeansClusterer, SingleLinkageClusterer, cluster, threshold_from_hausdorff
-from .mapper import MapperNode, MapperGraph, LinkageEpoch, map_comp
+from .mapper import MapperNode, MapperGraph, map_comp
 from .persistence import (
     FilteredGraph,
     DiagramPoint,

@@ -30,7 +30,7 @@ from .export import (
 )
 from .filters import FixedFilter, LinearFilter, diagonal_init
 from .mapper import map_comp
-from .optimize import OptimConfig, direction_correlation, optimize
+from .optimize import OptimConfig, _direction, direction_correlation, optimize
 from .persistence import extended_persistence, map_pers_filtration, regular_persistence
 from .synthetic import generate_synthetic
 
@@ -263,8 +263,10 @@ def cmd_optimize(args) -> int:
     ref = None
     if args.reference_direction:
         ref = _parse_vector(args.reference_direction, cloud.dim)
-        if not 0 < np.linalg.norm(ref) < np.inf:
-            raise ConfigError("--reference-direction must be finite and nonzero")
+        try:
+            _direction(ref)  # direction_correlation's rule, checked before the first epoch
+        except ValueError:
+            raise ConfigError("--reference-direction must be finite and nonzero") from None
     clusterer = _make_clusterer(args, cloud)
     # every OptimConfig field has a flag of the same dest
     config = OptimConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(OptimConfig)})

@@ -382,13 +382,17 @@ def _split(members: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
 def cluster(clusterer: Clusterer, cloud: PointCloud, member_indices) -> list[np.ndarray]:
     """Partition the given point indices into clusters.
 
-    Returns disjoint sorted index arrays, ordered by smallest member index.
+    The indices are a nonempty 1-D integer array, or a sequence numpy reads
+    as one, in any order and with repeats; any other dtype or shape, bool
+    included, raises ValueError. Returns disjoint sorted index arrays, ordered by
+    smallest member index.
     """
-    members = np.asarray(member_indices, dtype=np.intp)
-    if members.ndim != 1 or not (members[1:] > members[:-1]).all():
+    members = np.asarray(member_indices)
+    if members.ndim != 1 or members.dtype.kind not in "iu" or members.size == 0:
+        raise ValueError("member indices must be a nonempty 1-D integer array")
+    members = members.astype(np.intp, copy=False)
+    if not (members[1:] > members[:-1]).all():
         members = np.unique(members)
-    if members.size == 0:
-        raise ValueError("cannot cluster an empty member set")
     if members[-1] >= cloud.n or members[0] < 0:
         raise ValueError("member index out of range")
     if isinstance(clusterer, KMeansClusterer):

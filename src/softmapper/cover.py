@@ -98,8 +98,9 @@ def uniform_cover(values, r: int, g: float) -> IntervalCover:
 
     The interval length L solves (r - (r-1) g) L = max - min, the unique
     uniform solution; consecutive intervals share a segment of length g*L.
-    Intervals that collapse in floating point, over a range too narrow for
-    r of them, raise FloatingPointError.
+    A NaN or infinite value raises ValueError. Intervals that collapse in
+    floating point, over a range too narrow for r of them, raise
+    FloatingPointError.
     """
     values = np.asarray(values, dtype=float)
     if not isinstance(r, Integral) or r < 1:
@@ -107,6 +108,8 @@ def uniform_cover(values, r: int, g: float) -> IntervalCover:
     if not (0 < g < 1):
         raise ValueError(f"gain must lie in (0,1), got {g}")
     lo, hi = float(values.min()), float(values.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):  # a NaN value makes both NaN
+        raise ValueError(f"values must be finite, got the range [{lo}, {hi}]")
     if hi <= lo:
         if r > 1:
             raise ValueError("constant values cannot be covered with r > 1 intervals")

@@ -23,15 +23,8 @@ class PointCloud:
     ``points`` is a read-only copy of the given coordinates, so what two
     private memos keep of it never goes stale: the exact grids that single
     linkage builds from it, one per threshold (see ``clustering.cell_index``),
-    and, per clusterer, the last ``mapper.LinkageEpoch`` built on it: its
-    scheme, with what that scheme's build computed (each point's run of
-    widened intervals and which run entries it kept), the read-only arrays
-    the epoch derived from the scheme's support, and its record of each
-    cover element (point sets, core clusters, margin edges). The next
-    scheme build takes the last scheme's entries if those runs and entries
-    still hold (``cover._reuse``); the next epoch takes the whole epoch if
-    its support is the same, and otherwise each element whose point sets
-    are. Neither memo refers back to the cloud.
+    and, per clusterer, what the last ``mapper.LinkageEpoch`` built on it
+    keeps for the next (see there). Neither memo refers back to the cloud.
     """
 
     points: np.ndarray

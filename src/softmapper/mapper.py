@@ -216,11 +216,11 @@ class LinkageEpoch:
     clusters of element j are the connected components of a small graph whose
     units are the core clusters of j and its drawn margin points. Its edges,
     built once here, join units exactly when the radius graph does in every
-    draw. ``graph(e)`` equals the Mapper graph of e clustered from scratch.
-    The scheme is an ``AssignmentScheme``, whose entries are read as they
-    are, or a dense n x r matrix, which goes through ``AssignmentScheme``;
-    an entry outside [0, 1] (or NaN) raises ValueError. ``scheme`` holds the
-    ``AssignmentScheme`` either way.
+    draw. ``graph(draws)`` equals the Mapper graphs of the draws clustered
+    from scratch. The scheme is an ``AssignmentScheme``, whose entries are
+    read as they are, or a dense n x r matrix, which goes through
+    ``AssignmentScheme``; an entry outside [0, 1] (or NaN) raises ValueError.
+    ``scheme`` holds the ``AssignmentScheme`` either way.
 
     Units run element by element, and within an element by smallest member,
     core clusters and margin points alike. An element's core clusters depend
@@ -229,37 +229,39 @@ class LinkageEpoch:
     built on it with that clusterer: that epoch's scheme, whose support is
     its shape, the flat indices of its nonzero entries and which of them
     equal 1, everything the epoch derived from the support, and one record
-    per element. Everything ``graph(e)`` reads depends only on the cloud,
-    the clusterer and the support, so an epoch whose support equals the
-    memo's takes the memo's arrays, which are read-only, builds nothing and
-    puts its own scheme in the memo. Any other epoch takes record j's
-    clusters for element j if its core is unchanged, and its edges if the
-    margin is too; it clusters the other cores, searches one margin grid
-    over the other elements and replaces the memo. A cloud's first epoch
-    has no memo; the memo holds no reference to it. ``last_scheme`` reads
-    the memo's scheme, whose build records let the next scheme build check
-    that its support repeats before computing it (``cover._reuse``).
+    per element. Everything ``graph`` reads depends only on the cloud, the
+    clusterer and the support, so an epoch whose support equals the memo's
+    takes the memo's arrays, which are read-only, builds nothing and puts
+    its own scheme in the memo. Any other epoch takes record j's clusters
+    for element j if its core is unchanged, and its edges if the margin is
+    too; it clusters the other cores, searches one margin grid over the
+    other elements and replaces the memo. A cloud's first epoch has no memo;
+    the memo holds no reference to it. ``map_comp`` builds an epoch per
+    call, so its calls on draws of schemes of one support find their epoch
+    in the memo. ``last_scheme`` reads the memo's scheme, whose build
+    records let the next scheme build check that its support repeats before
+    computing it (``cover._reuse``).
 
-    The epoch also keeps what no draw decides: the flat indices of the core
-    and margin entries, through which ``graph(e)`` checks a draw, each unit's
-    points, and the unit pairs that share points, with their shared counts,
-    from one ``_nerve`` pass over the entries in the point-major order
-    ``flatnonzero`` gives them. A node is the union of its component's units;
-    its smallest unit, the component's root, holds its smallest member, so
-    the roots already run in node order. A draw's graph holds each node as
-    its units (see ``MapperGraph``) and lists no member. Two units of one
-    element share no point, so ``graph(e)`` weighs each edge by summing the
-    present unit pairs between its two nodes.
+    The epoch also keeps what no draw decides: each margin entry's column
+    in a ``MarginDraws`` block, each unit's points, and the unit pairs that
+    share points, with their shared counts, from one ``_nerve`` pass over
+    the entries in the point-major order ``flatnonzero`` gives them. A node
+    is the union of its component's units; its smallest unit, the
+    component's root, holds its smallest member, so the roots already run in
+    node order. A draw's graph holds each node as its units (see
+    ``MapperGraph``) and lists no member. Two units of one element share no
+    point, so ``graph`` weighs each edge by summing the present unit pairs
+    between its two nodes.
 
     Any clusterer serves a scheme without margin entries (a single draw, as
     ``map_comp`` builds for k-means); a scheme with them needs single linkage,
     and any other clusterer raises ValueError.
     """
 
-    # the arrays graph(e) reads, which the memo keeps; the rest of a rebuild
-    # is dropped when it returns
-    _STATE = ("_core_flat", "_margin_flat", "_margin_perm", "_margin_unit", "_unit_elem",
-              "_unit_ptr", "_unit_pts", "_pairs", "_edges")
+    # the arrays graph reads, which the memo keeps; the rest of a rebuild is
+    # dropped when it returns
+    _STATE = ("_margin_perm", "_margin_unit", "_unit_elem", "_unit_ptr", "_unit_pts", "_pairs",
+              "_edges")
 
     def __init__(self, cloud: PointCloud, scheme: AssignmentScheme | np.ndarray,
                  clusterer: Clusterer):
@@ -269,12 +271,12 @@ class LinkageEpoch:
         if not isinstance(scheme, AssignmentScheme):
             scheme = AssignmentScheme(scheme)
         self.cloud, self.scheme, self.clusterer = cloud, scheme, clusterer
-        self._shape = n, r = scheme.shape
+        r = scheme.shape[1]
         flat, margin = scheme.flat, scheme.margin
         if margin.any() and not isinstance(clusterer, SingleLinkageClusterer):
             raise ValueError("a scheme with margin entries (0 < p < 1) needs single linkage")
         memo = cloud._epochs.get(clusterer)
-        if (memo is not None and memo.scheme.shape == self._shape
+        if (memo is not None and memo.scheme.shape == scheme.shape
                 and np.array_equal(memo.scheme.flat, flat)
                 and np.array_equal(memo.scheme.margin, margin)):
             vars(self).update(memo.state)  # the same support: everything below repeats
@@ -290,7 +292,6 @@ class LinkageEpoch:
         margin_order, margin_pt, margin_elem, mb = _by_element(pt[margin_at], elem[margin_at], r)
         core_at, margin_at = core_at[core_order], margin_at[margin_order]  # in element order
         self._margin_perm = margin_order  # each margin entry's MarginDraws column
-        self._core_flat, self._margin_flat = flat[core_at], flat[margin_at]
         elements = []
         for j in range(r):
             c, m = core_pt[cb[j]:cb[j + 1]], margin_pt[mb[j]:mb[j + 1]]
@@ -422,13 +423,12 @@ class LinkageEpoch:
         keys = _distinct(np.concatenate(keys))
         return np.stack(_divmod(keys, n_units)).astype(np.int32)
 
-    def graph(self, e=None) -> MapperGraph:
-        """The Mapper graph of the draw e (n x r, nonzero = assigned), or the
-        disjoint union of the graphs of a stack of draws (M x n x r, or a
+    def graph(self, draws: MarginDraws | None = None) -> MapperGraph:
+        """The disjoint union of the Mapper graphs of ``draws``, a
         ``MarginDraws`` of the epoch's own scheme, whose block is taken as it
-        is), with draw m's node range in ``draws``. With e left out, the
-        graph of the scheme itself, which must have no margin entries: it is
-        its own only draw, and no draw is read or checked.
+        is, with draw m's node range in the graph's ``draws``. With draws
+        left out, the graph of the scheme itself, which must have no margin
+        entries: it is its own only draw. Anything else raises ValueError.
 
         Each draw's nodes run in (cover_index, smallest member) order, its
         edges in ascending (u, v) order. Draw m's units and entries are the
@@ -436,33 +436,13 @@ class LinkageEpoch:
         sort of the present units by node and one pass over the shared unit
         pairs build all draws.
         """
-        if e is None:
-            if self._margin_flat.size:
-                raise ValueError("a scheme with margin entries (0 < p < 1) is not a draw")
-            return self._graph(np.empty((1, 0), dtype=bool))
-        if isinstance(e, MarginDraws):
-            if e.scheme is not self.scheme:
-                raise ValueError("the draws are of another scheme than the epoch's")
-            return self._graph(e.drawn[:, self._margin_perm])
-        e = np.asarray(e)
-        n, r = self._shape
-        if e.ndim not in (2, 3) or e.shape[-2:] != (n, r):
-            raise ValueError(f"assignment must be {(n, r)} or a stack of them, got {e.shape}")
-        n_draws = e.shape[0] if e.ndim == 3 else 1
-        flat = e.reshape(-1)
-        entry = np.arange(n_draws)[:, None] * (n * r)
-        drawn = flat[entry + self._margin_flat] != 0
-        # a draw assigns every core entry, and beyond them only drawn margin
-        # entries; a draw holds at least those, so equal totals make each equal
-        if (not np.all(flat[(entry + self._core_flat).ravel()])
-                or np.count_nonzero(flat)
-                != n_draws * self._core_flat.size + np.count_nonzero(drawn)):
-            raise ValueError("assignment is not a draw of this epoch's scheme")
-        return self._graph(drawn)
-
-    def _graph(self, drawn: np.ndarray) -> MapperGraph:
-        """The graphs of the draws whose margin entries ``drawn`` (M x
-        margin entries, in the epoch's order) marks, as ``graph`` returns them."""
+        if draws is None and not self._margin_unit.size:  # the scheme is its own only draw
+            drawn = np.empty((1, 0), dtype=bool)
+        elif isinstance(draws, MarginDraws) and draws.scheme is self.scheme:
+            drawn = draws.drawn[:, self._margin_perm]  # in the epoch's margin order
+        else:
+            raise ValueError("not a draw: graph takes a MarginDraws of the epoch's own scheme,"
+                             " or nothing for a scheme with no margin entries (0 < p < 1)")
         n_draws, n_units = drawn.shape[0], self._unit_elem.size
         shift = np.arange(n_draws)[:, None] * n_units
         drawn = drawn.ravel()
@@ -508,9 +488,7 @@ def last_scheme(cloud: PointCloud, clusterer: Clusterer) -> AssignmentScheme | N
     return None if memo is None else memo.scheme
 
 
-def map_comp(
-    cloud: PointCloud, e, clusterer: Clusterer, epoch: LinkageEpoch | None = None
-) -> MapperGraph:
+def map_comp(cloud: PointCloud, e, clusterer: Clusterer) -> MapperGraph:
     """Cluster each cover element's point set and take the nerve.
 
     Column j of e selects the points assigned to cover element j; each
@@ -520,35 +498,27 @@ def map_comp(
 
     A stack of draws e (M x n x r, or a ``MarginDraws``) gives the disjoint
     union of their graphs, draw m's nodes in ``draws[m]:draws[m + 1]`` (see
-    ``MapperGraph``).
+    ``MapperGraph``). e may also be an ``AssignmentScheme`` with no margin
+    entries, such as a standard scheme, which is its own draw: its graph is
+    built from its entries, with no n x r matrix.
 
-    The graph comes from ``epoch.graph(e)``. For single linkage, pass the
-    epoch built once for the scheme e was drawn from; leave it out, as for
-    k-means, to treat e as its own scheme, which clusters every nonempty
-    column once. A stack, a ``MarginDraws`` listed as its dense draws, then
-    builds one epoch per draw, each taking the element records of the draw
-    before it, and joins their graphs. e may also be an ``AssignmentScheme``
-    with no margin entries, such as a standard scheme, which is its own
-    draw: its graph is built from its entries, with no n x r matrix. With an
-    epoch, the only scheme taken is the one the epoch was built from, which
-    gives ``epoch.graph()``; any other ``AssignmentScheme`` raises
-    ValueError, as a ``MarginDraws`` of another scheme does.
+    Under single linkage a ``MarginDraws`` gives ``LinkageEpoch(cloud,
+    e.scheme, clusterer).graph(e)``: its scheme's core is clustered once for
+    all its draws, and not at all when the cloud's memo holds an epoch of
+    the same support. Any other e is its own scheme, which clusters every
+    nonempty column once; a stack, a ``MarginDraws`` under k-means listed as
+    its dense draws, builds one epoch per draw, each taking the element
+    records of the draw before it, and joins their graphs.
     """
-    if epoch is None:
-        if isinstance(e, MarginDraws):
-            e = e.dense()
-        if not isinstance(e, AssignmentScheme):
-            e = np.asarray(e) != 0  # the scheme of a draw: its assigned entries, all 1
-            if e.ndim == 3:
-                return _union([LinkageEpoch(cloud, d, clusterer).graph() for d in e])
-        return LinkageEpoch(cloud, e, clusterer).graph()
-    if epoch.cloud is not cloud or epoch.clusterer != clusterer:
-        raise ValueError("epoch was built for another cloud or clusterer")
-    if isinstance(e, AssignmentScheme):
-        if e is not epoch.scheme:
-            raise ValueError("a scheme passed with an epoch must be the epoch's own")
-        return epoch.graph()
-    return epoch.graph(e)
+    if isinstance(e, MarginDraws):
+        if isinstance(clusterer, SingleLinkageClusterer):
+            return LinkageEpoch(cloud, e.scheme, clusterer).graph(e)
+        e = e.dense()
+    if not isinstance(e, AssignmentScheme):
+        e = np.asarray(e) != 0  # the scheme of a draw: its assigned entries, all 1
+        if e.ndim == 3:
+            return _union([LinkageEpoch(cloud, d, clusterer).graph() for d in e])
+    return LinkageEpoch(cloud, e, clusterer).graph()
 
 
 def node_means(graph: MapperGraph, values) -> np.ndarray:

@@ -20,18 +20,10 @@ its members. Cover endpoints are treated as constants inside an epoch: they
 enter through sampling only, not through the per-sample chain rule. An
 overflow in an epoch's means or step raises FloatingPointError naming the
 epoch; the recorded gradient norm is taken at an exact power-of-two scale,
-so it is finite wherever the gradient is. The cloud keeps one memo of the
-previous epoch's ``LinkageEpoch`` (see ``mapper.LinkageEpoch``), its
-scheme included, with what that scheme's build computed: each point's run
-of widened cover elements and which run entries it kept. An epoch whose
-values leave every run and kept entry as they were takes the last scheme's
-entries and computes only their probabilities (``cover._reuse``); any
-other epoch builds its scheme. An epoch whose scheme has the same support
-(the same nonzero entries, the same ones equal to 1) takes that whole
-epoch and clusters nothing, as most epochs do once theta settles; any
-other epoch clusters again only the cover elements whose point sets differ
-from their record's. Either way the results are those of a rebuild from
-scratch.
+so it is finite wherever the gradient is. The cloud keeps the previous
+epoch's ``LinkageEpoch`` and scheme as a memo (see ``mapper.LinkageEpoch``),
+which the next epoch's scheme build and clustering reuse where their inputs
+repeat, with the results of a rebuild from scratch.
 """
 
 from __future__ import annotations
@@ -42,11 +34,11 @@ from numbers import Integral
 
 import numpy as np
 
-from .clustering import Clusterer, SingleLinkageClusterer
+from .clustering import Clusterer
 from .cover import (MarginDraws, _reuse, margin_scheme, sample_assignment, smooth_scheme,
                     smoothing_width, standard_scheme, uniform_cover)
 from .data import PointCloud
-from .mapper import LinkageEpoch, last_scheme
+from .mapper import last_scheme
 from .persistence import loss_and_subgradient, raising
 
 
@@ -129,12 +121,9 @@ def _build_scheme(fv, config: OptimConfig, last):
 def _sample_losses(cloud, filter_family, theta, clusterer, config, seed):
     fv = filter_family.evaluate(cloud, theta)
     scheme = _build_scheme(fv, config, last_scheme(cloud, clusterer))
-    # every sample shares the linkage clustering of the scheme's deterministic core
-    epoch = (LinkageEpoch(cloud, scheme, clusterer)
-             if isinstance(clusterer, SingleLinkageClusterer) else None)
     draws = MarginDraws(scheme, sample_assignment(margin_scheme(scheme, config.mc_samples), seed))
     losses, grads = loss_and_subgradient(cloud, draws, filter_family, theta, clusterer,
-                                         config.mode, epoch, fv=fv)
+                                         config.mode, fv=fv)
     sign = -1.0 if config.maximize else 1.0
     return sign * losses, sign * grads
 
@@ -196,11 +185,21 @@ def optimize(
     return theta, trace
 
 
+def _direction(x) -> np.ndarray:
+    """The vector x over the power of two that brings its largest entry into
+    [1/2, 1), an exact scaling; x with a non-finite entry or no nonzero one
+    raises ValueError."""
+    x = np.asarray(x, dtype=float)
+    if not (np.all(np.isfinite(x)) and x.any()):
+        raise ValueError("direction vectors must be finite and nonzero")
+    return np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+
+
 def direction_correlation(u, v) -> float:
-    """Absolute cosine similarity between two direction vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0 or nv == 0:
-        raise ValueError("direction vectors must be nonzero")
-    return float(abs(u @ v) / (nu * nv))
+    """Absolute cosine similarity between two direction vectors. Each is
+    first scaled by the power of two that brings its largest entry into
+    [1/2, 1) (``_direction``), which is exact and leaves the cosine as it
+    is, so huge or tiny vectors neither overflow nor underflow. A vector
+    with a non-finite entry or no nonzero one raises ValueError."""
+    u, v = _direction(u), _direction(v)
+    return float(abs(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v)))

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Clusterer
-from .cover import AssignmentScheme, MarginDraws
+from .cover import MarginDraws
 from .data import PointCloud
 from .filters import FilterValues
-from .mapper import LinkageEpoch, MapperGraph, map_comp, node_means
+from .mapper import MapperGraph, map_comp, node_means
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,6 @@ def loss_and_subgradient(
     theta: np.ndarray,
     clusterer: Clusterer,
     mode: str = "extended",
-    epoch: LinkageEpoch | None = None,
     *,
     fv: FilterValues | None = None,
 ) -> tuple:
@@ -232,17 +231,19 @@ def loss_and_subgradient(
     point contributes sign(birth - death) * (grad birth - grad death), with
     sign(0) = 0; the gradient of a node value averages the Jacobian rows of
     its members, summed unit by unit as its value is (see ``node_means``).
-    ``epoch`` is the reusable Mapper of the scheme e was drawn from (see
-    ``map_comp``). ``fv`` is ``filter_family.evaluate(cloud, theta)`` when
-    the caller holds it already, as an epoch's draws share it; without it
-    the filter is evaluated here. An ``fv`` whose length is not the cloud's
-    point count raises ValueError.
+    ``fv`` is ``filter_family.evaluate(cloud, theta)`` when the caller
+    holds it already, as an epoch's draws share it; without it the filter
+    is evaluated here. An ``fv`` whose length is not the cloud's point count
+    raises ValueError.
 
     A stack goes through one ``map_comp`` call, one filtration and one
-    diagram of the union of its draws' graphs. Each draw's loss sums its own
-    diagram's points in order and its subgradient adds their terms in order,
-    so every draw gets, bit for bit, what a call on it alone gives. An
-    overflow or a non-finite result raises FloatingPointError.
+    diagram of the union of its draws' graphs; under single linkage, a
+    ``MarginDraws`` clusters its scheme's core once for all its draws, or
+    not at all when the cloud's memo already holds it (see ``map_comp``).
+    Each draw's loss sums its own diagram's points in order and its
+    subgradient adds their terms in order, so every draw gets, bit for bit,
+    what a call on it alone gives. An overflow or a non-finite result
+    raises FloatingPointError.
     """
     if mode not in ("regular", "extended"):
         raise ValueError(f"mode must be 'regular' or 'extended', got {mode!r}")
@@ -251,9 +252,7 @@ def loss_and_subgradient(
     elif fv.values.shape[0] != cloud.n:
         raise ValueError(f"fv must hold one value per point ({cloud.n}),"
                          f" got {fv.values.shape[0]}")
-    if not isinstance(e, (AssignmentScheme, MarginDraws)):
-        e = np.asarray(e)
-    graph = map_comp(cloud, e, clusterer, epoch)
+    graph = map_comp(cloud, e, clusterer)
     with raising("non-finite loss or subgradient"):
         fg = map_pers_filtration(graph, fv)
         diagram = extended_persistence(fg) if mode == "extended" else regular_persistence(fg)
@@ -276,6 +275,6 @@ def loss_and_subgradient(
                       coef * node_means(graph, fv.jacobian)[nodes[at].ravel()])
     if not (np.all(np.isfinite(losses)) and np.all(np.isfinite(grads))):
         raise FloatingPointError("non-finite loss or subgradient")
-    if isinstance(e, MarginDraws) or len(e.shape) == 3:
+    if isinstance(e, MarginDraws) or np.ndim(e) == 3:  # an AssignmentScheme's ndim is 0
         return losses, grads
     return float(losses[0]), grads[0]

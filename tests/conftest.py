@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from softmapper.cover import MarginDraws
 from softmapper.filters import FilterValues
 from softmapper.mapper import MapperGraph
 from softmapper.persistence import map_pers_filtration
@@ -19,6 +20,19 @@ def graph_of(members, cover=None, edges=None):
     cover = np.ones(len(members), dtype=np.intp) if cover is None else np.asarray(cover, np.intp)
     links = np.array([(u, v, w) for (u, v), w in sorted((edges or {}).items())], dtype=np.intp)
     return MapperGraph(indptr, flat, cover, links.reshape(-1, 3).T)
+
+
+def margin_draws(scheme, e) -> MarginDraws:
+    """The ``MarginDraws`` of the scheme (an ``AssignmentScheme``) holding
+    the draw e (n x r) or the stack of draws e (M x n x r); asserts that each
+    is a draw: it assigns every entry with p = 1 and no entry with p = 0."""
+    e = np.asarray(e) != 0
+    assert e.ndim in (2, 3) and e.shape[-2:] == scheme.shape, e.shape
+    e = e.reshape(-1, e.shape[-2] * e.shape[-1])
+    core, margin = scheme.flat[~scheme.margin], scheme.flat[scheme.margin]
+    assert e[:, core].all()
+    assert np.count_nonzero(e) == e.shape[0] * core.size + np.count_nonzero(e[:, margin])
+    return MarginDraws(scheme, e[:, margin])
 
 
 def n_components(graph) -> int:

@@ -160,6 +160,21 @@ def test_optimize_reference_correlation(tmp_path):
     assert summary["reference_correlation"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("ref", ["1e200,1e200", "1e-200,1e-200", "1e308,-1e308"])
+def test_reference_directions_of_any_scale(tmp_path, ref):
+    """A reference direction is checked and used at its exact power-of-two
+    scale, so huge and tiny ones give the correlation of their direction."""
+    rc = main([
+        "optimize", "--shape", "circle", "--n", "60",
+        "--theta", "0,1", "--epochs", "1", "--mc-samples", "1",
+        "--step-size", "0", "--clusterer", "linkage", "--threshold", "0.8",
+        "--reference-direction", ref, "--out-dir", str(tmp_path),
+    ])
+    assert rc == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["reference_correlation"] == pytest.approx(math.sqrt(0.5), rel=1e-15)
+
+
 @pytest.mark.parametrize("config_flag", [["--config", "{}"], ["--config={}"]],
                          ids=["separate", "equals"])
 def test_config_file_defaults_and_override(tmp_path, config_flag):
@@ -313,7 +328,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         out = tmp_path / f"optimize {flag} {value}"
         assert main(optimize + [flag, value, "--out-dir", str(out)]) == 1
         assert not out.exists()
-    for ref in ["1,2,3", "0,0", "nan,1"]:  # checked before the first epoch
+    for ref in ["1,2,3", "0,0", "nan,1", "inf,1", "0,-0"]:  # checked before the first epoch
         out = tmp_path / f"ref {ref}"
         assert main(optimize + ["--reference-direction", ref, "--out-dir", str(out)]) == 1
         assert not (out / "trace.csv").exists()

@@ -53,6 +53,18 @@ def test_empty_member_set_rejected(line_cloud):
             cluster(SingleLinkageClusterer(0.5), line_cloud, members)
 
 
+def test_member_indices_must_be_one_dimensional_integers(line_cloud):
+    """Fractional or 2-D member indices raise ValueError rather than being
+    truncated or flattened, and a bool array is no integer array."""
+    for cl in (KMeansClusterer(2), SingleLinkageClusterer(0.5)):
+        for members in ([1.7, 2.2], np.array([1.0, 2.0]), [[0, 1], [2, 3]], np.eye(2, dtype=int),
+                        np.array([True, False, True, True]), ["1", "2"]):
+            with pytest.raises(ValueError, match="1-D integer array"):
+                cluster(cl, line_cloud, members)
+        for members in ([1, 2], range(1, 3), np.array([2, 1, 2], dtype=np.uint8)):
+            assert as_sets(cluster(cl, line_cloud, members)) == {frozenset({1}), frozenset({2})}
+
+
 def test_threshold_below_coordinate_resolution_rejected(line_cloud):
     # cells of side t / 2 could not be told apart in floating point
     with pytest.raises(ValueError, match="too small"):
@@ -211,7 +223,7 @@ def test_kmeans_more_clusters_than_points(line_cloud):
 def test_partition_property(rng):
     cloud = PointCloud(rng.standard_normal((40, 3)))
     members = sorted(rng.choice(40, size=25, replace=False).tolist())
-    # shuffled, repeated and 2-D member inputs mean the same set
+    # shuffled and repeated member inputs, of any integer dtype, mean the same set
     shuffled = rng.permutation(members + members[::3])
     for cl in (KMeansClusterer(4, seed=1), SingleLinkageClusterer(0.8)):
         parts = cluster(cl, cloud, members)
@@ -219,7 +231,7 @@ def test_partition_property(rng):
         assert flat == members
         assert sum(len(p) for p in parts) == len(set(flat))
         assert all(np.all(p[1:] > p[:-1]) for p in parts)
-        for same in (shuffled, np.reshape(members, (5, 5)), np.reshape(shuffled, (2, 17))):
+        for same in (shuffled, shuffled.astype(np.int32), np.array(members, dtype=np.uint16)):
             assert [p.tolist() for p in cluster(cl, cloud, same)] == [p.tolist() for p in parts]
 
 

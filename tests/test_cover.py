@@ -81,6 +81,15 @@ def test_uniform_cover_errors():
         uniform_cover([1, 1], 2, 0.3)
 
 
+def test_non_finite_values_are_bad_arguments():
+    """A NaN or infinite value is a bad argument, raised as ValueError before
+    any interval is computed, not a numeric failure or a warning."""
+    for values in ([np.nan, 1, 2], [0, np.inf, 2], [-np.inf, 1], [np.inf, np.inf]):
+        for r in (1, 3):
+            with pytest.raises(ValueError, match="must be finite"):
+                uniform_cover(values, r, 0.3)
+
+
 def test_a_collapsing_cover_or_width_is_a_numeric_failure():
     """A range too narrow for r intervals in doubles, or a width that
     underflows to 0, raises FloatingPointError, not a ValueError about the

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
 
-from conftest import graph_of, n_components
+from conftest import graph_of, margin_draws, n_components
 from softmapper.clustering import KMeansClusterer, SingleLinkageClusterer
 from softmapper.cover import (
     AssignmentScheme,
@@ -175,10 +175,11 @@ def test_a_scheme_is_its_entries(seed, r, gain, delta_rel):
     want = map_comp(PointCloud(pts), standard.probs.astype(np.uint8), cl)
     assert map_comp(PointCloud(pts), standard, cl) == want
     assert LinkageEpoch(PointCloud(pts), standard, cl).graph() == want
-    assert LinkageEpoch(PointCloud(pts), standard.probs, cl).graph(standard.probs) == want
+    assert LinkageEpoch(PointCloud(pts), standard.probs, cl).graph() == want
     e = np.stack([sample_assignment(smooth, s) for s in range(3)])
-    want = LinkageEpoch(PointCloud(pts), smooth.probs, cl).graph(e)
-    assert LinkageEpoch(PointCloud(pts), smooth, cl).graph(e) == want
+    epoch = LinkageEpoch(PointCloud(pts), smooth.probs, cl)
+    want = epoch.graph(margin_draws(epoch.scheme, e))
+    assert LinkageEpoch(PointCloud(pts), smooth, cl).graph(margin_draws(smooth, e)) == want
 
 
 def test_a_scheme_with_margin_entries_is_no_draw():

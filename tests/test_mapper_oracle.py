@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.spatial.distance import cdist
 
-from conftest import graph_of
+from conftest import graph_of, margin_draws
 from softmapper import clustering, mapper
 from softmapper.clustering import (
     Grid,
@@ -160,7 +160,7 @@ def test_epoch_matches_oracle_on_every_sample(case):
     for m in range(6):
         e = sample_assignment(scheme, 1000 * case + m)
         want = oracle_map_comp(cloud, e, cl)
-        assert_same_graph(map_comp(cloud, e, cl, epoch), want)
+        assert_same_graph(epoch.graph(margin_draws(epoch.scheme, e)), want)
         assert_same_graph(map_comp(cloud, e, cl), want)
         if m < 2:
             assert_same_graph(map_comp(cloud, e, km), oracle_map_comp(cloud, e, km))
@@ -169,8 +169,8 @@ def test_epoch_matches_oracle_on_every_sample(case):
 @pytest.mark.parametrize("case", range(0, 12, 3))
 def test_a_margin_block_gives_the_graphs_of_its_dense_draws(case):
     """A ``MarginDraws`` block, whose columns run in the scheme's entry
-    order, gives the graphs of its dense draws, with its epoch or without
-    one, and an epoch takes only a block of its own scheme."""
+    order, gives the graphs of its dense draws, through its epoch or
+    ``map_comp``, and an epoch takes only a block of its own scheme."""
     cloud, scheme, threshold = smooth_case(case)
     cl = SingleLinkageClusterer(threshold)
     epoch = LinkageEpoch(cloud, scheme, cl)
@@ -180,11 +180,10 @@ def test_a_margin_block_gives_the_graphs_of_its_dense_draws(case):
     draws = MarginDraws(scheme, sample_assignment(margin_scheme(scheme, 5), [case, 0]))
     assert draws.drawn.any(axis=0).sum() > 1  # more than one margin entry is drawn
     e = draws.dense()
-    want = map_comp(cloud, e, cl, epoch)
+    want = map_comp(cloud, e, cl)
     assert_same_graph(epoch.graph(draws), want)
-    assert_same_graph(map_comp(cloud, draws, cl, epoch), want)
     assert_same_graph(again.graph(MarginDraws(again.scheme, draws.drawn)), want)
-    with pytest.raises(ValueError, match="another scheme"):
+    with pytest.raises(ValueError, match="MarginDraws of the epoch's own scheme"):
         epoch.graph(MarginDraws(again.scheme, draws.drawn))
     assert_same_graph(map_comp(cloud, draws, cl), want)
     km = KMeansClusterer(3, seed=case)
@@ -199,7 +198,8 @@ def test_threshold_past_the_extent_matches_oracle():
     epoch = LinkageEpoch(cloud, scheme.probs, cl)
     for m in range(4):
         e = sample_assignment(scheme, m)
-        assert_same_graph(epoch.graph(e), oracle_map_comp(cloud, e, cl))
+        assert_same_graph(epoch.graph(margin_draws(epoch.scheme, e)),
+                          oracle_map_comp(cloud, e, cl))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -261,7 +261,8 @@ def test_margin_linked_to_its_core_inside_one_cell():
     rng = np.random.default_rng(0)
     for _ in range(30):
         e = ((probs == 1) | ((probs > 0) & (rng.random(probs.shape) < 0.5))).astype(np.uint8)
-        assert_same_graph(epoch.graph(e), oracle_map_comp(cloud, e, cl))
+        assert_same_graph(epoch.graph(margin_draws(epoch.scheme, e)),
+                          oracle_map_comp(cloud, e, cl))
 
 
 def test_margin_links_a_core_cluster_beside_its_own_cell():
@@ -276,7 +277,7 @@ def test_margin_links_a_core_cluster_beside_its_own_cell():
     for keep, n_nodes in [(1, 1), (0, 2)]:
         e = (probs == 1).astype(np.uint8)
         e[2, 0] = keep
-        g = epoch.graph(e)
+        g = epoch.graph(margin_draws(epoch.scheme, e))
         assert g.n_nodes == n_nodes
         assert_same_graph(g, oracle_map_comp(cloud, e, cl))
 
@@ -301,7 +302,8 @@ def test_every_draw_sums_the_unit_pairs_of_shared_points():
     for bits in range(1 << margin.size):
         e = (probs == 1).astype(np.uint8)
         e.ravel()[margin] = (bits >> np.arange(margin.size)) & 1
-        assert_same_graph(epoch.graph(e), oracle_map_comp(cloud, e, cl))
+        assert_same_graph(epoch.graph(margin_draws(epoch.scheme, e)),
+                          oracle_map_comp(cloud, e, cl))
 
 
 def test_epoch_rejects_foreign_draws():
@@ -310,15 +312,9 @@ def test_epoch_rejects_foreign_draws():
     cl = SingleLinkageClusterer(1.0)
     epoch = LinkageEpoch(cloud, probs, cl)
     ok = np.array([[1, 0], [1, 0], [1, 0], [0, 1], [0, 1], [0, 1]])
-    assert epoch.graph(ok).n_nodes == 2
-    with pytest.raises(ValueError):
-        epoch.graph(np.ones((6, 2)))  # assigns a p = 0 entry
-    with pytest.raises(ValueError):
-        epoch.graph(np.zeros((6, 2)))  # drops the core
-    with pytest.raises(ValueError):
-        map_comp(cloud, ok, SingleLinkageClusterer(2.0), epoch)
-    with pytest.raises(ValueError, match=r"assignment must be \(6, 2\)"):
-        epoch.graph(ok[:, :1])
+    assert epoch.graph(margin_draws(epoch.scheme, ok)).n_nodes == 2
+    with pytest.raises(ValueError, match="MarginDraws"):
+        epoch.graph(ok)  # a dense draw, even one of the epoch's scheme
     for scheme in (probs[:5], probs[:, 0]):
         with pytest.raises(ValueError, match="scheme must have 6 rows"):
             LinkageEpoch(cloud, scheme, cl)
@@ -451,7 +447,8 @@ def test_undecided_cell_pair_checked_in_several_chunks(below):
     rng = np.random.default_rng(5)
     for e in [np.ones((len(pts), 1), dtype=np.uint8),
               *((rng.random((len(pts), 1)) < 0.9).astype(np.uint8) for _ in range(5))]:
-        assert_same_graph(epoch.graph(e), oracle_map_comp(cloud, e, cl))
+        assert_same_graph(epoch.graph(margin_draws(epoch.scheme, e)),
+                          oracle_map_comp(cloud, e, cl))
 
 
 @settings(max_examples=150, deadline=None)
@@ -509,7 +506,8 @@ def test_sets_far_from_the_cloud_origin_match_the_oracle(threshold):
     epoch = LinkageEpoch(cloud, probs, cl)
     for m in range(3):
         e = (rng.random(probs.shape) < probs).astype(np.uint8)
-        assert_same_graph(epoch.graph(e), oracle_map_comp(cloud, e, cl))
+        assert_same_graph(epoch.graph(margin_draws(epoch.scheme, e)),
+                          oracle_map_comp(cloud, e, cl))
 
 
 @st.composite
@@ -620,8 +618,9 @@ def test_a_draw_builds_no_node_or_edge_objects(monkeypatch):
     theta = np.array([0.6, 0.8, 0.0])
     fv = LinearFilter().evaluate(cloud, theta)
     for mode in ("extended", "regular"):
-        loss_and_subgradient(cloud, e, LinearFilter(), theta, cl, mode, epoch, fv=fv)
-    g = map_comp(cloud, e[0], cl, epoch)
+        loss_and_subgradient(cloud, margin_draws(epoch.scheme, e), LinearFilter(), theta, cl,
+                             mode, fv=fv)
+    g = map_comp(cloud, margin_draws(epoch.scheme, e[0]), cl)
     fg = map_pers_filtration(g, fv)
     extended_persistence(fg), regular_persistence(fg)
     graph_from_json(graph_to_json(g, fg.node_values))
@@ -649,7 +648,7 @@ def test_an_optimize_epoch_lists_no_members(monkeypatch):
     assert listed == []
     cloud, scheme, threshold = smooth_case(1)
     g = LinkageEpoch(cloud, scheme, SingleLinkageClusterer(threshold)).graph(
-        sample_assignment(scheme, 0))
+        margin_draws(scheme, sample_assignment(scheme, 0)))
     assert g.members is g.members and g.indptr is g.indptr
     assert listed == [g, g]
 
@@ -668,8 +667,8 @@ def test_epoch_node_means_lie_within_ulps_of_member_sums(case):
     then lies within 4 ulps of its mean |value| of the sum over its listed
     members in member order; a node of one unit equals that sum bit for bit."""
     cloud, scheme, threshold = smooth_case(case)
-    g = LinkageEpoch(cloud, scheme, SingleLinkageClusterer(threshold)).graph(
-        np.stack([sample_assignment(scheme, 1000 * case + m) for m in range(6)]))
+    g = LinkageEpoch(cloud, scheme, SingleLinkageClusterer(threshold)).graph(margin_draws(
+        scheme, np.stack([sample_assignment(scheme, 1000 * case + m) for m in range(6)])))
     one = np.diff(g._node_units[0]) == 1
     fv = LinearFilter().evaluate(cloud, np.random.default_rng(case).standard_normal(cloud.dim))
     for values in (fv.values, fv.jacobian):
@@ -771,7 +770,8 @@ def test_reused_elements_match_a_rebuild_over_whole_runs(builds):
             rebuilt = LinkageEpoch(PointCloud(cloud.points), scheme.probs, cl)
             for m in range(3):
                 e = sample_assignment(scheme, seed + m)
-                assert_same_graph(epoch.graph(e), rebuilt.graph(e))
+                assert_same_graph(epoch.graph(margin_draws(epoch.scheme, e)),
+                                  rebuilt.graph(margin_draws(rebuilt.scheme, e)))
         cores = sum(np.count_nonzero((s.probs == 1).any(axis=0)) for s, _ in schemes)
         margins = sum(np.count_nonzero(((s.probs > 0) & (s.probs < 1)).any(axis=0))
                       for s, _ in schemes)
@@ -814,7 +814,8 @@ def rebuild_counts(builds, cloud, probs, cl):
     rebuilt = LinkageEpoch(PointCloud(cloud.points), probs, cl)
     for m in range(4):
         e = sample_assignment(AssignmentScheme(probs), m)
-        assert_same_graph(epoch.graph(e), rebuilt.graph(e))
+        assert_same_graph(epoch.graph(margin_draws(epoch.scheme, e)),
+                          rebuilt.graph(margin_draws(rebuilt.scheme, e)))
     return counts
 
 
@@ -866,7 +867,8 @@ def assert_draws_match_a_fresh_cloud(epoch, cloud, probs, cl):
     fresh = LinkageEpoch(PointCloud(cloud.points), probs, cl)
     for seed in range(4):
         e = sample_assignment(AssignmentScheme(probs), seed)
-        assert_same_graph(epoch.graph(e), fresh.graph(e))
+        assert_same_graph(epoch.graph(margin_draws(epoch.scheme, e)),
+                          fresh.graph(margin_draws(fresh.scheme, e)))
 
 
 def test_a_repeated_support_reuses_the_whole_epoch(builds):
@@ -885,6 +887,28 @@ def test_a_repeated_support_reuses_the_whole_epoch(builds):
     epoch = LinkageEpoch(cloud, probs, cl)
     assert builds == {"cluster": [], "grid": [], "edges": []}
     assert_draws_match_a_fresh_cloud(epoch, cloud, probs, cl)
+
+
+def test_map_comp_finds_the_epoch_in_the_memo(builds):
+    """``map_comp`` on a ``MarginDraws`` whose scheme has the support of the
+    last one on its cloud and clusterer takes that epoch from the cloud's
+    memo: it clusters nothing, builds no grid and searches no margin edges,
+    and its graphs are those of a fresh cloud."""
+    cloud, scheme, threshold = smooth_case(1)
+    cloud, cl = PointCloud(cloud.points), SingleLinkageClusterer(threshold)
+    map_comp(cloud, MarginDraws(scheme, sample_assignment(margin_scheme(scheme, 3), 0)), cl)
+    assert builds["cluster"] and builds["grid"] and builds["edges"]
+    # the same support, other margin probabilities
+    other = AssignmentScheme.from_entries(
+        scheme.shape, scheme.flat, np.where(scheme.margin, scheme.values / 2, scheme.values))
+    draws = MarginDraws(other, sample_assignment(margin_scheme(other, 4), 1))
+    assert draws.drawn.any()
+    for log in builds.values():
+        log.clear()
+    got = map_comp(cloud, draws, cl)
+    assert builds == {"cluster": [], "grid": [], "edges": []}
+    assert_same_graph(got, map_comp(PointCloud(cloud.points), draws, cl))
+    assert builds["cluster"] and builds["edges"]  # the fresh cloud's epoch is built
 
 
 def test_another_support_clusterer_or_cloud_builds_anew(builds):
@@ -923,9 +947,9 @@ def test_the_memo_is_read_only_and_dies_with_its_cloud():
     assert memo.scheme is scheme and last_scheme(cloud, cl) is scheme
     arrays = [memo.scheme.flat, memo.scheme.values, memo.scheme.margin, *memo.scheme._runs,
               *memo.state.values()]
-    # only what graph(e) reads: a rebuild's other arrays die with it
-    assert memo.state.keys() == {"_core_flat", "_margin_flat", "_margin_perm", "_margin_unit",
-                                 "_unit_elem", "_unit_ptr", "_unit_pts", "_pairs", "_edges"}
+    # only what graph reads: a rebuild's other arrays die with it
+    assert memo.state.keys() == {"_margin_perm", "_margin_unit", "_unit_elem", "_unit_ptr",
+                                 "_unit_pts", "_pairs", "_edges"}
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         epoch._edges[...] = 0

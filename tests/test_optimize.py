@@ -5,10 +5,10 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+from conftest import margin_draws
 from softmapper.clustering import CellIndex, KMeansClusterer, SingleLinkageClusterer
 from softmapper.data import PointCloud
 from softmapper.filters import FixedFilter, LinearFilter
-from softmapper.mapper import LinkageEpoch
 from softmapper.optimize import (
     OptimConfig,
     _scaled,
@@ -174,12 +174,11 @@ def test_fixed_filter_keeps_its_risk():
     cl = SingleLinkageClusterer(0.5)
     theta, trace = optimize(cloud, fam, np.zeros(0), cl, cfg)
     assert theta.shape == (0,)
-    # epoch 0's draws, each expanded to n x r, one call each through the
-    # scheme's epoch
+    # epoch 0's draws, each expanded to n x r and passed back as a block of
+    # one draw, one call each through the scheme's epoch
     fv, draws = _epoch_draws(cloud, fam, theta, cfg)
-    epoch = LinkageEpoch(cloud, draws.scheme, cl)
-    losses = [loss_and_subgradient(cloud, e, fam, theta, cl, cfg.mode, epoch, fv=fv)[0]
-              for e in draws.dense()]
+    losses = [loss_and_subgradient(cloud, margin_draws(draws.scheme, e), fam, theta, cl,
+                                   cfg.mode, fv=fv)[0][0] for e in draws.dense()]
     assert np.ptp(losses) > 0
     assert trace.risks[0] == np.mean(losses)
     assert trace.risk_ses[0] == _standard_error(losses)
@@ -276,6 +275,21 @@ def test_direction_correlation():
     assert direction_correlation([1, 1, 0], [1, 0, 0]) == pytest.approx(np.sqrt(0.5))
     with pytest.raises(ValueError):
         direction_correlation([0, 0, 0], [1, 0, 0])
+
+
+def test_direction_correlation_at_any_scale():
+    """The cosine is taken at exact power-of-two scales, so huge and tiny
+    vectors give their directions' cosine with no warning, and a
+    non-finite or all-zero vector raises ValueError."""
+    for scale in (1e200, 1e-200, 1e308, 5e-324):
+        assert direction_correlation([scale, scale], [1, 0]) == pytest.approx(np.sqrt(0.5),
+                                                                             rel=1e-15)
+        assert direction_correlation([scale, 0], [0, -scale]) == 0.0
+    assert direction_correlation([1e-300, 1e-300, 0], [0, 1e300, 1e300]) == pytest.approx(0.5)
+    for bad in ([np.nan, 1], [np.inf, 1], [-np.inf, 1], [0, 0], [-0.0, 0.0], []):
+        for u, v in ((bad, [1, 0]), ([1, 0], bad)):
+            with pytest.raises(ValueError, match="finite and nonzero"):
+                direction_correlation(u, v)
 
 
 def test_an_epoch_evaluates_the_filter_once(monkeypatch):

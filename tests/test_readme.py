@@ -3,11 +3,14 @@ package in one short row per module."""
 
 import ast
 import contextlib
+import importlib
+import inspect
 import io
 import re
 import shlex
 from pathlib import Path
 
+import softmapper
 from softmapper import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,3 +88,31 @@ def test_every_export_is_named_in_its_modules_row():
     named = {module: set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`", text))))
              for module, text in rows.items()}
     assert sorted(name for name, module in exports.items() if name not in named[module]) == []
+
+
+def test_every_api_signature_binds():
+    """Every `name(args)` of the API table whose name is an export, or a
+    public function of its row's module, binds to the real signature: one
+    placeholder per positional argument and each `kw=...` as a keyword,
+    with `*` and `...` skipped."""
+    exports = vars(softmapper)
+    checked, unbound = 0, []
+    for module, text in api_rows():
+        mod = importlib.import_module(f"softmapper.{module}")
+        for name, args in re.findall(r"`(\w+)\(([^`]*)\)`", text):
+            if name in exports and not inspect.ismodule(exports[name]):
+                obj = exports[name]
+            elif not name.startswith("_") and inspect.isfunction(getattr(mod, name, None)):
+                obj = getattr(mod, name)
+            else:
+                continue
+            parts = [a.strip() for a in args.split(",") if a.strip() not in ("", "*", "...")]
+            kwargs = {a.split("=")[0].strip(): None for a in parts if "=" in a}
+            positional = [None] * (len(parts) - len(kwargs))
+            try:
+                inspect.signature(obj).bind(*positional, **kwargs)
+            except TypeError as exc:
+                unbound.append(f"{name}({args}): {exc}")
+            checked += 1
+    assert unbound == []
+    assert checked >= 30  # the table names most of the API by its signature

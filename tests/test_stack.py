@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import margin_draws
 from softmapper import mapper
 from softmapper.clustering import KMeansClusterer, SingleLinkageClusterer
 from softmapper.cover import sample_assignment
@@ -41,27 +42,34 @@ def bits(diagram, shift=0):
             for p in diagram]
 
 
-def assert_stack_matches_draws(cloud, e, theta, clusterer, epoch, mode):
-    """Check every per-draw output of the stack e; return each draw's (nodes, edges)."""
+def assert_stack_matches_draws(cloud, e, theta, clusterer, scheme, mode):
+    """Check every per-draw output of the stack e, passed as the scheme's
+    ``MarginDraws`` if a scheme is given and as it is if not; return each
+    draw's (nodes, edges)."""
     fam = LinearFilter()
     fv = fam.evaluate(cloud, theta)
-    union = map_comp(cloud, e, clusterer, epoch)
+    stack = e if scheme is None else margin_draws(scheme, e)
+    union = map_comp(cloud, stack, clusterer)
     assert union.draws.size == len(e) + 1
     assert not any(np.searchsorted(union.draws, u, "right")
                    != np.searchsorted(union.draws, v, "right") for u, v in union.edges)
     diagram = DIAGRAM[mode](map_pers_filtration(union, fv))
-    losses, grads = loss_and_subgradient(cloud, e, fam, theta, clusterer, mode, epoch, fv=fv)
+    losses, grads = loss_and_subgradient(cloud, stack, fam, theta, clusterer, mode, fv=fv)
     assert losses.shape == (len(e),) and grads.shape == (len(e), cloud.dim)
     at = 0
     sizes = []
     for m, draw in enumerate(e):
-        alone = map_comp(cloud, draw, clusterer, epoch)
+        if scheme is not None:
+            draw = margin_draws(scheme, draw)
+        alone = map_comp(cloud, draw, clusterer)
         assert_same_graph(draw_of(union, m), alone)
         sizes.append((alone.n_nodes, alone.n_edges))
         want = bits(DIAGRAM[mode](map_pers_filtration(alone, fv)))
         assert bits(diagram[at:at + len(want)], union.draws[m]) == want  # draw by draw
         at += len(want)
-        loss, grad = loss_and_subgradient(cloud, draw, fam, theta, clusterer, mode, epoch, fv=fv)
+        loss, grad = loss_and_subgradient(cloud, draw, fam, theta, clusterer, mode, fv=fv)
+        if scheme is not None:  # a block of one draw gives one loss and one subgradient
+            loss, grad = loss[0], grad[0]
         assert losses[m].hex() == loss.hex()
         assert grads[m].tobytes() == grad.tobytes()
     assert at == len(diagram)
@@ -73,17 +81,18 @@ def assert_stack_matches_draws(cloud, e, theta, clusterer, epoch, mode):
        path=st.sampled_from(["epoch", "own scheme", "kmeans"]))
 @settings(max_examples=40, deadline=None)
 def test_a_stack_gives_each_draw_what_it_gives_alone(case, seed, m, mode, path):
-    """Single linkage through the scheme's epoch, single linkage with each
-    draw its own scheme, and k-means, which has no epoch."""
+    """Single linkage through the scheme's epoch (its ``MarginDraws``),
+    single linkage with each draw its own scheme, and k-means, which has no
+    epoch."""
     cloud, scheme, threshold = smooth_case(case)
     e = np.stack([sample_assignment(scheme, seed + k) for k in range(m)])
     theta = np.random.default_rng(seed).standard_normal(cloud.dim)
     if path == "kmeans":
-        clusterer, epoch = KMeansClusterer(3, seed=case), None
+        clusterer = KMeansClusterer(3, seed=case)
     else:
         clusterer = SingleLinkageClusterer(threshold)
-        epoch = LinkageEpoch(cloud, scheme.probs, clusterer) if path == "epoch" else None
-    assert_stack_matches_draws(cloud, e, theta, clusterer, epoch, mode)
+    assert_stack_matches_draws(cloud, e, theta, clusterer, scheme if path == "epoch" else None,
+                               mode)
 
 
 @pytest.mark.parametrize("mode", ["extended", "regular"])
@@ -93,8 +102,7 @@ def test_draws_of_different_sizes(case, mode):
     cl = SingleLinkageClusterer(threshold)
     e = np.stack([sample_assignment(scheme, k) for k in range(8)])
     theta = np.random.default_rng(case).standard_normal(cloud.dim)
-    sizes = assert_stack_matches_draws(cloud, e, theta, cl, LinkageEpoch(cloud, scheme.probs, cl),
-                                       mode)
+    sizes = assert_stack_matches_draws(cloud, e, theta, cl, scheme, mode)
     assert len({n for n, _ in sizes}) > 1 and len({k for _, k in sizes}) > 1
 
 
@@ -130,32 +138,23 @@ def test_a_stack_of_one_is_the_draws_graph():
     epoch = LinkageEpoch(cloud, scheme.probs, cl)
     e = sample_assignment(scheme, 5)
     want = oracle_map_comp(cloud, e, cl)
-    assert_same_graph(epoch.graph(e[None]), want)
-    assert_same_graph(epoch.graph(e), want)
+    assert_same_graph(epoch.graph(margin_draws(epoch.scheme, e[None])), want)
+    assert_same_graph(map_comp(cloud, margin_draws(scheme, e), cl), want)
     assert np.array_equal(want.draws, [0, want.n_nodes])
 
 
 def test_a_stack_with_a_foreign_matrix_is_rejected():
+    """An epoch takes its draws only as a ``MarginDraws`` of its own scheme:
+    a dense stack, of its draws or not, is rejected, as is a stack of schemes."""
     cloud, scheme, threshold = smooth_case(2)
     cl = SingleLinkageClusterer(threshold)
     epoch = LinkageEpoch(cloud, scheme.probs, cl)
     e = np.stack([sample_assignment(scheme, k) for k in range(4)])
-    epoch.graph(e)
+    epoch.graph(margin_draws(epoch.scheme, e))
     extra = e.copy()
     extra[3][scheme.probs == 0] = 1  # assigns p = 0 entries in the last draw
-    dropped = e.copy()
-    dropped[1][scheme.probs == 1] = 0  # drops the core of the second draw
-    swapped = e.copy()
-    swapped[2][np.unravel_index(np.flatnonzero(scheme.probs.ravel() == 0)[0], e.shape[1:])] = 1
-    swapped[0][np.unravel_index(np.flatnonzero(scheme.probs.ravel() == 1)[0], e.shape[1:])] = 0
-    for bad in (extra, dropped, swapped):
-        with pytest.raises(ValueError, match="not a draw"):
-            epoch.graph(bad)
-        with pytest.raises(ValueError, match="not a draw"):
-            loss_and_subgradient(cloud, bad, LinearFilter(), np.ones(cloud.dim), cl,
-                                 epoch=epoch)
-    for bad in (e[:, :, :-1], e[None], e[0, 0]):
-        with pytest.raises(ValueError, match="assignment must be"):
+    for bad in (e, extra, e[0], margin_draws(scheme, e)):
+        with pytest.raises(ValueError, match="MarginDraws of the epoch's own scheme"):
             epoch.graph(bad)
     # an epoch serves one scheme: a stack of schemes is rejected
     with pytest.raises(ValueError, match="scheme must have .* rows and r columns"):
